@@ -264,8 +264,13 @@ def named_curve(name: str, q: int) -> BoundCurve:
     if name.startswith("synthetic:"):
         pairs = name.split(":", 1)[1]
         vertices = []
-        for chunk in pairs.split(";"):
-            d_str, r_str = chunk.split(",")
-            vertices.append(RatPoint.of(Fraction(r_str), Fraction(d_str)))
+        try:
+            for chunk in pairs.split(";"):
+                d_str, r_str = chunk.split(",")
+                vertices.append(RatPoint.of(Fraction(r_str), Fraction(d_str)))
+        except (ValueError, ZeroDivisionError):
+            raise ContractViolationError(
+                f"bad synthetic curve {name!r}; expected synthetic:d,r;d,r;..."
+            ) from None
         return synthetic_polyline(vertices)
     raise ContractViolationError(f"unknown curve name {name!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -111,7 +112,10 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
         raise ConfigError("alphabet size must be >= 2")
     max_nodes = args.max_nodes
     if max_nodes is None:
-        max_nodes = int(os.environ.get(BUDGET_ENV, search.SearchBudget().max_nodes))
+        try:
+            max_nodes = int(os.environ.get(BUDGET_ENV, search.SearchBudget().max_nodes))
+        except ValueError:
+            raise ConfigError(f"${BUDGET_ENV} must be an integer, got {os.environ[BUDGET_ENV]!r}") from None
     return RunConfig(
         command=command,
         q=getattr(args, "q", 2),
@@ -257,18 +261,19 @@ def cmd_oracle(args) -> int:
 def cmd_spoil(args) -> int:
     cfg = _cfg_from_args(args, "spoil")
     manifest = _manifest(cfg, {"input": args.input, "op": args.op, "count": args.count})
-    code = read_code_text(Path(args.input).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input file: {exc}") from None
+    code = read_code_text(text)
     initial = params(code)
-    ops = {"lengthen": spoiling.lengthen, "puncture": spoiling.puncture, "shorten": spoiling.shorten}
-    if args.op not in ops:
-        raise ConfigError(f"unknown spoiling operation {args.op!r}")
+    step_fn = {
+        "lengthen": spoiling._lengthen_step,
+        "puncture": spoiling._puncture_step,
+        "shorten": spoiling._shorten_step,
+    }[args.op]
     steps = []
     for _ in range(args.count):
-        step_fn = {
-            "lengthen": spoiling._lengthen_step,
-            "puncture": spoiling._puncture_step,
-            "shorten": spoiling._shorten_step,
-        }[args.op]
         code, step = step_fn(code)
         steps.append(step)
     trace = spoiling.SpoilTrace(initial, tuple(steps), params(code))
@@ -280,14 +285,13 @@ def cmd_spoil(args) -> int:
 
 def cmd_realize(args) -> int:
     cfg = _cfg_from_args(args, "realize")
-    rate_str, delta_str = args.target.split(",")
-    rate = Fraction(rate_str)
-    delta = Fraction(delta_str)
-    denom = rate.denominator
-    denom = denom * delta.denominator // _gcd(denom, delta.denominator)
-    k = int(rate * denom)
-    n = denom
-    d = int(delta * denom)
+    try:
+        rate, delta = (Fraction(part) for part in args.target.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--target must be R,delta with rational parts, got {args.target!r}") from None
+    n = math.lcm(rate.denominator, delta.denominator)
+    k = int(rate * n)
+    d = int(delta * n)
     manifest = _manifest(cfg, {"target": args.target, "count": args.count, "k": k, "n": n, "d": d})
     outputs = spoiling.realize_point((k, n, d), cfg.q, args.count, budget=cfg.budget())
     out = Path(cfg.out_dir)
@@ -310,12 +314,6 @@ def cmd_realize(args) -> int:
         )
     _write(out / "realize_summary.json", _json_text(manifest, {"outputs": summary}))
     return EXIT_OK
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def cmd_strip(args) -> int:

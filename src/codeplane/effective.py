@@ -21,17 +21,23 @@ range). Exact curves (polylines) decide every predicate outright; interval
 curves leave the genuinely boundary-touching squares undecided at every
 precision, which is precisely the exceptional set the theory expects.
 
-The "wait until stabilization" loops are realized as fixpoint rounds on
-the N-grid with doubling precision and a per-ball cap; a square still
-undecided at the cap is treated as meeting the set (conservative: strips
-may widen, never falsely thin). Presentations over general rational balls
-enumerate a canonical dovetailed ball sequence so soundness examples can
-be exercised directly; the grid algorithms consume the per-ball deciders.
+Every verdict on a square depends only on its own column's enclosures (f at
+the column's two clipped ends for the graph, f(i/N) for the domain), so
+"wait until stabilization" is realized column by column: each column walks
+the precision ladder (base, doubling, clipped to the cap), evaluating the
+curve once per column end per rung, until all of its rows are decided. A
+square still undecided at the cap is treated as meeting the set
+(conservative: strips may widen, never falsely thin). The amendment pass of
+the two-sided approximation is an index test, since two closed grid squares
+meet iff their column and row indices each differ by at most one.
+Presentations over general rational balls enumerate a canonical dovetailed
+ball sequence so soundness examples can be exercised directly.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,15 +49,8 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import (
-    BallKind,
-    GridBall,
-    RatBall,
-    RatPoint,
-    balls_closures_intersect,
-    format_rational,
-    grid_balls,
-)
+from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, format_rational
+from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,13 +81,23 @@ class GraphBallDecider:
 
     def decide(self, d_lo: Fraction, d_hi: Fraction, r_lo: Fraction, r_hi: Fraction,
                precision: int) -> Decision:
-        span_lo, span_hi = self._span()
-        a = max(d_lo, span_lo)
-        b = min(d_hi, span_hi)
+        return self.verdict(self.ends(d_lo, d_hi, precision), r_lo, r_hi)
+
+    def ends(self, d_lo: Fraction, d_hi: Fraction, precision: int) -> Optional[tuple[RatInterval, RatInterval]]:
+        """Enclosures of f at [d_lo, d_hi] clipped to the curve span; None if they miss."""
+        span = getattr(self.curve, "span", None) or (ZERO, ONE)
+        a = max(d_lo, span[0])
+        b = min(d_hi, span[1])
         if a > b:
+            return None
+        return self.curve.eval(a, precision), self.curve.eval(b, precision)
+
+    @staticmethod
+    def verdict(ends: Optional[tuple[RatInterval, RatInterval]], r_lo: Fraction, r_hi: Fraction) -> Decision:
+        """Closed rectangle vs graph: intersects iff f(a) >= r_lo and f(b) <= r_hi."""
+        if ends is None:
             return Decision.DISJOINT
-        fa = self.curve.eval(a, precision)
-        fb = self.curve.eval(b, precision)
+        fa, fb = ends
         if fa.lo >= r_lo and fb.hi <= r_hi:
             return Decision.INTERSECTS
         if fa.hi < r_lo or fb.lo > r_hi:
@@ -97,10 +106,6 @@ class GraphBallDecider:
 
     def decide_ball(self, ball: GridBall, precision: int) -> Decision:
         return self.decide(ball.delta_lo, ball.delta_hi, ball.r_lo, ball.r_hi, precision)
-
-    def _span(self) -> tuple[Fraction, Fraction]:
-        span = getattr(self.curve, "span", None)
-        return span if span is not None else (ZERO, ONE)
 
 
 class DomainBallDecider:
@@ -118,38 +123,68 @@ class DomainBallDecider:
         self.curve = curve
 
     def decide_closed(self, ball: GridBall, precision: int) -> Decision:
+        return self.closed_verdict(self.curve.eval(ball.delta_lo, precision), ball.r_lo)
+
+    def decide_open(self, ball: GridBall, precision: int) -> Decision:
+        return self.open_verdict(self.curve.eval(ball.delta_lo, precision), ball.r_lo)
+
+    @staticmethod
+    def closed_verdict(fa: RatInterval, y0: Fraction) -> Decision:
         """Closed square vs U: intersects iff f(x0) >= y0."""
-        fa = self.curve.eval(ball.delta_lo, precision)
-        if fa.lo >= ball.r_lo:
+        if fa.lo >= y0:
             return Decision.INTERSECTS
-        if fa.hi < ball.r_lo:
+        if fa.hi < y0:
             return Decision.DISJOINT
         return Decision.UNKNOWN
 
-    def decide_open(self, ball: GridBall, precision: int) -> Decision:
+    @staticmethod
+    def open_verdict(fa: RatInterval, y0: Fraction) -> Decision:
         """Open square vs U: intersects iff f(x0) > y0."""
-        fa = self.curve.eval(ball.delta_lo, precision)
-        if fa.lo > ball.r_lo:
+        if fa.lo > y0:
             return Decision.INTERSECTS
-        if fa.hi <= ball.r_lo:
+        if fa.hi <= y0:
             return Decision.DISJOINT
         return Decision.UNKNOWN
+
+
+def _sweep_columns(n_grid: int, column_verdicts: Callable[[int, int], Callable[[int], tuple]],
+                   deadline: Optional[float], base_precision: int, precision_cap: int,
+                   what: str) -> dict[tuple[int, int], tuple[Decision, ...]]:
+    """Walk each column up the precision ladder until its rows are decided.
+
+    ``column_verdicts(i, precision)`` evaluates the curve for column i once
+    and returns the verdicts of a row j at that precision. Certified
+    enclosures never give conflicting verdicts, so a row keeps those of the
+    last rung it was walked to; UNKNOWN left in a cell's tuple means it was
+    still undecided at the cap.
+    """
+    if n_grid < 1:
+        raise ContractViolationError("grid resolution must be >= 1")
+    cells: dict[tuple[int, int], tuple[Decision, ...]] = {}
+    for i in range(n_grid):
+        pending = range(n_grid)
+        precision = base_precision
+        while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise StabilizationTimeoutError(f"{what} timed out", partial=cells)
+            verdicts = column_verdicts(i, precision)
+            for j in pending:
+                cells[i, j] = verdicts(j)
+            pending = [j for j in pending if Decision.UNKNOWN in cells[i, j]]
+            if not pending or precision >= precision_cap:
+                break
+            precision = min(precision_cap, precision * 2)
+    return cells
 
 
 # --- canonical enumeration of rational balls -------------------------------
 
 
 def _unpair(z: int) -> tuple[int, int]:
-    w = (_isqrt(8 * z + 1) - 1) // 2
+    w = (math.isqrt(8 * z + 1) - 1) // 2
     t = w * (w + 1) // 2
     b = z - t
     return w - b, b
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def _calkin_wilf(index: int) -> Fraction:
@@ -379,8 +414,7 @@ def _domain_closed_disjoint(curve: BoundCurve, ball: RatBall, precision: int) ->
     y1 = min(r_iv.hi, ONE)
     if x0 > x1 or y0 > y1:
         return True  # no overlap with the unit square at all
-    value = curve.eval(x0, precision)
-    return value.hi < y0
+    return DomainBallDecider.closed_verdict(curve.eval(x0, precision), y0) is Decision.DISJOINT
 
 
 def _domain_open_intersects(curve: BoundCurve, ball: RatBall, precision: int) -> bool:
@@ -392,8 +426,7 @@ def _domain_open_intersects(curve: BoundCurve, ball: RatBall, precision: int) ->
     y0 = max(r_iv.lo, ZERO)
     if y0 >= r_iv.hi:
         return False
-    value = curve.eval(x0, precision)
-    return value.lo > y0
+    return DomainBallDecider.open_verdict(curve.eval(x0, precision), y0) is Decision.INTERSECTS
 
 
 def domain_presentations(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION
@@ -514,43 +547,25 @@ def build_strip(
     base_precision: int = DEFAULT_BASE_PRECISION,
     precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> NStrip:
-    """Grid squares not provably disjoint from the curve's graph, once the
-    fixpoint rounds stabilize, together with the boundary staircases.
+    """Grid squares not provably disjoint from the curve's graph, once every
+    column's precision ladder settles, together with the boundary staircases.
 
     Accepts the graph's co-r.e. presentation or the curve itself. Squares
     undecided at the precision cap stay in the strip (conservative) and are
-    reported in ``capped``. Raises StabilizationTimeoutError with partial
-    state when the wall clock runs out first.
+    reported in ``capped``. Raises StabilizationTimeoutError with the cells
+    decided so far when the wall clock runs out first.
     """
     decider = source.decider if isinstance(source, CurveGraphCoPresentation) else GraphBallDecider(source)
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
-    status: dict[tuple[int, int], Decision] = {
-        (b.i, b.j): Decision.UNKNOWN for b in grid_balls(n_grid)
-    }
-    precision = base_precision
-    while True:
-        changed = False
-        for (i, j), current in sorted(status.items()):
-            if current is not Decision.UNKNOWN:
-                continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise StabilizationTimeoutError(
-                    "strip construction timed out", partial=dict(status)
-                )
-            decision = decider.decide_ball(GridBall(n_grid, i, j), precision)
-            if decision is not Decision.UNKNOWN:
-                status[(i, j)] = decision
-                changed = True
-        undecided = [key for key, dec in status.items() if dec is Decision.UNKNOWN]
-        if not undecided:
-            break
-        if precision >= precision_cap and not changed:
-            break
-        precision = min(precision_cap, precision * 2)
+    def column_verdicts(i: int, precision: int):
+        ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
+        return lambda j: (decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),)
 
-    capped = tuple(sorted(key for key, dec in status.items() if dec is Decision.UNKNOWN))
-    members = {key for key, dec in status.items() if dec is not Decision.DISJOINT}
+    cells = _sweep_columns(n_grid, column_verdicts, deadline, base_precision, precision_cap,
+                           "strip construction")
+    capped = tuple(sorted(key for key, (dec,) in cells.items() if dec is Decision.UNKNOWN))
+    members = {key for key, (dec,) in cells.items() if dec is not Decision.DISJOINT}
     if not members:
         raise InternalContractError("no grid square meets the presented graph")
     return _assemble_strip(n_grid, members, capped)
@@ -695,9 +710,9 @@ def two_sided_approx(
     precision_cap: int = DEFAULT_PRECISION_CAP,
     strict: bool = True,
 ) -> AdmissibleSet:
-    """Run the two provers over the N-grid until stabilization, then apply
-    the amendment pass moving undecided squares whose closures miss the
-    decided sides.
+    """Run the two provers over the N-grid until every column's precision
+    ladder settles, then apply the amendment pass moving undecided squares
+    whose closures miss the decided sides.
 
     Call either with a (re, co) presentation pair for the same domain, or
     with a single curve in place of ``re``. With ``strict`` (default) a
@@ -718,61 +733,30 @@ def two_sided_approx(
         decider = co.decider
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
-    cells = [(b.i, b.j) for b in grid_balls(n_grid)]
-    closed_state: dict[tuple[int, int], Decision] = {c: Decision.UNKNOWN for c in cells}
-    open_state: dict[tuple[int, int], Decision] = {c: Decision.UNKNOWN for c in cells}
+    def column_verdicts(i: int, precision: int):
+        fa = decider.curve.eval(Fraction(i, n_grid), precision)
+        return lambda j: (decider.closed_verdict(fa, Fraction(j, n_grid)),
+                          decider.open_verdict(fa, Fraction(j, n_grid)))
 
-    precision = base_precision
-    while True:
-        changed = False
-        for cell in cells:
-            if deadline is not None and time.monotonic() > deadline:
-                raise StabilizationTimeoutError(
-                    "two-sided approximation timed out",
-                    partial={"closed": dict(closed_state), "open": dict(open_state)},
-                )
-            ball = GridBall(n_grid, *cell)
-            if closed_state[cell] is Decision.UNKNOWN:
-                dec = decider.decide_closed(ball, precision)
-                if dec is not Decision.UNKNOWN:
-                    closed_state[cell] = dec
-                    changed = True
-            if open_state[cell] is Decision.UNKNOWN:
-                dec = decider.decide_open(ball, precision)
-                if dec is not Decision.UNKNOWN:
-                    open_state[cell] = dec
-                    changed = True
-        pending = [
-            c
-            for c in cells
-            if closed_state[c] is Decision.UNKNOWN or open_state[c] is Decision.UNKNOWN
-        ]
-        if not pending:
-            break
-        if precision >= precision_cap and not changed:
-            break
-        precision = min(precision_cap, precision * 2)
+    cells = _sweep_columns(n_grid, column_verdicts, deadline, base_precision, precision_cap,
+                           "two-sided approximation")
+    u_plus = {c for c, (closed, _) in cells.items() if closed is Decision.DISJOINT}
+    u_minus = {c for c, (_, open_) in cells.items() if open_ is Decision.INTERSECTS}
+    initial_undecided = tuple(sorted(c for c in cells if c not in u_plus and c not in u_minus))
 
-    u_plus = {c for c in cells if closed_state[c] is Decision.DISJOINT}
-    u_minus = {c for c in cells if open_state[c] is Decision.INTERSECTS}
-    undecided = [c for c in cells if c not in u_plus and c not in u_minus]
-    initial_undecided = tuple(sorted(undecided))
+    # amendment pass against the *initial* decided sets; two closed grid
+    # squares meet iff their indices differ by at most one on both axes
+    def touches(cell: tuple[int, int], side: frozenset) -> bool:
+        i, j = cell
+        return any((i + di, j + dj) in side for di in (-1, 0, 1) for dj in (-1, 0, 1))
 
-    # amendment pass against the *initial* decided sets, in deterministic order
     u_minus_initial = frozenset(u_minus)
     u_plus_initial = frozenset(u_plus)
     remaining = []
     for cell in initial_undecided:
-        ball = GridBall(n_grid, *cell).to_ball()
-        if not any(
-            balls_closures_intersect(ball, GridBall(n_grid, *other).to_ball())
-            for other in u_minus_initial
-        ):
+        if not touches(cell, u_minus_initial):
             u_plus.add(cell)
-        elif not any(
-            balls_closures_intersect(ball, GridBall(n_grid, *other).to_ball())
-            for other in u_plus_initial
-        ):
+        elif not touches(cell, u_plus_initial):
             u_minus.add(cell)
         else:
             remaining.append(cell)

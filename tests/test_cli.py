@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from codeplane.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
 from codeplane.codes import read_code_text, params
 
@@ -150,3 +152,20 @@ def test_manifest_echoes_config(tmp_path):
     assert manifest["config"]["n_grid"] == 8
     assert manifest["config"]["rng_seed"] == 42
     assert manifest["args"]["curve"] == "synthetic:diag"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("realize", "--target", "1/8"), {}),
+    (("realize", "--target", "a,b"), {}),
+    (("strip", "--curve", "synthetic:1/2"), {}),
+    (("approx", "--curve", "synthetic:a,b;1,0"), {}),
+    (("spoil", "--input", "/nonexistent/code.txt", "--op", "lengthen"), {}),
+    (("strip",), {"CODEPLANE_MAX_NODES": "abc"}),
+    (("strip", "--N", "0"), {}),
+    (("approx", "--N", "0"), {}),
+])
+def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, capsys, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(tmp_path, *argv) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err

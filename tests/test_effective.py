@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from codeplane.bounds import constant_curve, diagonal_curve, synthetic_polyline, vg_bound_curve
+from codeplane.bounds import (
+    constant_curve,
+    diagonal_curve,
+    gv_lower_curve,
+    hamming_curve,
+    synthetic_polyline,
+    vg_bound_curve,
+)
 from codeplane.effective import (
+    DEFAULT_BASE_PRECISION,
+    DEFAULT_PRECISION_CAP,
     Decision,
     DomainBallDecider,
     GraphBallDecider,
@@ -20,7 +29,7 @@ from codeplane.effective import (
     two_sided_approx,
 )
 from codeplane.errors import ContractViolationError
-from codeplane.geometry import GridBall, RatPoint
+from codeplane.geometry import GridBall, RatPoint, balls_closures_intersect
 
 
 DIAG = diagonal_curve()
@@ -291,3 +300,57 @@ def test_build_strip_timeout():
     with pytest.raises(StabilizationTimeoutError) as err:
         build_strip(SlowCurve(), 16, timeout_ms=10)
     assert err.value.partial is not None
+
+
+def _first_verdict(decide, base, cap):
+    """First decisive verdict along base, doubling, clipped to the cap."""
+    precision = base
+    while True:
+        verdict = decide(precision)
+        if verdict is not Decision.UNKNOWN or precision >= cap:
+            return verdict
+        precision = min(cap, 2 * precision)
+
+
+DIFFERENTIAL_CURVES = {
+    "diag": lambda q: DIAG,
+    "vg": vg_bound_curve,
+    "gv_lower": gv_lower_curve,
+    "hamming": hamming_curve,
+    "constant": lambda q: constant_curve(Fraction(1, 3)),
+}
+
+
+# the default ladder settles every square here at its base rung; the short
+# ladders escalate, clip the last rung to the cap (1, 2, 3) and cap (1, 2)
+@pytest.mark.parametrize("ladder", [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CURVES))
+def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
+    curve = DIFFERENTIAL_CURVES[name](q)
+    graph, domain = GraphBallDecider(curve), DomainBallDecider(curve)
+    for n_grid in range(1, 13):
+        squares = [GridBall(n_grid, i, j) for i in range(n_grid) for j in range(n_grid)]
+        on_graph = {(b.i, b.j): _first_verdict(lambda p: graph.decide_ball(b, p), *ladder) for b in squares}
+        strip = build_strip(curve, n_grid, base_precision=ladder[0], precision_cap=ladder[1])
+        assert strip.ball_set() == {c for c, v in on_graph.items() if v is not Decision.DISJOINT}
+        assert strip.capped == tuple(sorted(c for c, v in on_graph.items() if v is Decision.UNKNOWN))
+
+        u_plus = {(b.i, b.j) for b in squares
+                  if _first_verdict(lambda p: domain.decide_closed(b, p), *ladder) is Decision.DISJOINT}
+        u_minus = {(b.i, b.j) for b in squares
+                   if _first_verdict(lambda p: domain.decide_open(b, p), *ladder) is Decision.INTERSECTS}
+        undecided = sorted({(b.i, b.j) for b in squares} - u_plus - u_minus)
+
+        def meets(cell, side):
+            ball = GridBall(n_grid, *cell).to_ball()
+            return any(balls_closures_intersect(ball, GridBall(n_grid, *o).to_ball()) for o in side)
+
+        to_plus = {c for c in undecided if not meets(c, u_minus)}
+        to_minus = {c for c in undecided if c not in to_plus and not meets(c, u_plus)}
+        adm = two_sided_approx(curve, n_grid=n_grid, base_precision=ladder[0],
+                               precision_cap=ladder[1], strict=False)
+        assert adm.initial_undecided == tuple(undecided)
+        assert adm.u_plus == u_plus | to_plus
+        assert adm.u_minus == u_minus | to_minus
+        assert adm.exceptional == tuple(c for c in undecided if c not in to_plus | to_minus)
