@@ -110,6 +110,8 @@ def _json_text(manifest: dict, payload: dict) -> str:
 def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
     if getattr(args, "q", 2) < 2:
         raise ConfigError("alphabet size must be >= 2")
+    if args.precision < 1:
+        raise ConfigError(f"--precision must be >= 1, got {args.precision}")
     max_nodes = args.max_nodes
     if max_nodes is None:
         try:
@@ -211,7 +213,7 @@ def cmd_sample(args) -> int:
     out = Path(cfg.out_dir)
     header = ["n", "m", "d", "R", "delta", "R_float", "delta_float", "provenance"]
     _write(out / "sample.csv", _csv(manifest, header, rows))
-    mean = total / len(ensemble) if ensemble else Fraction(0)
+    mean = total / len(ensemble)
     summary = {
         "trials": args.trials,
         "mean_delta": format_rational(mean),
@@ -260,6 +262,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_spoil(args) -> int:
     cfg = _cfg_from_args(args, "spoil")
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     manifest = _manifest(cfg, {"input": args.input, "op": args.op, "count": args.count})
     try:
         text = Path(args.input).read_text(encoding="utf-8")

@@ -51,9 +51,14 @@ def word_to_text(word: Word) -> str:
     return "".join(SYMBOL_CHARS[s] for s in word)
 
 
-def validate_word(word: Word, q: int, n: Optional[int] = None) -> None:
+def check_alphabet(q: int) -> None:
+    """Reject alphabets that do not fit the one-symbol-per-byte word layout."""
     if not 2 <= q <= 256:
-        raise ContractViolationError("alphabet size must be in [2, 256]")
+        raise ContractViolationError(f"alphabet size must be in [2, 256], got {q}")
+
+
+def validate_word(word: Word, q: int, n: Optional[int] = None) -> None:
+    check_alphabet(q)
     if len(word) < 1:
         raise ContractViolationError("words must have length >= 1")
     if n is not None and len(word) != n:
@@ -128,8 +133,7 @@ class CodeParams:
     d: int
 
     def __post_init__(self):
-        if not 2 <= self.q <= 256:
-            raise ContractViolationError("alphabet size must be in [2, 256]")
+        check_alphabet(self.q)
         if self.n < 1:
             raise ContractViolationError("length must be >= 1")
         if not 1 <= self.m <= self.q ** self.n:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import spoiling
-from .codes import Code, CodeParams, code_point, floor_log_q, min_distance, params
+from .codes import Code, CodeParams, check_alphabet, code_point, floor_log_q, min_distance, params
 from .errors import ContractViolationError
 from .fields import GF
 from .geometry import RatPoint
@@ -138,6 +138,7 @@ def exists_code(q: int, n: int, m: int, d: int, budget: SearchBudget = DEFAULT_B
     preserve n and m). IMPOSSIBLE is returned only after exhausting the
     reduced search space.
     """
+    check_alphabet(q)
     if n < 1 or not 1 <= m <= q ** n or not 0 <= d <= n:
         raise ContractViolationError(f"malformed triple (n={n}, m={m}, d={d}) for q={q}")
     if m == 1:
@@ -372,6 +373,7 @@ def greedy_code(
     """
     import random as _random
 
+    check_alphabet(q)
     if not 1 <= d <= n:
         raise ContractViolationError("need 1 <= d <= n")
     rng = _random.Random(budget.rng_seed)
@@ -411,8 +413,11 @@ def random_ensemble(
     """Uniform random cardinality-m codes with their exact minimum distances."""
     import random as _random
 
+    check_alphabet(q)
     if not 1 <= m <= q ** n:
         raise ContractViolationError("cardinality out of range")
+    if trials < 1:
+        raise ContractViolationError("trials must be >= 1")
     rng = _random.Random(budget.rng_seed)
     results = []
     full_space = m == q ** n

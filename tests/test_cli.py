@@ -32,6 +32,13 @@ def test_invalid_q_is_config_error(tmp_path):
     assert run(tmp_path, "bounds", "--q", "1") == EXIT_CONFIG
 
 
+def test_curve_commands_accept_any_alphabet(tmp_path):
+    # only commands that build words are limited to one symbol per byte
+    assert run(tmp_path, "bounds", "--q", "300", "--grid", "3") == EXIT_OK
+    assert run(tmp_path, "strip", "--q", "300", "--curve", "vg", "--N", "2") == EXIT_OK
+    assert run(tmp_path, "approx", "--q", "300", "--curve", "vg", "--N", "2") == EXIT_OK
+
+
 def test_enumerate_contains_hamming_point(tmp_path):
     assert run(tmp_path, "enumerate", "--q", "2", "--nmax", "8",
                "--strategy", "exhaustive-linear") == EXIT_OK
@@ -163,9 +170,20 @@ def test_manifest_echoes_config(tmp_path):
     (("strip",), {"CODEPLANE_MAX_NODES": "abc"}),
     (("strip", "--N", "0"), {}),
     (("approx", "--N", "0"), {}),
+    (("sample", "--q", "257", "--n", "2", "--m", "2", "--trials", "1"), {}),
+    (("enumerate", "--q", "300", "--nmax", "2", "--strategy", "greedy"), {}),
+    (("oracle", "--q", "300", "--n", "2", "--m", "3"), {}),
+    (("realize", "--q", "300", "--target", "1/8,1/8"), {}),
+    (("bounds", "--precision", "-5"), {}),
+    (("bounds", "--precision", "0"), {}),
+    (("sample", "--n", "4", "--m", "3", "--trials", "0"), {}),
+    (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "-1"), {}),
+    (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "0"), {}),
 ])
 def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, capsys, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    (tmp_path / "in.txt").write_text("2 3 2\n000\n111\n")
+    monkeypatch.chdir(tmp_path)
     assert run(tmp_path, *argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err

@@ -1,71 +1,79 @@
-"""Backend parity: the compiled kernels and the Python twin must agree
-everywhere, including witness tie-breaking."""
+"""Distance kernels against naive pure-Python references, including witness
+tie-breaking and the field widths and row blocks of the bit-packed scan."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codeplane import _kernels_py
 from codeplane import kernels
+
+# one alphabet on each side of every field-width boundary (1, 2, 4, 8 bits)
+ALPHABETS = [2, 3, 4, 5, 16, 17, 255, 256]
+
+
+def _distance(a, b):
+    return sum(x != y for x, y in zip(a, b))
 
 
 def _naive_min_pairwise(words):
     best = (len(words[0]) + 1, -1, -1)
     for i in range(len(words) - 1):
         for j in range(i + 1, len(words)):
-            d = sum(x != y for x, y in zip(words[i], words[j]))
+            d = _distance(words[i], words[j])
             if d < best[0]:
                 best = (d, i, j)
     return best
 
 
-backends = [_kernels_py]
-try:
-    from codeplane import _distkern
+@st.composite
+def word_sets(draw, max_m=40):
+    q = draw(st.sampled_from(ALPHABETS))
+    n = draw(st.integers(1, 80 if q == 2 else 40))
+    word = st.binary(min_size=n, max_size=n).map(lambda b: bytes(x % q for x in b))
+    if draw(st.booleans()):
+        # distinct words, as in a code; short words force distance ties
+        m = draw(st.integers(2, min(max_m, q ** n // 2 + 1)))
+        return q, n, draw(st.lists(word, min_size=m, max_size=m, unique=True))
+    # repeats drawn from a small pool force ties at distance 0
+    m = draw(st.integers(2, max_m))
+    pool = draw(st.lists(word, min_size=1, max_size=m))
+    return q, n, draw(st.lists(st.sampled_from(pool) | word, min_size=m, max_size=m))
 
-    backends.append(_distkern)
-except ImportError:  # compiled extension not built
-    pass
+
+@given(data=word_sets())
+@settings(max_examples=300, deadline=None)
+def test_min_pairwise_matches_naive(data):
+    _q, n, words = data
+    assert kernels.min_pairwise(b"".join(words), len(words), n) == _naive_min_pairwise(words)
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-@given(data=st.data())
-@settings(max_examples=120, deadline=None)
-def test_min_pairwise_matches_naive(impl, data):
-    q = data.draw(st.sampled_from([2, 3, 16, 251]))
-    n = data.draw(st.integers(1, 24))
-    m = data.draw(st.integers(2, 12))
-    words = [
-        bytes(data.draw(st.integers(0, q - 1)) for _ in range(n)) for _ in range(m)
-    ]
+@given(data=word_sets(max_m=12), cand_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_set_queries_match_naive(data, cand_seed):
+    q, n, words = data
+    rng = random.Random(cand_seed)
+    cand = bytes(rng.randrange(q) for _ in range(n))
     buf = b"".join(words)
-    assert tuple(impl.min_pairwise(buf, m, n)) == _naive_min_pairwise(words)
+    naive = min(_distance(word, cand) for word in words)
+    for d in (0, 1, n // 2, n, n + 1):
+        assert kernels.all_at_least(buf, len(words), n, cand, d) == (naive >= d)
+    assert kernels.hamming(words[0], cand) == _distance(words[0], cand)
 
 
-@pytest.mark.parametrize("impl", backends, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
-@given(data=st.data())
-@settings(max_examples=120, deadline=None)
-def test_set_queries_match_naive(impl, data):
-    q = data.draw(st.sampled_from([2, 4, 7]))
-    n = data.draw(st.integers(1, 16))
-    m = data.draw(st.integers(1, 10))
-    words = [
-        bytes(data.draw(st.integers(0, q - 1)) for _ in range(n)) for _ in range(m)
-    ]
-    cand = bytes(data.draw(st.integers(0, q - 1)) for _ in range(n))
-    buf = b"".join(words)
-    naive = min(sum(x != y for x, y in zip(word, cand)) for word in words)
-    assert impl.min_to_set(buf, m, n, cand) == naive
-    for d in (0, 1, n // 2, n):
-        assert bool(impl.all_at_least(buf, m, n, cand, d)) == (naive >= d)
-    assert impl.hamming(words[0], cand) == sum(x != y for x, y in zip(words[0], cand))
-
-
-def test_selected_backend_exposed():
-    assert kernels.BACKEND in ("c", "python")
-    assert "python" in kernels.available_backends()
+@pytest.mark.parametrize("q, n, m", [(2, 70, 700), (4, 32, 600), (256, 9, 520)])
+def test_min_pairwise_across_row_blocks(q, n, m):
+    assert m * (m - 1) // 2 >= 2 * kernels._BLOCK_PAIRS
+    rng = random.Random(q * n * m)
+    words = [bytes(rng.randrange(q) for _ in range(n)) for _ in range(m)]
+    # three pairs at distance 1: one in a middle row block, two tied in the last
+    for i, j in ((m // 2, m // 2 + 7), (m - 40, m - 5), (m - 3, m - 2)):
+        words[j] = words[i][:-1] + bytes([(words[i][-1] + 1) % q])
+    expected = _naive_min_pairwise(words)
+    assert expected == (1, m // 2, m // 2 + 7)
+    assert kernels.min_pairwise(b"".join(words), m, n) == expected
 
 
 def test_hamming_rejects_length_mismatch():
-    for impl in backends:
-        with pytest.raises(ValueError):
-            impl.hamming(b"\x00", b"\x00\x01")
+    with pytest.raises(ValueError):
+        kernels.hamming(b"\x00", b"\x00\x01")
