@@ -53,8 +53,39 @@ EXIT_INTERNAL = 4
 BUDGET_ENV = "CODEPLANE_MAX_NODES"
 
 
-class ConfigError(ContractViolationError):
-    pass
+class ConfigError(ContractViolationError, argparse.ArgumentTypeError):
+    """Bad configuration (exit 2); argparse keeps its message when a
+    ``type=`` converter raises it."""
+
+
+def _parse_point(text: str) -> tuple[Fraction, Fraction]:
+    """The plane point (R, delta) of an ``R,delta`` spec with rational parts."""
+    try:
+        rate, delta = (Fraction(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"expected R,delta with rational parts, got {text!r}") from None
+    return rate, delta
+
+
+def _point_spec(text: str) -> str:
+    """argparse type for --target: the spec text, which the manifest echoes."""
+    _parse_point(text)
+    return text
+
+
+def _curve_spec(text: str) -> str:
+    """argparse type for --curve: the spec text, once it names a curve. Which
+    specs are valid does not depend on the alphabet, so q = 2 stands in."""
+    try:
+        bounds_mod.named_curve(text, 2)
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from None
+    return text
+
+
+def _curve_list(text: str) -> list[str]:
+    """argparse type for --curves: comma-separated curve specs."""
+    return [_curve_spec(name.strip()) for name in text.split(",") if name.strip()]
 
 
 @dataclass(frozen=True)
@@ -138,7 +169,7 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
 
 def cmd_bounds(args) -> int:
     cfg = _cfg_from_args(args, "bounds")
-    curve_names = [c.strip() for c in args.curves.split(",") if c.strip()]
+    curve_names = args.curves
     curves = [(name, bounds_mod.named_curve(name, cfg.q)) for name in curve_names]
     manifest = _manifest(cfg, {"curves": curve_names})
     edge = Fraction(cfg.q - 1, cfg.q)
@@ -289,10 +320,7 @@ def cmd_spoil(args) -> int:
 
 def cmd_realize(args) -> int:
     cfg = _cfg_from_args(args, "realize")
-    try:
-        rate, delta = (Fraction(part) for part in args.target.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"--target must be R,delta with rational parts, got {args.target!r}") from None
+    rate, delta = _parse_point(args.target)
     n = math.lcm(rate.denominator, delta.denominator)
     k = int(rate * n)
     d = int(delta * n)
@@ -404,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate bound curves")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--grid", type=int, default=64, help="sample count per curve")
-    p.add_argument("--curves", default="vg", help="comma list: vg,gv_lower,singleton,hamming,singleton_zero")
+    p.add_argument("--curves", type=_curve_list, default="vg", help="comma list: vg,gv_lower,singleton,hamming,singleton_zero")
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -441,21 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="construct codes hitting an exact plane point")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--target", required=True, help="point as R,delta (e.g. 1/8,1/8)")
+    p.add_argument("--target", type=_point_spec, required=True, help="point as R,delta (e.g. 1/8,1/8)")
     p.add_argument("--count", type=int, default=3)
     _add_common(p)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("strip", help="N-strip of a curve's graph")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--curve", default="synthetic:diag")
+    p.add_argument("--curve", type=_curve_spec, default="synthetic:diag")
     p.add_argument("--N", type=int, default=4)
     _add_common(p)
     p.set_defaults(func=cmd_strip)
 
     p = sub.add_parser("approx", help="two-sided approximation of a monotone domain")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--curve", default="synthetic:diag")
+    p.add_argument("--curve", type=_curve_spec, default="synthetic:diag")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--lenient", action="store_true",
                    help="tolerate non-admissible exceptional sets (degenerate stand-ins)")
@@ -467,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a bad argv, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,14 +1,24 @@
 """Certified two-sided logarithm enclosures over exact rationals.
 
-``log2_enclosure`` reduces its argument to [1, 2) and extracts binary digits
-of the logarithm by repeated squaring in fixed-point arithmetic, keeping an
-outward-rounded [lower, upper] pair of integer tracks so the returned
-interval is a guaranteed enclosure. When the two tracks disagree about a
-digit (the interval straddles 2), the computation retries at a larger
-working scale; since log2 of a non-dyadic rational is irrational, the
-straddle always resolves. Precision is requested in bits of enclosure
-width. Endpoints are exact rationals; every operation downstream of the
-digit extraction is exact Fraction arithmetic.
+``log2_enclosure`` reduces its argument to x = 2**t * y with y in [1, 2)
+and returns [t + D/2**J, t + (D + 1)/2**J], where J = precision + 2 and
+D = floor(2**J * log2 y) holds the first J binary digits of log2 y.
+D comes from the atanh series in fixed-point integers:
+
+    ln y = 2 atanh(s),  s = (y - 1)/(y + 1) in [0, 1/3),
+    ln 2 = 2 atanh(1/3),  atanh(s) = sum over k of s**(2k+1) / (2k+1),
+
+so log2 y = atanh(s) / atanh(1/3). Both series are summed at W = J + guard
+fractional bits with every step truncated down, which gives a lower bound
+short by less than 3K + 3 units of 2**-W after K terms (derived at
+``_atanh_scaled``). D is accepted when both ends of the resulting bracket
+on log2 y floor to the same J-bit integer (Ziv's rounding test); otherwise
+the guard doubles. log2 of a rational that is not a power of two is
+irrational, so the test passes at some finite guard. An argument wider
+than W bits is first bracketed between two W-bit dyadics, log being
+monotone. Precision is requested in bits of enclosure width. Endpoints are
+exact rationals; every operation downstream of D is exact Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -46,60 +56,53 @@ def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
         exact = p.bit_length() - q.bit_length()
         return RatInterval.point(Fraction(exact))
 
-    # argument reduction: x = 2**t * y with y in [1, 2)
+    # argument reduction: x = 2**t * num/den with num/den in [1, 2)
     t = p.bit_length() - q.bit_length()
-    while x < pow2(t):
+    num, den = (p, q << t) if t >= 0 else (p << -t, q)
+    if num < den:
         t -= 1
-    while x >= pow2(t + 1):
-        t += 1
-    y = x / pow2(t)
+        num <<= 1
 
     digits = precision + 2
-    scale = 2 * digits + 16
-    for _attempt in range(64):
-        result = _extract_digits(y, digits, scale, precision)
-        if result is not None:
-            num, nbits = result
-            lo = Fraction(t) + Fraction(num, 1 << nbits)
-            hi = Fraction(t) + Fraction(num + 1, 1 << nbits)
-            return RatInterval(lo, hi)
-        scale *= 2
-    raise InternalContractError("log2 digit extraction failed to separate from a dyadic")
-
-
-def _extract_digits(y: Fraction, digits: int, scale: int, precision: int):
-    """Run the two-track extraction; return (digit_numerator, digit_count) or None.
-
-    Invariant: the true residual value always lies in [y_lo, y_hi]/2**scale,
-    and while both tracks agree on digit decisions the true residual stays
-    in [1, 2), so after J agreed digits D the logarithm of the reduced
-    argument lies in [D/2**J, (D+1)/2**J].
-    """
-    one = 1 << scale
-    two = one << 1
-    num, den = y.numerator, y.denominator
-    shifted = num << scale
-    y_lo = shifted // den
-    y_hi = -((-shifted) // den)
-
-    acc = 0
-    for j in range(1, digits + 1):
-        y_lo = (y_lo * y_lo) >> scale
-        y_hi = -((-(y_hi * y_hi)) >> scale)
-        if y_lo >= two and y_hi >= two:
-            acc = (acc << 1) + 1
-            y_lo >>= 1
-            y_hi = -((-y_hi) >> 1)
-        elif y_hi < two:
-            acc <<= 1
+    guard = 20
+    for _attempt in range(32):
+        w = digits + guard
+        if num.bit_length() > w:
+            c = (num << w) // den  # num/den in [c, c + 1] / 2**w
+            lo = _atanh_scaled(c - (1 << w), c + (1 << w), w)[0]
+            hi = _atanh_scaled(c + 1 - (1 << w), c + 1 + (1 << w), w)[1]
         else:
-            # tracks straddle 2: residual known only within [1, 4), which
-            # costs two bits; accept if the target width is already met
-            done = j - 1
-            if done >= 1 and Fraction(4, 1 << done) <= pow2(-precision):
-                return (acc << 2, done + 2)
-            return None
-    return (acc, digits)
+            lo, hi = _atanh_scaled(num - den, num + den, w)
+        ln2_lo, ln2_hi = _atanh_scaled(1, 3, w)
+        d = (lo << digits) // ln2_hi
+        # y < 2, so D < 2**J even where the bracket reaches log2 2 = 1
+        if d == min((hi << digits) // ln2_lo, (1 << digits) - 1):
+            d += t << digits
+            return RatInterval(Fraction(d, 1 << digits), Fraction(d + 1, 1 << digits))
+        guard *= 2
+    raise InternalContractError("log2 series failed to separate from a dyadic")
+
+
+def _atanh_scaled(a: int, b: int, w: int):
+    """(lo, hi) with lo <= 2**w * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    With s = a/b, term k is floor(p_k / (2k+1)), where p_0 = floor(2**w s)
+    and p_k = floor(p_(k-1) s**2). Each floor loses less than 1 and s**2 <=
+    1/9 shrinks the loss inherited from p_(k-1), so p_k falls short of
+    2**w s**(2k+1) by e_k < 1 + e_(k-1)/9 < 9/8 and term k falls short by
+    less than 9/8 + 1 < 3. The sum stops at the first p_K == 0; the tail it
+    drops is at most 2**w s**(2K+1) * 9/8 = e_K * 9/8 < 3. So the sum lo
+    falls short by less than 3K + 3.
+    """
+    a2, b2 = a * a, b * b
+    power = (a << w) // b
+    total = 0
+    k = 1
+    while power:
+        total += power // k
+        power = power * a2 // b2
+        k += 2
+    return total, total + 3 * (k // 2) + 3
 
 
 def log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:

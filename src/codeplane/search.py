@@ -244,7 +244,7 @@ def best_min_distance(
     maximum, and the witness clique attains it exactly.
     """
     if m == 1:
-        return OracleOutcome(OracleStatus.EXACT, 0, Code.from_words(q, [bytes(n)]), 0)
+        return OracleOutcome(OracleStatus.EXACT, 0, exists_code(q, n, 1, 0, budget).witness, 0)
     if linear:
         k = floor_log_q(m, q)
         if q ** k != m:

@@ -1,8 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from codeplane.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from codeplane.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from codeplane.codes import read_code_text, params
 
 
@@ -179,6 +183,8 @@ def test_manifest_echoes_config(tmp_path):
     (("sample", "--n", "4", "--m", "3", "--trials", "0"), {}),
     (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "-1"), {}),
     (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "0"), {}),
+    (("oracle", "--n", "-1", "--m", "1"), {}),
+    (("bounds", "--curves", "vg,nope"), {}),
 ])
 def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, capsys, argv, env):
     for key, value in env.items():
@@ -187,3 +193,90 @@ def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, *argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+# SHA-256 of bounds.csv as written by the repeated-squaring enclosure; any
+# rewrite of the logarithm enclosures has to reproduce these bytes
+BOUNDS_CSV_SHA256 = {
+    (3, 64): "b756d01b27fd5a9c414f62a039bd053bbfe594efdef5d06d8176a89f12c42bbd",
+    (3, 512): "d0f2bfafce7dc731aac6870ea4ecc8bb871c654ab3382c97879dececec5b86bc",
+    (5, 64): "f7415c82a47617583867f01cd1c6921d0c0d605f4c483b9ecaf8e4c4af8675dc",
+    (5, 512): "7418552ae727439cc5c9d24b1c414158ecf8293b31cfdabde833e680cf7ec188",
+    (16, 64): "48a980b901cb384a9b021330b3412fff22243f2151bd4eb2fe6de6ea8ba8fefc",
+    (16, 512): "ffed542ab81e9baf524949dfa5d7b706fe57c8988470d120ebdc21ff85b4f05d",
+}
+
+
+@pytest.mark.parametrize("q, precision", sorted(BOUNDS_CSV_SHA256))
+def test_bounds_csv_bytes_are_pinned(tmp_path, monkeypatch, q, precision):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
+    monkeypatch.chdir(tmp_path)  # and the output directory
+    assert main(["bounds", "--q", str(q), "--curves", "vg,gv_lower,hamming", "--grid", "9",
+                 "--precision", str(precision), "--out", "."]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+    assert digest == BOUNDS_CSV_SHA256[(q, precision)]
+
+
+# --- argv fuzzing: every argv ends in an exit code of the contract ----------
+
+def _tokens(valid, invalid):
+    """Mostly valid tokens, so that most argvs get past parsing."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+_NUMBER = _tokens(["1", "2", "3", "5"], ["-1", "0", "", "x", "1/2", "1e3"])
+_ALPHABET = _tokens(["2", "3", "4"], ["-1", "0", "1", "257", "x"])
+_CURVE = _tokens(["vg", "gv_lower", "singleton", "hamming", "singleton_zero", "synthetic:diag",
+                  "synthetic:0,1;1/2,1/3;1,0", "vg,hamming"],
+                 ["synthetic:0,0;1,1", "synthetic:0,2;1,0", "synthetic:1/2", "synthetic:a,b",
+                  "synthetic:", "synthetic:0,1;1/0,0", "nope", "", ","])
+_TARGET = _tokens(["1/8,1/8", "1/4,1/4", "1/3,1/3", "1/2,1/4"],
+                  ["0,0", "1,1", "2,1/8", "-1/8,1/8", "1/8", "a,b", "1/0,1", "", ","])
+_CODE_FILES = {"ok.txt": "2 3 2\n000\n111\n", "long.txt": "2 4 3\n0000\n0111\n1011\n",
+               "short.txt": "2 3 2\n000\n", "twin.txt": "2 3 2\n000\n000\n",
+               "single.txt": "2 3 1\n000\n", "empty.txt": "", "header.txt": "x y z\n"}
+_OPTIONS = {
+    "bounds": [("--q", _ALPHABET), ("--grid", _NUMBER), ("--curves", _CURVE)],
+    "enumerate": [("--q", _ALPHABET), ("--nmax", _NUMBER),
+                  ("--strategy", _tokens(["exhaustive-linear", "seeded-family", "greedy", "random"],
+                                         ["bogus", ","]))],
+    "sample": [("--n", _NUMBER), ("--m", _NUMBER), ("--q", _ALPHABET), ("--trials", _NUMBER)],
+    "oracle": [("--n", _NUMBER), ("--m", _NUMBER), ("--q", _ALPHABET), ("--d", _NUMBER),
+               ("--linear", st.none())],
+    "spoil": [("--input", st.sampled_from([*_CODE_FILES, "missing.txt"])),
+              ("--op", _tokens(["lengthen", "puncture", "shorten"], ["x"])), ("--count", _NUMBER)],
+    "realize": [("--target", _TARGET), ("--q", _ALPHABET), ("--count", _NUMBER)],
+    "strip": [("--q", _ALPHABET), ("--curve", _CURVE), ("--N", _NUMBER)],
+    "approx": [("--q", _ALPHABET), ("--curve", _CURVE), ("--N", _NUMBER), ("--lenient", st.none())],
+    "bogus": [],
+}
+#: options each command needs (listed first in _OPTIONS); always drawn
+_REQUIRED = {"sample": 2, "oracle": 2, "spoil": 2, "realize": 1}
+_COMMON = [("--precision", _NUMBER), ("--seed", _NUMBER), ("--max-millis", _NUMBER),
+           ("--svg", st.none())]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for index, (flag, values) in enumerate(_OPTIONS[command] + _COMMON):
+        if index < _REQUIRED.get(command, 0) or draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, value]
+    # tiny node budgets keep every search short
+    return argv + ["--max-nodes", draw(st.sampled_from(["1", "10", "100"]))]
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_exits_within_the_contract(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("argv")
+    for name, text in _CODE_FILES.items():
+        (work / name).write_text(text)
+    argv = [str(work / a) if a in _CODE_FILES or a == "missing.txt" else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(work / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_INTERNAL), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,11 +1,15 @@
 import math
+import random
+from decimal import Context
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from codeplane import enclosure
 from codeplane.enclosure import log2_enclosure, log_enclosure, pow2
 from codeplane.errors import ContractViolationError
+from codeplane.geometry import RatInterval
 
 positive_fractions = st.fractions(min_value="1/1000", max_value=1000, max_denominator=10**6)
 
@@ -63,3 +67,130 @@ def test_rejects_bad_arguments():
         log2_enclosure(Fraction(3), 0)
     with pytest.raises(ContractViolationError):
         log_enclosure(Fraction(3), 1, 10)
+
+
+# --- differential reference: the repeated-squaring digit extractor ---------
+# log2_enclosure used to extract the digits of log2 y by squaring y on two
+# outward-rounded fixed-point tracks, retrying at a doubled scale whenever
+# the tracks disagreed. Its results are the reference for the series.
+
+
+def _reference_log2(x, precision):
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if p & (p - 1) == 0 and q & (q - 1) == 0:
+        return RatInterval.point(Fraction(p.bit_length() - q.bit_length()))
+    t = p.bit_length() - q.bit_length()
+    while x < pow2(t):
+        t -= 1
+    while x >= pow2(t + 1):
+        t += 1
+    y = x / pow2(t)
+    digits = precision + 2
+    scale = 2 * digits + 16
+    for _attempt in range(64):
+        result = _reference_extract_digits(y, digits, scale, precision)
+        if result is not None:
+            num, nbits = result
+            return RatInterval(Fraction(t) + Fraction(num, 1 << nbits),
+                               Fraction(t) + Fraction(num + 1, 1 << nbits))
+        scale *= 2
+    raise AssertionError("reference extraction did not separate")
+
+
+def _reference_extract_digits(y, digits, scale, precision):
+    one = 1 << scale
+    two = one << 1
+    num, den = y.numerator, y.denominator
+    shifted = num << scale
+    y_lo = shifted // den
+    y_hi = -((-shifted) // den)
+    acc = 0
+    for j in range(1, digits + 1):
+        y_lo = (y_lo * y_lo) >> scale
+        y_hi = -((-(y_hi * y_hi)) >> scale)
+        if y_lo >= two and y_hi >= two:
+            acc = (acc << 1) + 1
+            y_lo >>= 1
+            y_hi = -((-y_hi) >> 1)
+        elif y_hi < two:
+            acc <<= 1
+        else:
+            done = j - 1
+            if done >= 1 and Fraction(4, 1 << done) <= pow2(-precision):
+                return (acc << 2, done + 2)
+            return None
+    return (acc, digits)
+
+
+def _assert_matches_reference(x, precision):
+    assert log2_enclosure(x, precision) == _reference_log2(x, precision), (x, precision)
+
+
+@given(st.integers(min_value=1, max_value=2**80), st.integers(min_value=1, max_value=2**80),
+       st.integers(min_value=1, max_value=600))
+@settings(max_examples=200, deadline=None)
+def test_log2_matches_squaring_reference(num, den, precision):
+    _assert_matches_reference(Fraction(num, den), precision)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 52, 64, 100, 300])
+def test_log2_matches_reference_next_to_one_and_two(k):
+    for x in (1 + pow2(-k), 2 - pow2(-k), (1 + pow2(-k)) / 8, (2 - pow2(-k)) * 1024):
+        for precision in (1, 2, 30, 64, 200, 600):
+            _assert_matches_reference(x, precision)
+
+
+@pytest.mark.parametrize("bits", [300, 20_000])
+def test_log2_matches_reference_on_wide_denominators(bits):
+    rng = random.Random(bits)
+    for _ in range(3):
+        den = rng.getrandbits(bits) | 1 << (bits - 1)
+        for num in (rng.getrandbits(bits) | 1, rng.randrange(1, 1000), den + 1, 2 * den - 1):
+            for precision in (1, 30, 64, 512, 600):
+                _assert_matches_reference(Fraction(num, den), precision)
+
+
+def test_log2_matches_reference_at_every_precision():
+    for x in (Fraction(3), Fraction(7, 5), Fraction(1, 15), Fraction(255, 128)):
+        for precision in range(1, 601):
+            _assert_matches_reference(x, precision)
+
+
+@pytest.mark.parametrize("bits", [100, 600, 2000])
+def test_log2_matches_reference_next_to_dyadic_logarithms(bits):
+    # y = c / 2**bits just below and just above 2**(1/2) and 2**(3/4), so that
+    # 2**J * log2 y lies within about 2**-bits of an integer for every J >= 2
+    for c in (math.isqrt(2 << 2 * bits), math.isqrt(math.isqrt(8 << 4 * bits))):
+        for x in (Fraction(c, 1 << bits), Fraction(c + 1, 1 << bits)):
+            for precision in (1, 30, 64, 200):
+                _assert_matches_reference(x, precision)
+
+
+@st.composite
+def _atanh_arguments(draw):
+    b = draw(st.integers(min_value=1, max_value=2**200))
+    return draw(st.integers(min_value=0, max_value=b // 3)), b
+
+
+@given(_atanh_arguments(), st.integers(min_value=1, max_value=700))
+@example((1, 3), 700)
+@example((0, 5), 3)
+@settings(max_examples=200, deadline=None)
+def test_atanh_series_brackets_the_true_value(ab, w):
+    a, b = ab
+    lo, hi = enclosure._atanh_scaled(a, b, w)
+    # 2**w * atanh(a/b) = 2**(w-1) * ln((b+a)/(b-a)), with 40 decimal digits to spare
+    ctx = Context(prec=int(w * 0.302) + 40)
+    true = ctx.multiply(ctx.ln(ctx.divide(b + a, b - a)), ctx.power(2, w - 1))
+    assert lo <= true <= hi
+
+
+@pytest.mark.parametrize("base", [3, 5, 7, 15, 16])
+def test_log_enclosure_matches_reference(base, monkeypatch):
+    cases = [(x, precision) for x in (Fraction(base - 1), Fraction(2, 7), Fraction(999, 1000),
+                                      Fraction(base + 1, base), Fraction(base**5 + 1))
+             for precision in (1, 30, 64, 136, 520)]
+    got = [log_enclosure(x, base, precision) for x, precision in cases]
+    monkeypatch.setattr(enclosure, "log2_enclosure", _reference_log2)
+    assert got == [log_enclosure(x, base, precision) for x, precision in cases]
