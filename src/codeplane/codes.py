@@ -136,7 +136,7 @@ class CodeParams:
         check_alphabet(self.q)
         if self.n < 1:
             raise ContractViolationError("length must be >= 1")
-        if not 1 <= self.m <= self.q ** self.n:
+        if self.m < 1 or not at_most_power(self.m, self.q, self.n):
             raise ContractViolationError("cardinality out of range [1, q^n]")
         if not 0 <= self.d <= self.n:
             raise ContractViolationError("distance out of range [0, n]")
@@ -150,6 +150,11 @@ class CodeParams:
 def params(code: Code) -> CodeParams:
     d, _ = min_distance(code)
     return CodeParams(q=code.q, n=code.n, m=code.m, d=d)
+
+
+def at_most_power(m: int, q: int, n: int) -> bool:
+    """m <= q**n, without building the power when n alone settles it."""
+    return n >= m.bit_length() or m <= q ** n
 
 
 def floor_log_q(m: int, q: int) -> int:

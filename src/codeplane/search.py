@@ -9,10 +9,33 @@ strictly increasing lexicographic order. A negative answer is therefore an
 exhaustion certificate, not a heuristic; budget exhaustion is a third,
 explicit outcome rather than an error.
 
+The branch-and-bound is one explicit-stack depth-first walk over bitsets
+(Python ints, bit i standing for the i-th candidate word in lexicographic
+order): the graph is one adjacency row per candidate, and a stack frame
+holds only ints, its untried pool and, once needed, the tops of its colour
+classes. A frame branches on its pool in ascending order and gives up when
+the words chosen so far plus an upper bound on the clique left in the pool
+fall short of m. The bound is the pool's popcount until the frame's first
+child has failed; from then on it is the number of classes of a greedy
+colouring of the untried pool whose top vertex is at or above the next
+candidate: each class is an independent set, so a clique takes at most
+one word from it (Östergård 2002; San Segundo et al. 2011). Colouring only
+after a failure keeps descents that never backtrack free of its cost.
+Both bounds are sound and the branching order is the lexicographic one,
+so the first clique found, hence every witness, is that of a plain
+lexicographic search, and the walk visits only nodes that search visits.
+
 ``best_min_distance`` in linear mode enumerates systematic generator
 matrices [I | A] only: column permutations preserve distance and any
 full-rank code is column-equivalent to a systematic one, so the
-restriction loses nothing while shrinking the space to q^(k(n-k)).
+restriction loses nothing while shrinking the space to q^(k(n-k)). The
+tails A are taken in numpy chunks in a fixed order, and all tails of a
+chunk walk the nonzero messages together, by their number w of nonzero
+coefficients and up to scalar multiples. Every later codeword weighs at
+least w, so the walk stops once each running minimum is at most w; a tail
+leaves it once it cannot beat the best distance of the earlier chunks,
+and the first tail of the largest minimum weight wins, as in a plain
+tail-by-tail scan.
 
 All stochastic procedures draw from ``random.Random`` seeded by the
 budget, so identical budgets give bit-identical outputs.
@@ -27,8 +50,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import spoiling
-from .codes import Code, CodeParams, check_alphabet, code_point, floor_log_q, min_distance, params
+from .codes import (Code, CodeParams, at_most_power, check_alphabet, code_point, floor_log_q,
+                    min_distance, params)
 from .errors import ContractViolationError
 from .fields import GF
 from .geometry import RatPoint
@@ -88,6 +114,12 @@ class _Meter:
                 return False
         return True
 
+    def exhausted(self) -> bool:
+        """True once the node cap or the wall clock has run out."""
+        return self.nodes > self.cap or (
+            self.deadline is not None and time.monotonic() > self.deadline
+        )
+
 
 class ExistsStatus(enum.Enum):
     FOUND = "found"
@@ -115,31 +147,37 @@ def _int_to_word(value: int, q: int, n: int) -> bytes:
     return bytes(digits)
 
 
-def _word_weight(value: int, q: int, n: int) -> int:
-    if q == 2:
-        return value.bit_count()
-    w = 0
-    while value:
-        if value % q:
-            w += 1
-        value //= q
-    return w
-
-
 # search spaces larger than this are never materialized
 _SPACE_CAP = 1 << 20
 
+# candidate counts up to which the whole adjacency is built (at most 8 MB of
+# bitsets) and the colouring bound is used; above it, rows are built per node
+_ADJ_CAP = 1 << 13
 
-def exists_code(q: int, n: int, m: int, d: int, budget: SearchBudget = DEFAULT_BUDGET) -> ExistsOutcome:
+# adjacency rows computed per numpy pass
+_ROW_BLOCK = 32
+
+
+def exists_code(
+    q: int,
+    n: int,
+    m: int,
+    d: int,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    *,
+    meter: Optional[_Meter] = None,
+) -> ExistsOutcome:
     """Decide realizability of the triple (n, m, d) over a q-letter alphabet.
 
     FOUND returns a witness whose minimum distance is exactly d (a witness
     clique with larger distance is walked down by the spoiling moves, which
     preserve n and m). IMPOSSIBLE is returned only after exhausting the
-    reduced search space.
+    reduced search space. ``meter`` charges the search to a meter shared
+    with earlier calls, so that one budget covers a whole query; by
+    default the call meters itself against ``budget``.
     """
     check_alphabet(q)
-    if n < 1 or not 1 <= m <= q ** n or not 0 <= d <= n:
+    if n < 1 or m < 1 or not at_most_power(m, q, n) or not 0 <= d <= n:
         raise ContractViolationError(f"malformed triple (n={n}, m={m}, d={d}) for q={q}")
     if m == 1:
         if d != 0:
@@ -151,64 +189,114 @@ def exists_code(q: int, n: int, m: int, d: int, budget: SearchBudget = DEFAULT_B
         # the first m words in lex order contain a pair at distance exactly 1
         words = [_int_to_word(v, q, n) for v in range(m)]
         return ExistsOutcome(ExistsStatus.FOUND, Code.from_words(q, words), 0)
-    if q ** n > _SPACE_CAP:
+    if at_most_power(_SPACE_CAP + 1, q, n):  # q**n > _SPACE_CAP
         return ExistsOutcome(
             ExistsStatus.UNKNOWN, None, 0, reason=f"search space q^n > {_SPACE_CAP}"
         )
 
-    meter = _Meter(budget)
+    if meter is None:
+        meter = _Meter(budget)
+    start = meter.nodes
     found = _clique_search(q, n, m, d, meter)
+    nodes = meter.nodes - start
     if found is None:
-        if meter.nodes > meter.cap or (
-            meter.deadline is not None and time.monotonic() > meter.deadline
-        ):
-            return ExistsOutcome(ExistsStatus.UNKNOWN, None, meter.nodes, reason="budget")
-        return ExistsOutcome(ExistsStatus.IMPOSSIBLE, None, meter.nodes, reason="exhausted")
+        if meter.exhausted():
+            return ExistsOutcome(ExistsStatus.UNKNOWN, None, nodes, reason="budget")
+        return ExistsOutcome(ExistsStatus.IMPOSSIBLE, None, nodes, reason="exhausted")
     code = Code.from_words(q, [_int_to_word(v, q, n) for v in found])
     actual, _ = min_distance(code)
     if actual > d:
         code = spoiling.reduce_distance_exact(code, d)
-    return ExistsOutcome(ExistsStatus.FOUND, code, meter.nodes)
+    return ExistsOutcome(ExistsStatus.FOUND, code, nodes)
+
+
+def _candidates(q: int, n: int, d: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Values of the words of weight >= d in lexicographic order, and for
+    q > 2 their symbol rows (binary distances come from the values)."""
+    values = np.arange(q ** n, dtype=np.int64)
+    if q == 2:
+        return values[np.bitwise_count(values) >= d], None
+    words = np.empty((len(values), n), dtype=np.uint8)
+    rest = values.copy()
+    for pos in range(n - 1, -1, -1):
+        words[:, pos] = rest % q
+        rest //= q
+    keep = np.count_nonzero(words, axis=1) >= d
+    return values[keep], words[keep]
+
+
+def _adjacency_rows(values, words, d: int, lo: int, hi: int) -> list[int]:
+    """Rows lo..hi-1 of the compatibility graph as bitsets: bit j of row i
+    is set iff candidates i and j are at distance >= d."""
+    if words is None:
+        dist = np.bitwise_count(values[lo:hi, None] ^ values[None, :])
+    else:
+        dist = np.count_nonzero(words[lo:hi, None, :] != words[None, :, :], axis=2)
+    bits = np.packbits(dist >= d, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def _colour_tops(pool: int, adj: list[int]) -> int:
+    """Bitset of the top vertex of each class of a greedy colouring of pool.
+
+    Classes are filled one at a time from the highest uncoloured vertex
+    down, which is first-fit colouring in descending order: the classes
+    meeting the vertices >= v are then the colours those vertices use, so
+    counting tops >= v bounds the clique among them.
+    """
+    tops = 0
+    while pool:
+        tops |= 1 << (pool.bit_length() - 1)
+        rest = pool
+        while rest:
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            pool ^= bit
+            rest = (rest ^ bit) & ~adj[v]
+    return tops
 
 
 def _clique_search(q: int, n: int, m: int, d: int, meter: _Meter) -> Optional[list[int]]:
-    """DFS for a size-m clique containing the zero word; None on failure."""
-    binary = q == 2
-    space = q ** n
-    candidates = []
-    for v in range(1, space):
-        if _word_weight(v, q, n) >= d:
-            candidates.append(v)
-    words = None if binary else {v: _int_to_word(v, q, n) for v in candidates}
-
-    def dist(a: int, b: int) -> int:
-        if binary:
-            return (a ^ b).bit_count()
-        wa, wb = words[a], words[b]
-        return sum(x != y for x, y in zip(wa, wb))
-
+    """Lexicographically first size-m clique containing the zero word, as
+    word values; None when the space or the meter runs out."""
+    values, words = _candidates(q, n, d)
+    k = len(values)
+    adj = None
+    if k <= _ADJ_CAP:
+        adj = [
+            row
+            for lo in range(0, k, _ROW_BLOCK)
+            for row in _adjacency_rows(values, words, d, lo, min(k, lo + _ROW_BLOCK))
+        ]
     target = m - 1  # beyond the fixed zero word
-
-    def extend(chosen: list[int], pool: Sequence[int]) -> Optional[list[int]]:
-        if len(chosen) == target:
-            return chosen
-        for idx, v in enumerate(pool):
-            if len(chosen) + len(pool) - idx < target:
-                return None  # not enough candidates left
-            if not meter.spend():
-                return None
-            narrowed = [w for w in pool[idx + 1:] if dist(v, w) >= d]
-            result = extend(chosen + [v], narrowed)
-            if result is not None:
-                return result
-            if meter.nodes > meter.cap:
-                return None
-        return None
-
-    found = extend([], candidates)
-    if found is None:
-        return None
-    return [0] + found
+    chosen: list[int] = []
+    pools = [(1 << k) - 1]  # each frame's untried candidates
+    tops = [0]  # each frame's colour-class tops; 0 until its first child fails
+    while len(chosen) < target:
+        pool = pools[-1]
+        if pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            bound = (tops[-1] >> v).bit_count() if tops[-1] else pool.bit_count()
+            if len(chosen) + bound >= target:
+                if not meter.spend():
+                    return None
+                pool ^= low
+                pools[-1] = pool
+                row = adj[v] if adj is not None else _adjacency_rows(values, words, d, v, v + 1)[0]
+                chosen.append(v)
+                pools.append(pool & row)
+                tops.append(0)
+                continue
+        pools.pop()
+        tops.pop()
+        if not chosen:
+            return None
+        chosen.pop()
+        pool = pools[-1]
+        if adj is not None and not tops[-1] and len(chosen) + pool.bit_count() >= target:
+            tops[-1] = _colour_tops(pool, adj)
+    return [0] + [int(values[v]) for v in chosen]
 
 
 class OracleStatus(enum.Enum):
@@ -240,8 +328,9 @@ def best_min_distance(
 
     In linear mode m must be q**k; the search runs over systematic
     generators and the witness is a LinearCode. The unstructured mode scans
-    d downward with the existence oracle; the first realizable d is the
-    maximum, and the witness clique attains it exactly.
+    d downward with the existence oracle, all steps charged to one meter;
+    the first realizable d is the maximum, and the witness clique attains
+    it exactly.
     """
     if m == 1:
         return OracleOutcome(OracleStatus.EXACT, 0, exists_code(q, n, 1, 0, budget).witness, 0)
@@ -250,110 +339,124 @@ def best_min_distance(
         if q ** k != m:
             raise ContractViolationError("linear mode requires cardinality q**k")
         return _best_linear(q, n, k, budget)
-    nodes = 0
+    meter = _Meter(budget)
     for d in range(n, 0, -1):
-        outcome = exists_code(q, n, m, d, budget)
-        nodes += outcome.nodes
+        outcome = exists_code(q, n, m, d, budget, meter=meter)
         if outcome.status is ExistsStatus.UNKNOWN:
-            return OracleOutcome(OracleStatus.UNKNOWN, None, None, nodes, outcome.reason)
+            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, outcome.reason)
         if outcome.found:
-            return OracleOutcome(OracleStatus.EXACT, d, outcome.witness, nodes)
+            return OracleOutcome(OracleStatus.EXACT, d, outcome.witness, meter.nodes)
     raise ContractViolationError("unreachable: d = 1 is always realizable")
+
+
+# tails per numpy pass of the linear search, and the cap on tails x messages
+_TAIL_CHUNK = 1 << 16
+_CHUNK_WORK = 1 << 20
 
 
 def _best_linear(q: int, n: int, k: int, budget: SearchBudget) -> OracleOutcome:
     if not 1 <= k <= n:
         raise ContractViolationError("need 1 <= k <= n")
+    field = GF(q)
     if k == n:
-        gen = GeneratorMatrix(GF(q), tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n)))
+        gen = GeneratorMatrix(field, tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n)))
         return OracleOutcome(OracleStatus.EXACT, 1, LinearCode(gen), 0)
-    if q == 2:
-        return _best_linear_binary(n, k, budget)
-    return _best_linear_generic(q, n, k, budget)
-
-
-def _best_linear_binary(n: int, k: int, budget: SearchBudget) -> OracleOutcome:
-    tail_bits = n - k
-    total = 1 << (k * tail_bits)
+    tail_cols = n - k
+    if q > 2 and at_most_power(_SPACE_CAP + 1, q, k * tail_cols):
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, 0, reason="space too large")
+    total = 1 << (k * tail_cols) if q == 2 else q ** (k * tail_cols)
     meter = _Meter(budget)
-    mask = (1 << tail_bits) - 1
-    best_d = 0
-    best_tail = None
-    for tail in range(total):
-        if not meter.spend():
-            return OracleOutcome(
-                OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget"
-            )
-        rows = [
-            (1 << (n - 1 - r)) | ((tail >> (r * tail_bits)) & mask)
-            for r in range(k)
-        ]
-        # Gray walk over the 2^k - 1 nonzero messages
-        word = 0
-        prev = 0
-        d = n + 1
-        for counter in range(1, 1 << k):
-            gray = counter ^ (counter >> 1)
-            word ^= rows[(gray ^ prev).bit_length() - 1]
-            prev = gray
-            w = word.bit_count()
-            if w < d:
-                d = w
-                if d <= best_d:
-                    break
-        if d > best_d:
-            best_d = d
-            best_tail = tail
+    if total > meter.cap:
+        # one node per tail: the scan would stop at tail cap + 1
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.cap + 1, reason="budget")
+    if total >> 62:
+        # only reachable under a node cap no run could ever spend
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, 0, reason="space too large")
+    if q == 2:
+        ops = (np.bitwise_xor, lambda c, part: part, np.bitwise_count)
+    else:
+        add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+        mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+        ops = (
+            lambda a, b: add[a, b],
+            lambda c, part: mul[c][part],
+            lambda word: np.count_nonzero(word, axis=1),
+        )
+    # messages a chunk walks at most: after the one-row messages every
+    # minimum is <= n - k + 1 (Singleton), which stops the walk there
+    messages = sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in range(1, min(k, tail_cols) + 1))
+    chunk = max(1, min(_TAIL_CHUNK, _CHUNK_WORK // messages))
+    best_d, best_tail = 0, None
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        meter.nodes += hi - lo
+        if meter.exhausted():
+            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
+        tails = np.arange(lo, hi, dtype=np.int64)
+        found = _best_tail(_tail_rows(tails, q, k, tail_cols), tails, q, n, ops, best_d)
+        if found is not None:
+            best_d, best_tail = found
+    if q == 2:
+        tail = [(best_tail >> (r * tail_cols + tail_cols - 1 - b)) & 1
+                for r in range(k) for b in range(tail_cols)]
+    else:
+        tail = _int_to_word(best_tail, q, k * tail_cols)
     rows = tuple(
-        tuple((1 if c == r else 0) for c in range(k))
-        + tuple((best_tail >> (r * tail_bits + (tail_bits - 1 - b))) & 1 for b in range(tail_bits))
+        tuple(1 if c == r else 0 for c in range(k)) + tuple(tail[r * tail_cols:(r + 1) * tail_cols])
         for r in range(k)
     )
-    witness = LinearCode(GeneratorMatrix(GF(2), rows))
+    witness = LinearCode(GeneratorMatrix(field, rows))
     return OracleOutcome(OracleStatus.EXACT, best_d, witness, meter.nodes)
 
 
-def _best_linear_generic(q: int, n: int, k: int, budget: SearchBudget) -> OracleOutcome:
-    field = GF(q)
-    tail_cols = n - k
-    total = q ** (k * tail_cols)
-    if total > _SPACE_CAP:
-        return OracleOutcome(OracleStatus.UNKNOWN, None, None, 0, reason="space too large")
-    meter = _Meter(budget)
-    best_d = 0
-    best_rows = None
-    for combo in itertools.product(range(q), repeat=k * tail_cols):
-        if not meter.spend():
-            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
-        rows = tuple(
-            tuple(1 if c == r else 0 for c in range(k)) + combo[r * tail_cols:(r + 1) * tail_cols]
-            for r in range(k)
-        )
-        d = _min_weight_rows(field, rows, n, k, stop_at=best_d)
-        if d > best_d:
-            best_d = d
-            best_rows = rows
-    witness = LinearCode(GeneratorMatrix(field, best_rows))
-    return OracleOutcome(OracleStatus.EXACT, best_d, witness, meter.nodes)
+def _tail_rows(tails, q: int, k: int, tail_cols: int) -> list:
+    """Row r of the tail A for every tail index: binary rows are the bits
+    r(n-k).. of the index, packed (bit 0 is the last column); q-ary rows
+    are digit arrays, the index holding the entries of A row by row as
+    base-q digits, most significant first (``itertools.product`` order)."""
+    if q == 2:
+        mask = (1 << tail_cols) - 1
+        return [(tails >> (r * tail_cols)) & mask for r in range(k)]
+    digits = np.empty((len(tails), k * tail_cols), dtype=np.uint8)
+    rest = tails.copy()
+    for col in range(k * tail_cols - 1, -1, -1):
+        digits[:, col] = rest % q
+        rest //= q
+    return [digits[:, r * tail_cols:(r + 1) * tail_cols] for r in range(k)]
 
 
-def _min_weight_rows(field, rows, n: int, k: int, stop_at: int = 0) -> int:
-    best = n + 1
-    for message in itertools.product(range(field.q), repeat=k):
-        if not any(message):
-            continue
-        word = [0] * n
-        for coeff, row in zip(message, rows):
-            if coeff:
-                for idx, entry in enumerate(row):
-                    if entry:
-                        word[idx] = field.add(word[idx], field.mul(coeff, entry))
-        w = sum(1 for s in word if s)
-        if w < best:
-            best = w
-            if best <= stop_at:
-                return best
-    return best
+def _best_tail(rows, tails, q: int, n: int, ops, best_d: int) -> Optional[tuple[int, int]]:
+    """(minimum distance, tail) of the first of ``tails`` whose code has the
+    largest minimum distance, if that beats ``best_d``; else None.
+
+    ``rows[r]`` holds row r of every tail's A; ``ops`` is (add, scale,
+    weight) over such arrays. Messages are walked by their number w of
+    nonzero coefficients, each up to a scalar (leading coefficient 1, as
+    scaling keeps the weight). A codeword of such a message weighs w plus
+    the weight of its tail part, so once every running minimum is <= w
+    the minima are exact and the walk stops. Tails whose minimum drops to
+    ``best_d`` cannot win and leave the walk.
+    """
+    add, scale, weight = ops
+    k = len(rows)
+    lowest = np.full(len(tails), n + 1, dtype=np.int64)
+    for w in range(1, k + 1):
+        if lowest.max() <= w:
+            break
+        for support in itertools.combinations(range(k), w):
+            for coeffs in itertools.product(range(1, q), repeat=w - 1):
+                word = rows[support[0]]
+                for c, r in zip(coeffs, support[1:]):
+                    word = add(word, scale(c, rows[r]))
+                np.minimum(lowest, weight(word) + w, out=lowest)
+                alive = lowest > best_d
+                if not alive.all():
+                    if not alive.any():
+                        return None
+                    lowest, tails = lowest[alive], tails[alive]
+                    rows = [row[alive] for row in rows]
+    top = int(np.argmax(lowest))  # the first maximum, i.e. the lowest tail
+    return int(lowest[top]), int(tails[top])
 
 
 def greedy_code(

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -77,6 +78,17 @@ def test_oracle_best_and_exists(tmp_path):
     # unknown under a tiny budget exits with the budget code
     assert run(tmp_path, "oracle", "--q", "2", "--n", "20", "--m", "1024",
                "--d", "6", "--max-nodes", "10") == EXIT_BUDGET
+
+
+def test_oracle_deep_search_and_huge_length(tmp_path):
+    # 1,023 words deep: the even-weight code, found without recursion
+    assert run(tmp_path, "oracle", "--n", "11", "--m", "1024", "--d", "2") == EXIT_OK
+    assert json.loads((tmp_path / "oracle.json").read_text())["status"] == "found"
+    # the space check must not build q**n before the budget applies
+    start = time.perf_counter()
+    assert run(tmp_path, "oracle", "--q", "3", "--n", "6000000", "--m", "3", "--d", "2",
+               "--max-nodes", "1") == EXIT_BUDGET
+    assert time.perf_counter() - start < 0.5
 
 
 def test_spoil_roundtrip(tmp_path):

@@ -1,14 +1,22 @@
+import hashlib
+import itertools
+import sys
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
-from codeplane.codes import Code, min_distance, params
+from codeplane import search
+from codeplane.codes import Code, min_distance, params, write_code_text
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatPoint
-from codeplane.linear import seed_family, to_code
+from codeplane.fields import GF
+from codeplane.linear import GeneratorMatrix, LinearCode, seed_family, to_code, write_generator_text
 from codeplane.search import (
     DEFAULT_SEED,
     ExistsStatus,
+    OracleOutcome,
+    OracleStatus,
     SearchBudget,
     best_min_distance,
     enumerate_point_cloud,
@@ -151,3 +159,266 @@ def test_budget_dataclass_validation():
     with pytest.raises(ContractViolationError):
         SearchBudget(max_millis=0)
     assert SearchBudget().rng_seed == DEFAULT_SEED
+
+
+# --- differential references: the searches before the bitset and numpy rewrite
+
+
+def _reference_word_weight(value: int, q: int, n: int) -> int:
+    if q == 2:
+        return value.bit_count()
+    w = 0
+    while value:
+        if value % q:
+            w += 1
+        value //= q
+    return w
+
+
+def _reference_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
+    """The recursive list-narrowing search, kept as the reference."""
+    binary = q == 2
+    space = q ** n
+    candidates = []
+    for v in range(1, space):
+        if _reference_word_weight(v, q, n) >= d:
+            candidates.append(v)
+    words = None if binary else {v: search._int_to_word(v, q, n) for v in candidates}
+
+    def dist(a: int, b: int) -> int:
+        if binary:
+            return (a ^ b).bit_count()
+        wa, wb = words[a], words[b]
+        return sum(x != y for x, y in zip(wa, wb))
+
+    target = m - 1
+
+    def extend(chosen: list[int], pool: Sequence[int]) -> Optional[list[int]]:
+        if len(chosen) == target:
+            return chosen
+        for idx, v in enumerate(pool):
+            if len(chosen) + len(pool) - idx < target:
+                return None
+            if not meter.spend():
+                return None
+            narrowed = [w for w in pool[idx + 1:] if dist(v, w) >= d]
+            result = extend(chosen + [v], narrowed)
+            if result is not None:
+                return result
+            if meter.nodes > meter.cap:
+                return None
+        return None
+
+    found = extend([], candidates)
+    if found is None:
+        return None
+    return [0] + found
+
+
+def _reference_best_linear(q, n, k, budget) -> OracleOutcome:
+    """The per-tail Gray walk (binary) and odometer (q > 2), for k < n."""
+    if q == 2:
+        return _reference_best_linear_binary(n, k, budget)
+    return _reference_best_linear_generic(q, n, k, budget)
+
+
+def _reference_best_linear_binary(n, k, budget) -> OracleOutcome:
+    tail_bits = n - k
+    total = 1 << (k * tail_bits)
+    meter = search._Meter(budget)
+    mask = (1 << tail_bits) - 1
+    best_d = 0
+    best_tail = None
+    for tail in range(total):
+        if not meter.spend():
+            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
+        rows = [(1 << (n - 1 - r)) | ((tail >> (r * tail_bits)) & mask) for r in range(k)]
+        word = 0
+        prev = 0
+        d = n + 1
+        for counter in range(1, 1 << k):
+            gray = counter ^ (counter >> 1)
+            word ^= rows[(gray ^ prev).bit_length() - 1]
+            prev = gray
+            w = word.bit_count()
+            if w < d:
+                d = w
+                if d <= best_d:
+                    break
+        if d > best_d:
+            best_d = d
+            best_tail = tail
+    rows = tuple(
+        tuple((1 if c == r else 0) for c in range(k))
+        + tuple((best_tail >> (r * tail_bits + (tail_bits - 1 - b))) & 1 for b in range(tail_bits))
+        for r in range(k)
+    )
+    return OracleOutcome(OracleStatus.EXACT, best_d, LinearCode(GeneratorMatrix(GF(2), rows)), meter.nodes)
+
+
+def _reference_best_linear_generic(q, n, k, budget) -> OracleOutcome:
+    field = GF(q)
+    tail_cols = n - k
+    total = q ** (k * tail_cols)
+    if total > search._SPACE_CAP:
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, 0, reason="space too large")
+    meter = search._Meter(budget)
+    best_d = 0
+    best_rows = None
+    for combo in itertools.product(range(q), repeat=k * tail_cols):
+        if not meter.spend():
+            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
+        rows = tuple(
+            tuple(1 if c == r else 0 for c in range(k)) + combo[r * tail_cols:(r + 1) * tail_cols]
+            for r in range(k)
+        )
+        d = _reference_min_weight_rows(field, rows, n, k, stop_at=best_d)
+        if d > best_d:
+            best_d = d
+            best_rows = rows
+    return OracleOutcome(OracleStatus.EXACT, best_d, LinearCode(GeneratorMatrix(field, best_rows)), meter.nodes)
+
+
+def _reference_min_weight_rows(field, rows, n, k, stop_at=0) -> int:
+    best = n + 1
+    for message in itertools.product(range(field.q), repeat=k):
+        if not any(message):
+            continue
+        word = [0] * n
+        for coeff, row in zip(message, rows):
+            if coeff:
+                for idx, entry in enumerate(row):
+                    if entry:
+                        word[idx] = field.add(word[idx], field.mul(coeff, entry))
+        w = sum(1 for s in word if s)
+        if w < best:
+            best = w
+            if best <= stop_at:
+                return best
+    return best
+
+
+def _small_triples(m_max):
+    """Every (q, n, m, d) with q^n <= 2^8, 2 <= m <= m_max and d >= 2."""
+    for q in range(2, 17):
+        n = 2
+        while q ** n <= 256:
+            for d in range(2, n + 1):
+                for m in range(2, min(q ** n, m_max) + 1):
+                    yield q, n, m, d
+            n += 1
+
+
+def test_clique_search_matches_recursive_reference(monkeypatch):
+    budget = SearchBudget(max_nodes=3_000)
+    decided = 0
+    for q, n, m, d in _small_triples(m_max=16):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_clique_search", _reference_clique_search)
+            ref = exists_code(q, n, m, d, budget)
+        new = exists_code(q, n, m, d, budget)
+        if ref.status is ExistsStatus.UNKNOWN:
+            continue
+        decided += 1
+        assert new.status is ref.status, (q, n, m, d)
+        if ref.found:
+            assert write_code_text(new.witness) == write_code_text(ref.witness), (q, n, m, d)
+        assert new.nodes <= ref.nodes, (q, n, m, d)
+    assert decided > 500
+
+
+def _linear_cases():
+    """Every (q, n, k), k < n, whose systematic space q^(k(n-k)) is <= 2^16."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 256):
+        for n in range(2, 18):
+            for k in range(1, n):
+                if q ** (k * (n - k)) <= 1 << 16:
+                    yield q, n, k
+
+
+# SHA-256 prefixes of the reference's answers where it takes seconds,
+# recorded by running it with the default budget
+_PINNED_LINEAR = {
+    (2, 8, 3): "5376420e2572039b",
+    (2, 8, 4): "3596c881a3855b65",
+    (2, 8, 5): "dcaac41c698329ec",
+    (2, 8, 6): "49e2423f9e599c80",
+    (2, 9, 7): "2091a0e2291ab579",
+    (2, 10, 2): "e98e2262b8b8ef66",
+    (2, 10, 8): "08523ebd684f74bb",
+    (3, 6, 3): "59264f4765e226a5",
+    (3, 6, 4): "112d3568a72e6246",
+    (3, 7, 2): "66a5494bc316dfc9",
+    (3, 7, 5): "0eb275c9717544f6",
+    (4, 5, 3): "c307e7a0dff8fb9d",
+    (4, 6, 2): "2799b9ad936a158a",
+    (4, 6, 4): "25cc1440dd50e162",
+    (5, 5, 2): "806e1ce7c1bec7ab",
+    (5, 5, 3): "436020eb8a43df21",
+    (8, 4, 2): "37b27dab3dea7d1e",
+    (9, 4, 2): "4ebc6d903dec56ff",
+    (11, 4, 2): "486d1de02aac9001",
+    (13, 4, 2): "9774e23be7f36096",
+    (16, 4, 2): "23f202a9fc2f6a7e",
+}
+
+
+def _linear_fingerprint(out: OracleOutcome):
+    text = write_generator_text(out.witness) if out.witness is not None else None
+    return out.status, out.d, out.nodes, out.reason, text
+
+
+def _digest(fingerprint) -> str:
+    status, d, nodes, reason, text = fingerprint
+    return hashlib.sha256(f"{status.value} {d} {nodes} {reason}\n{text}".encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("q,n,k", list(_linear_cases()))
+def test_best_linear_matches_reference(q, n, k):
+    budget = SearchBudget()
+    new = _linear_fingerprint(search._best_linear(q, n, k, budget))
+    if q ** (k * (n - k) + k) <= 1 << 17:
+        assert new == _linear_fingerprint(_reference_best_linear(q, n, k, budget))
+    elif k in (1, n - 1):
+        # the repetition (k = 1) and parity-check (k = n - 1) codes meet the
+        # Singleton bound, and a tail with a zero entry leaves a lighter
+        # codeword, so the all-ones tail is the first best one
+        rows = tuple(tuple(int(c == r or c >= k) for c in range(n)) for r in range(k))
+        text = write_generator_text(LinearCode(GeneratorMatrix(GF(q), rows)))
+        assert new == (OracleStatus.EXACT, n - k + 1, q ** (k * (n - k)), "", text)
+    else:
+        assert _digest(new) == _PINNED_LINEAR[q, n, k]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 8, 4), (3, 6, 2)])
+def test_best_linear_budget_exhaustion_matches_reference(q, n, k):
+    budget = SearchBudget(max_nodes=1_000)
+    new = search._best_linear(q, n, k, budget)
+    assert new.status is OracleStatus.UNKNOWN
+    assert _linear_fingerprint(new) == _linear_fingerprint(_reference_best_linear(q, n, k, budget))
+
+
+def test_deep_clique_search_needs_no_recursion():
+    # 1,023 words deep: the recursive search raised RecursionError here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        out = exists_code(2, 11, 1024, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.found and out.nodes == 1023
+    even = [bytes(w) for w in itertools.product((0, 1), repeat=11) if sum(w) % 2 == 0]
+    assert out.witness.words == tuple(even)
+
+
+def test_best_min_distance_charges_one_budget_per_query():
+    # the scan of (6, 5) proves d = 5 and d = 4 impossible, then finds d = 3
+    full = best_min_distance(2, 6, 5)
+    assert full.exact and full.d == 3
+    steps = [exists_code(2, 6, 5, d).nodes for d in range(6, 2, -1)]
+    assert full.nodes == sum(steps)
+    # one node short of the scan: every step alone fits, the query does not
+    cap = full.nodes - 1
+    assert max(steps) <= cap
+    short = best_min_distance(2, 6, 5, SearchBudget(max_nodes=cap))
+    assert short.status is OracleStatus.UNKNOWN and short.nodes == cap + 1
