@@ -176,12 +176,17 @@ def _atanh_arguments(draw):
 @given(_atanh_arguments(), st.integers(min_value=1, max_value=700))
 @example((1, 3), 700)
 @example((0, 5), 3)
+@example((1, 2**199), 289)
 @settings(max_examples=200, deadline=None)
 def test_atanh_series_brackets_the_true_value(ab, w):
     a, b = ab
     lo, hi = enclosure._atanh_scaled(a, b, w)
-    # 2**w * atanh(a/b) = 2**(w-1) * ln((b+a)/(b-a)), with 40 decimal digits to spare
-    ctx = Context(prec=int(w * 0.302) + 40)
+    # 2**w * atanh(a/b) = 2**(w-1) * ln((b+a)/(b-a)), with 40 decimal digits to
+    # spare. For small s = a/b the quotient is 1 + 2s + ..., so ln loses about
+    # log10(1/s) digits to cancellation, and lo can sit as close as 2**w * s**3
+    # below the true value (s = 2**-199, w = 289: lo = 2**90 exactly), which
+    # is 2 * log10(1/s) digits below its leading digit: give 3 * digits(b) more.
+    ctx = Context(prec=int(w * 0.302) + 3 * len(str(b)) + 40)
     true = ctx.multiply(ctx.ln(ctx.divide(b + a, b - a)), ctx.power(2, w - 1))
     assert lo <= true <= hi
 
