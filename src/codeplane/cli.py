@@ -14,6 +14,7 @@ partial results, 4 internal contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -493,10 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main``
+    call of the process: in-process callers run many commands."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 for a bad argv, 0 after --help
         return exc.code
     try:

@@ -148,6 +148,43 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         assert first[name] == second[name], name
 
 
+def test_one_parser_serves_back_to_back_commands(tmp_path, monkeypatch, capsys):
+    from codeplane import cli
+
+    argvs = [
+        ["enumerate", "--q", "2", "--nmax", "5", "--strategy", "greedy,random", "--seed", "9"],
+        ["bogus"],
+        ["sample", "--q", "3", "--n", "6", "--m", "20", "--trials", "2", "--seed", "4"],
+        ["oracle", "--n", "6", "--m", "8"],
+        ["sample", "--n", "9", "--m", "30", "--trials", "3"],
+        ["bounds", "--q", "3", "--grid", "9", "--curves", "vg,hamming"],
+        ["strip", "--curve", "gv_lower", "--N", "6"],
+        ["--help"],
+        ["realize", "--target", "1/4,1/4", "--count", "2", "--seed", "3"],
+        ["oracle", "--n", "5", "--m", "4", "--linear"],
+    ]
+
+    def outputs(directory, fresh):
+        # relative --out paths, since manifests echo them
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        codes, files = [], {}
+        for index, argv in enumerate(argvs):
+            if fresh:
+                cli._parser.cache_clear()
+            codes.append(main(argv + ["--out", str(index)]))
+            out = directory / str(index)
+            if out.exists():
+                files.update({f"{index}/{p.name}": p.read_bytes() for p in out.iterdir()})
+        return codes, files
+
+    shared = outputs(tmp_path / "shared", fresh=False)
+    assert shared == outputs(tmp_path / "fresh", fresh=True)
+    capsys.readouterr()
+    assert shared[0] == [EXIT_OK, EXIT_CONFIG] + [EXIT_OK] * 8
+    assert len(shared[1]) >= 12
+
+
 def test_budget_env_var_sets_default(tmp_path, monkeypatch):
     monkeypatch.setenv("CODEPLANE_MAX_NODES", "777")
     assert run(tmp_path, "strip", "--curve", "synthetic:diag", "--N", "2") == EXIT_OK
