@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import kernels
 from .enclosure import log_enclosure
 from .errors import ContractViolationError
@@ -83,20 +85,24 @@ class Code:
     words: tuple[Word, ...]
 
     def __post_init__(self):
+        # checked on the packed buffer: no Python code runs per symbol
+        check_alphabet(self.q)
         if not self.words:
             raise ContractViolationError("codes are nonempty")
-        seen = set()
-        for w in self.words:
-            validate_word(w, self.q, self.n)
-            if w in seen:
-                raise ContractViolationError("duplicate word in code")
-            seen.add(w)
+        if self.n < 1:
+            raise ContractViolationError("words must have length >= 1")
+        if set(map(len, self.words)) != {self.n}:
+            raise ContractViolationError(f"every word must have length {self.n}")
+        if np.frombuffer(self.packed(), dtype=np.uint8).max() >= self.q:
+            raise ContractViolationError(f"symbol out of range for alphabet size {self.q}")
+        if len(set(self.words)) != len(self.words):
+            raise ContractViolationError("duplicate word in code")
         if list(self.words) != sorted(self.words):
             raise ContractViolationError("words must be sorted; use Code.from_words")
 
     @classmethod
     def from_words(cls, q: int, words: Iterable[Word]) -> "Code":
-        unique = sorted(set(bytes(w) for w in words))
+        unique = sorted(set(map(bytes, words)))
         if not unique:
             raise ContractViolationError("codes are nonempty")
         return cls(q=q, n=len(unique[0]), words=tuple(unique))

@@ -154,12 +154,6 @@ class FieldSpec:
             raise ContractViolationError("zero has no multiplicative inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def scalar_row_mul(self, scalar: int, row) -> tuple[int, ...]:
-        return tuple(self.mul(scalar, x) for x in row)
-
-    def row_add(self, a, b) -> tuple[int, ...]:
-        return tuple(self.add(x, y) for x, y in zip(a, b))
-
 
 @lru_cache(maxsize=None)
 def GF(q: int) -> FieldSpec:

@@ -89,10 +89,6 @@ class RatInterval:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
 
-    def shift(self, c: RationalLike) -> "RatInterval":
-        c = as_rational(c)
-        return RatInterval(self.lo + c, self.hi + c)
-
     def div_positive(self, other: "RatInterval") -> "RatInterval":
         """Divide by an interval that is strictly positive. Exact."""
         if other.lo <= 0:

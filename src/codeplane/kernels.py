@@ -7,8 +7,12 @@ length-n words into one read-only buffer. All functions are pure.
 1, 2, 4 or 8-bit field (the width of the largest symbol present), rows are
 XORed as uint64 words, every nonzero field is OR-folded down to its low bit
 and the surviving bits are counted with ``np.bitwise_count``.
-``all_at_least`` and ``hamming`` serve many tiny calls and stay on plain
-byte compares, where repacking would cost more than it saves.
+``greedy_sieve`` runs a greedy scan on the same packed rows, a block of
+scanned words at a time. ``hamming`` serves many tiny calls and stays on
+plain byte compares, where repacking would cost more than it saves.
+``all_at_least`` (one candidate against a word set) has no library caller
+since the greedy scan moved to ``greedy_sieve``; it stays as an entry point
+that the benchmark's tracer binds.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ BACKEND = "python"
 # below this many words, plain-bytes loops beat numpy dispatch overhead
 _SMALL = 8
 
-# pairs compared per numpy pass in min_pairwise
+# pairs compared per numpy pass
 _BLOCK_PAIRS = 1 << 16
+
+# scanned rows per greedy_sieve block: bounds its closeness matrix
+_SIEVE_ROWS = 1 << 10
 
 # field width -> (shifts OR-folding a field onto its low bit, low-bit mask)
 _FOLDS = {
@@ -46,10 +53,13 @@ def hamming(a, b):
     return int((arr_a != arr_b).sum())
 
 
-def _pack_rows(arr):
-    """Rows of ``arr`` as uint64 bit fields; returns (rows, field width)."""
-    top = int(arr.max())
-    width = 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+def _field_width(top):
+    """Bits per symbol field for symbols up to ``top``."""
+    return 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+
+
+def _pack_rows(arr, width):
+    """Rows of ``arr`` as uint64 rows of ``width``-bit fields."""
     per_byte = 8 // width
     m, n = arr.shape
     per_word = 64 // width
@@ -57,7 +67,28 @@ def _pack_rows(arr):
     padded[:, :n] = arr
     # fields of a byte hold disjoint bits, so their weighted sum is their OR
     weights = np.array([1 << s for s in range(0, 8, width)], dtype=np.uint8)
-    return (padded.reshape(m, -1, per_byte) @ weights).view(np.uint64), width
+    return (padded.reshape(m, -1, per_byte) @ weights).view(np.uint64)
+
+
+def _distances(x, y, width):
+    """Distances between the packed rows x[i] and y[j], as a len(x) x len(y) array."""
+    diff = x[:, None] ^ y[None, :]
+    if width > 1:
+        shifts, low_bits = _FOLDS[width]
+        for s in shifts:
+            diff |= diff >> np.uint64(s)
+        diff &= low_bits
+    dists = np.bitwise_count(diff)
+    if dists.ndim == 3:
+        dists = dists.sum(axis=2, dtype=np.int32)
+    return dists
+
+
+def _blocks(x, y, width):
+    """Distances to y of row blocks of x, about _BLOCK_PAIRS pairs per block."""
+    step = max(1, _BLOCK_PAIRS // max(1, len(y)))
+    for lo in range(0, len(x), step):
+        yield _distances(x[lo:lo + step], y, width)
 
 
 def min_pairwise(buf, m, n):
@@ -77,7 +108,9 @@ def min_pairwise(buf, m, n):
                 if d < best:
                     best, bi, bj = d, i, j
         return best, bi, bj
-    rows, width = _pack_rows(_as_matrix(buf, m, n))
+    arr = _as_matrix(buf, m, n)
+    width = _field_width(int(arr.max()))
+    rows = _pack_rows(arr, width)
     if rows.shape[1] == 1:
         rows = rows[:, 0]  # one uint64 per row: count it directly, no row sum
     best, bi, bj = n + 1, -1, -1
@@ -86,15 +119,7 @@ def min_pairwise(buf, m, n):
         # rows i0..i1-1 against rows i0+1..m-1; pairs with j <= i are masked
         span = m - i0 - 1
         i1 = min(m - 1, i0 + max(1, _BLOCK_PAIRS // span))
-        diff = rows[i0:i1, None] ^ rows[None, i0 + 1:]
-        if width > 1:
-            shifts, low_bits = _FOLDS[width]
-            for s in shifts:
-                diff |= diff >> np.uint64(s)
-            diff &= low_bits
-        dists = np.bitwise_count(diff)
-        if dists.ndim == 3:
-            dists = dists.sum(axis=2, dtype=np.int32)
+        dists = _distances(rows[i0:i1], rows[i0 + 1:], width)
         lower = np.arange(i1 - i0)
         dists[:, :i1 - i0][lower[:, None] > lower] = n + 1
         flat = int(dists.argmin())
@@ -106,8 +131,55 @@ def min_pairwise(buf, m, n):
     return best, bi, bj
 
 
+def greedy_sieve(chunks, q, d, limit=None):
+    """Rows a greedy scan keeps, in scan order, as one uint8 matrix.
+
+    ``chunks`` yields uint8 matrices of q-ary words, one word per row, in
+    scan order. A row is kept iff it is at distance >= d from every row
+    kept before it; the scan stops once ``limit`` rows are kept. Each block
+    of scanned rows is first checked against the rows kept so far, then the
+    survivors are settled among themselves from their closeness matrix, one
+    step per kept row.
+    """
+    width = _field_width(q - 1)
+    kept_rows, kept = [], None
+    count = 0
+    for chunk in chunks:
+        for lo in range(0, len(chunk), _SIEVE_ROWS):
+            rows = chunk[lo:lo + _SIEVE_ROWS]
+            packed = _pack_rows(rows, width)
+            if kept is not None:
+                far = np.concatenate([(dists >= d).all(axis=1)
+                                      for dists in _blocks(packed, kept, width)])
+                rows, packed = rows[far], packed[far]
+            if not len(rows):
+                continue
+            apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width)])
+            room = None if limit is None else limit - count
+            picks = []
+            alive = np.ones(len(rows), dtype=bool)
+            i = 0
+            while True:
+                picks.append(i)
+                if len(picks) == room:
+                    break
+                alive &= apart[i]  # row i is at distance 0 < d from itself
+                i = int(alive.argmax())
+                if not alive[i]:
+                    break
+            kept_rows.append(rows[picks])
+            kept = packed[picks] if kept is None else np.concatenate([kept, packed[picks]])
+            count += len(picks)
+            if count == limit:
+                return np.concatenate(kept_rows)
+    return np.concatenate(kept_rows)
+
+
 def all_at_least(buf, m, n, cand, d):
-    """True iff cand is at distance >= d from every packed word."""
+    """True iff cand is at distance >= d from every packed word.
+
+    No library code calls this; the benchmark's tracer binds it.
+    """
     if d <= 0:
         return True
     if m <= _SMALL:

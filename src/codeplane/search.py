@@ -38,7 +38,17 @@ and the first tail of the largest minimum weight wins, as in a plain
 tail-by-tail scan.
 
 All stochastic procedures draw from ``random.Random`` seeded by the
-budget, so identical budgets give bit-identical outputs.
+budget, so identical budgets give bit-identical outputs. The random
+ensembles take their draws in batches that consume the generator output
+for output as word-by-word draws would: ``getrandbits(32 * c)`` returns
+the next c raw 32-bit outputs, and numpy applies to them the rules of
+``getrandbits(n)`` (ceil(n/32) outputs, the last one cut to its top
+n % 32 bits) and of ``randrange(q)`` (the top q.bit_length() bits of an
+output, redrawn when they are >= q), so no state is copied out of the
+generator. The greedy codes keep ``shuffle`` and ``randrange`` for their
+scan order, which depends on the length but not on the distance, so one
+order serves a whole distance sweep; ``kernels.greedy_sieve`` then keeps
+each word at distance >= d from the words kept before it.
 """
 
 from __future__ import annotations
@@ -46,9 +56,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +69,8 @@ from .codes import (Code, CodeParams, at_most_power, check_alphabet, code_point,
 from .errors import ContractViolationError
 from .fields import GF
 from .geometry import RatPoint
-from .kernels import all_at_least, min_pairwise
+from .kernels import all_at_least  # unused here; perfbench/tracing.py binds this name
+from .kernels import greedy_sieve, min_pairwise
 from .linear import GeneratorMatrix, LinearCode, seed_family, to_code
 
 #: documented default RNG seed for every stochastic procedure
@@ -216,11 +228,7 @@ def _candidates(q: int, n: int, d: int) -> tuple[np.ndarray, Optional[np.ndarray
     values = np.arange(q ** n, dtype=np.int64)
     if q == 2:
         return values[np.bitwise_count(values) >= d], None
-    words = np.empty((len(values), n), dtype=np.uint8)
-    rest = values.copy()
-    for pos in range(n - 1, -1, -1):
-        words[:, pos] = rest % q
-        rest //= q
+    words = _word_rows(values, q, n)
     keep = np.count_nonzero(words, axis=1) >= d
     return values[keep], words[keep]
 
@@ -417,11 +425,7 @@ def _tail_rows(tails, q: int, k: int, tail_cols: int) -> list:
     if q == 2:
         mask = (1 << tail_cols) - 1
         return [(tails >> (r * tail_cols)) & mask for r in range(k)]
-    digits = np.empty((len(tails), k * tail_cols), dtype=np.uint8)
-    rest = tails.copy()
-    for col in range(k * tail_cols - 1, -1, -1):
-        digits[:, col] = rest % q
-        rest //= q
+    digits = _word_rows(tails, q, k * tail_cols)
     return [digits[:, r * tail_cols:(r + 1) * tail_cols] for r in range(k)]
 
 
@@ -474,36 +478,121 @@ def greedy_code(
     indices (full-period, so the scan covers the space given enough
     budget). Deterministic for a fixed budget.
     """
-    import random as _random
-
     check_alphabet(q)
     if not 1 <= d <= n:
         raise ContractViolationError("need 1 <= d <= n")
-    rng = _random.Random(budget.rng_seed)
+    return _sieved_code(q, _scan_chunks(q, n, budget), d, target_m)
+
+
+# spaces up to this size are scanned in shuffled order, larger ones by an affine walk
+_SHUFFLE_SPACE = 1 << 16
+
+# words per chunk of the scan order: the first chunk, and the cap as chunks double
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 4096
+
+
+def _scan_chunks(q: int, n: int, budget: SearchBudget) -> Iterator[np.ndarray]:
+    """The greedy scan order as word rows, in chunks that double in size, so
+    that an early stop builds few rows. The order depends on q, n, the
+    seed and the node cap, not on the distance."""
+    rng = random.Random(budget.rng_seed)
     space = q ** n
     scan_cap = min(space, budget.max_nodes)
-
-    if space <= (1 << 16):
-        order: Iterable[int] = list(range(space))
+    if space <= _SHUFFLE_SPACE:
+        order = list(range(space))
         rng.shuffle(order)
-        order = order[:scan_cap]
+
+        def values(lo: int, hi: int):
+            return order[lo:hi]
     else:
         mult = rng.randrange(1, space) | 1
         while math.gcd(mult, space) != 1:
             mult += 2
         offset = rng.randrange(space)
-        order = ((mult * t + offset) % space for t in range(scan_cap))
 
-    kept: list[bytes] = []
-    buffer = bytearray()
-    for value in order:
-        word = _int_to_word(value, q, n)
-        if not kept or all_at_least(buffer, len(kept), n, word, d):
-            kept.append(word)
-            buffer.extend(word)
-            if target_m is not None and len(kept) >= target_m:
-                break
-    return Code.from_words(q, kept)
+        def values(lo: int, hi: int):
+            return [(mult * t + offset) % space for t in range(lo, hi)]
+    lo, size = 0, _FIRST_CHUNK
+    while lo < scan_cap:
+        hi = min(scan_cap, lo + size)
+        yield _word_rows(values(lo, hi), q, n)
+        lo, size = hi, min(2 * size, _MAX_CHUNK)
+
+
+def _sieved_code(q: int, chunks: Iterable[np.ndarray], d: int, target_m: Optional[int]) -> Code:
+    """The greedy code of a scan order given as chunks of distinct word rows."""
+    limit = None if target_m is None else max(1, target_m)
+    if d > 1:
+        return Code.from_words(q, _as_words(greedy_sieve(chunks, q, d, limit)))
+    # distinct words are at distance >= 1: the scan keeps every word
+    taken, count = [], 0
+    for rows in chunks:
+        taken.append(rows)
+        count += len(rows)
+        if limit is not None and count >= limit:
+            break
+    return Code.from_words(q, _as_words(np.concatenate(taken)[:limit]))
+
+
+def _word_rows(values, q: int, n: int) -> np.ndarray:
+    """Word rows (base-q digits, most significant first) of word values below
+    q**n, given as a numpy integer array or a sequence of Python ints."""
+    rows = np.empty((len(values), n), dtype=np.uint8)
+    per_limb = 62 // (q - 1).bit_length()  # digits per int64 limb
+    rest = values if n <= per_limb else [int(v) for v in values]
+    for end in range(n, 0, -per_limb):
+        start = max(0, end - per_limb)
+        if start:
+            base = q ** (end - start)
+            limb = np.array([v % base for v in rest], dtype=np.int64)
+            rest = [v // base for v in rest]
+        else:
+            limb = np.array(rest, dtype=np.int64)
+        for pos in range(end - 1, start - 1, -1):
+            rows[:, pos] = limb % q
+            limb //= q
+    return rows
+
+
+def _as_words(rows: np.ndarray) -> list[bytes]:
+    """The rows of a uint8 matrix as words."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel().tolist()
+
+
+def _raw_outputs(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit outputs of rng's Mersenne Twister, in order:
+    ``getrandbits(32 * count)`` packs them as little-endian 32-bit words and
+    advances the state exactly as ``count`` calls to ``getrandbits(32)``."""
+    raw = bytearray(rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
+    return np.frombuffer(raw, dtype="<u4")
+
+
+def _draw_words(rng: random.Random, q: int, n: int, count: int) -> np.ndarray:
+    """Rows of the next ``count`` words that ``count`` per-word draws would
+    give (``getrandbits(n)`` for q = 2, n calls to ``randrange(q)``
+    otherwise), consuming exactly the same outputs of rng."""
+    if q == 2:
+        # getrandbits(n) takes ceil(n/32) outputs, low bits first, and keeps
+        # the top n % 32 bits of the last one
+        per_word = -(-n // 32)
+        raw = _raw_outputs(rng, count * per_word).reshape(count, per_word)
+        if n % 32:
+            raw[:, -1] >>= np.uint32(32 - n % 32)
+        bits = np.unpackbits(raw.view(np.uint8), axis=1, count=n, bitorder="little")
+        return bits[:, ::-1]
+    # randrange(q) keeps the top q.bit_length() bits of an output when they
+    # are below q and draws again otherwise. Every missing symbol takes at
+    # least one output, so drawing one per missing symbol never overshoots.
+    shift = np.uint32(32 - q.bit_length())
+    symbols = np.empty(count * n, dtype=np.uint8)
+    filled = 0
+    while filled < len(symbols):
+        raw = _raw_outputs(rng, len(symbols) - filled) >> shift
+        raw = raw[raw < q]
+        symbols[filled:filled + len(raw)] = raw
+        filled += len(raw)
+    return symbols.reshape(count, n)
 
 
 def random_ensemble(
@@ -513,29 +602,28 @@ def random_ensemble(
     trials: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> list[tuple[Code, int]]:
-    """Uniform random cardinality-m codes with their exact minimum distances."""
-    import random as _random
+    """Uniform random cardinality-m codes with their exact minimum distances.
 
+    A trial draws words one at a time until m distinct ones are seen; the
+    draws run in rounds of exactly as many words as are still missing,
+    which cannot pass that stopping point.
+    """
     check_alphabet(q)
     if not 1 <= m <= q ** n:
         raise ContractViolationError("cardinality out of range")
     if trials < 1:
         raise ContractViolationError("trials must be >= 1")
-    rng = _random.Random(budget.rng_seed)
+    rng = random.Random(budget.rng_seed)
     results = []
     full_space = m == q ** n
     for _ in range(trials):
         if full_space:
-            words = [_int_to_word(v, q, n) for v in range(m)]
+            words = _as_words(_word_rows(np.arange(m), q, n))
         else:
             seen: set[bytes] = set()
             while len(seen) < m:
-                if q == 2:
-                    word = _int_to_word(rng.getrandbits(n), q, n)
-                else:
-                    word = bytes(rng.randrange(q) for _ in range(n))
-                seen.add(word)
-            words = sorted(seen)
+                seen.update(_as_words(_draw_words(rng, q, n, m - len(seen))))
+            words = seen
         code = Code.from_words(q, words)
         if m == 1:
             results.append((code, 0))
@@ -637,9 +725,12 @@ def _cloud_exhaustive_linear(q, n_max, budget, add):
 
 def _cloud_greedy(q, n_max, budget, add):
     for n in range(1, n_max + 1):
+        # one scan order serves every distance; an affine walk is cheap to
+        # restart, a shuffled order is built once
+        order = list(_scan_chunks(q, n, budget)) if q ** n <= _SHUFFLE_SPACE else None
         for dist in range(1, n + 1):
-            code = greedy_code(q, n, dist, budget)
-            add(params(code), "greedy")
+            chunks = order if order is not None else _scan_chunks(q, n, budget)
+            add(params(_sieved_code(q, chunks, dist, None)), "greedy")
 
 
 def _cloud_random(q, n_max, budget, add):

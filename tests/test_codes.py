@@ -164,3 +164,29 @@ def test_word_text_roundtrip_and_range():
 def test_csv_point_row_serializes_exact_rationals():
     row = csv_point_row(CodeParams(q=2, n=7, m=16, d=3))
     assert row[:5] == ["7", "16", "3", "4/7", "3/7"]
+
+
+@pytest.mark.parametrize("q, n, words", [
+    (2, 3, ()),                                   # empty code
+    (2, 3, (b"\x00\x00\x00", b"\x00\x01")),       # mixed lengths
+    (2, 2, (b"\x00\x00", b"\x01\x01\x01")),
+    (2, 3, (b"\x00\x00", b"\x01\x01")),           # lengths other than n
+    (2, 0, (b"",)),                               # zero-length word
+    (2, 2, (b"\x00\x00", b"\x00\x02")),           # symbol q
+    (3, 2, (b"\x00\x03", b"\x01\x00")),
+    (255, 2, (b"\x00\x00", b"\x00\xff")),         # symbol q at q = 255
+    (2, 2, (b"\x00\x01", b"\x00\x01")),           # duplicate word
+    (2, 2, (b"\x01\x00", b"\x00\x01")),           # unsorted words
+    (1, 1, (b"\x00",)),                           # alphabets outside [2, 256]
+    (257, 1, (b"\x00",)),
+])
+def test_code_rejects_bad_words(q, n, words):
+    with pytest.raises(ContractViolationError):
+        Code(q=q, n=n, words=words)
+
+
+def test_code_accepts_every_symbol_of_its_alphabet():
+    assert Code(q=256, n=2, words=(b"\x00\xff", b"\xff\x00", b"\xff\xff")).m == 3
+    assert Code(q=2, n=1, words=(b"\x00",)).m == 1
+    with pytest.raises(ContractViolationError):
+        Code.from_words(2, [])

@@ -1,9 +1,13 @@
 import hashlib
 import itertools
+import math
+import random
 import sys
+import types
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 
 from codeplane import search
@@ -422,3 +426,137 @@ def test_best_min_distance_charges_one_budget_per_query():
     assert max(steps) <= cap
     short = best_min_distance(2, 6, 5, SearchBudget(max_nodes=cap))
     assert short.status is OracleStatus.UNKNOWN and short.nodes == cap + 1
+
+
+# --- greedy codes and random ensembles against their word-by-word originals ---
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every random.Random that search creates, to read its final state."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=Recording))
+    return made
+
+
+def _reference_greedy(q, n, d, budget, target_m=None):
+    """greedy_code as it was, one scanned word at a time; (code, final state)."""
+    rng = random.Random(budget.rng_seed)
+    space = q ** n
+    scan_cap = min(space, budget.max_nodes)
+    if space <= (1 << 16):
+        order = list(range(space))
+        rng.shuffle(order)
+        order = order[:scan_cap]
+    else:
+        mult = rng.randrange(1, space) | 1
+        while math.gcd(mult, space) != 1:
+            mult += 2
+        offset = rng.randrange(space)
+        order = ((mult * t + offset) % space for t in range(scan_cap))
+    kept = []
+    for value in order:
+        word = search._int_to_word(value, q, n)
+        if kept:
+            rows = np.frombuffer(b"".join(kept), dtype=np.uint8).reshape(len(kept), n)
+            if ((rows != np.frombuffer(word, dtype=np.uint8)).sum(axis=1) < d).any():
+                continue
+        kept.append(word)
+        if target_m is not None and len(kept) >= target_m:
+            break
+    return Code.from_words(q, kept), rng.getstate()
+
+
+def _reference_ensemble(q, n, m, trials, budget):
+    """random_ensemble as it was, one word and one symbol at a time;
+    ([(words, d), ...], final state)."""
+    rng = random.Random(budget.rng_seed)
+    results = []
+    for _ in range(trials):
+        if m == q ** n:
+            words = [search._int_to_word(v, q, n) for v in range(m)]
+        else:
+            seen = set()
+            while len(seen) < m:
+                if q == 2:
+                    word = search._int_to_word(rng.getrandbits(n), q, n)
+                else:
+                    word = bytes(rng.randrange(q) for _ in range(n))
+                seen.add(word)
+            words = sorted(seen)
+        code = Code.from_words(q, words)
+        results.append((code.words, 0 if m == 1 else min_distance(code)[0]))
+    return results, rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 3, 11])
+def test_greedy_code_matches_word_by_word_reference(generators, seed):
+    budget = SearchBudget(rng_seed=seed)
+    for q, n_max in ((2, 12), (3, 7), (4, 6)):  # every q**n <= 4096
+        for n in range(1, n_max + 1):
+            for d in range(1, n + 1):
+                expected, state = _reference_greedy(q, n, d, budget)
+                assert greedy_code(q, n, d, budget).words == expected.words, (q, n, d)
+                assert generators[-1].getstate() == state, (q, n, d)
+
+
+@pytest.mark.parametrize("q, n, d, max_nodes, target_m", [
+    (2, 10, 3, 2_000_000, 8),
+    (2, 12, 2, 2_000_000, 300),     # stops inside a later scan chunk
+    (2, 8, 3, 2_000_000, 0),        # a target below 1 still keeps one word
+    (2, 12, 1, 2_000_000, 700),
+    (4, 5, 2, 500, 40),             # node cap below q**n, with a target
+    (3, 6, 3, 100, None),           # node cap below q**n
+    (2, 9, 2, 37, None),
+    (2, 16, 2, 2_000_000, 16),      # the largest shuffled space
+    (2, 17, 9, 2_000_000, None),    # affine walk over 2**17 words, whole scan
+    (3, 11, 4, 20_000, None),       # affine walk cut by the node cap
+    (2, 24, 3, 2_000_000, 64),
+    (2, 70, 5, 2_000_000, 20),      # word values beyond 64 bits
+    (5, 30, 12, 2_000_000, 10),
+])
+def test_greedy_code_matches_reference_with_caps_and_affine_walks(
+        generators, q, n, d, max_nodes, target_m):
+    budget = SearchBudget(max_nodes=max_nodes, rng_seed=5)
+    expected, state = _reference_greedy(q, n, d, budget, target_m)
+    assert greedy_code(q, n, d, budget, target_m=target_m).words == expected.words
+    assert generators[-1].getstate() == state
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5), (2, 17)])
+def test_greedy_cloud_sieves_every_distance_from_one_order(monkeypatch, q, n_max):
+    # past 2**16 words the order is an affine walk, restarted for every d
+    budget = SearchBudget(max_nodes=500 if n_max > 16 else 2_000_000, rng_seed=9)
+    seen = []
+    monkeypatch.setattr(search, "params", lambda code: seen.append(code.words) or params(code))
+    cloud = enumerate_point_cloud(q, n_max, ("greedy",), budget)
+    expected = [_reference_greedy(q, n, d, budget)[0] for n in range(1, n_max + 1)
+                for d in range(1, n + 1)]
+    assert seen == [code.words for code in expected]
+    assert cloud.triples() == {params(code).triple() for code in expected}
+
+
+def _ensemble_cases():
+    for q in (2, 3, 4, 5, 16, 255, 256):
+        for n in (1, 31, 32, 33, 64, 100):
+            yield q, n, 1
+            yield q, n, min(q ** n, 7)
+        yield q, 1, q          # the full space
+        yield q, 1, q - 1      # near-full: most draws repeat a word
+    yield from ((2, 3, 7), (2, 5, 31), (3, 2, 8), (4, 3, 60), (2, 4, 16), (3, 4, 81))
+
+
+@pytest.mark.parametrize("q, n, m", sorted(set(_ensemble_cases())))
+def test_random_ensemble_matches_word_by_word_reference(generators, q, n, m):
+    for seed in (DEFAULT_SEED, 4):
+        budget = SearchBudget(rng_seed=seed)
+        expected, state = _reference_ensemble(q, n, m, 3, budget)
+        got = random_ensemble(q, n, m, 3, budget)
+        assert [(code.words, d) for code, d in got] == expected
+        assert generators[-1].getstate() == state
