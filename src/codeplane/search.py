@@ -560,6 +560,10 @@ def _as_words(rows: np.ndarray) -> list[bytes]:
     return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}").ravel().tolist()
 
 
+# symbols per round of random_ensemble's draws at most, which bounds a round's memory
+_DRAW_SYMBOLS = 1 << 20
+
+
 def _raw_outputs(rng: random.Random, count: int) -> np.ndarray:
     """The next ``count`` 32-bit outputs of rng's Mersenne Twister, in order:
     ``getrandbits(32 * count)`` packs them as little-endian 32-bit words and
@@ -605,7 +609,7 @@ def random_ensemble(
     """Uniform random cardinality-m codes with their exact minimum distances.
 
     A trial draws words one at a time until m distinct ones are seen; the
-    draws run in rounds of exactly as many words as are still missing,
+    draws run in rounds of at most as many words as are still missing,
     which cannot pass that stopping point.
     """
     check_alphabet(q)
@@ -622,7 +626,8 @@ def random_ensemble(
         else:
             seen: set[bytes] = set()
             while len(seen) < m:
-                seen.update(_as_words(_draw_words(rng, q, n, m - len(seen))))
+                count = min(m - len(seen), max(1, _DRAW_SYMBOLS // n))
+                seen.update(_as_words(_draw_words(rng, q, n, count)))
             words = seen
         code = Code.from_words(q, words)
         if m == 1:

@@ -560,3 +560,15 @@ def test_random_ensemble_matches_word_by_word_reference(generators, q, n, m):
         got = random_ensemble(q, n, m, 3, budget)
         assert [(code.words, d) for code, d in got] == expected
         assert generators[-1].getstate() == state
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 33, 40), (3, 10, 50), (2, 3, 7)])
+def test_random_ensemble_rounds_below_the_missing_count(generators, monkeypatch, q, n, m):
+    # rounds of a few words, fewer than are missing, still end where the old draws did
+    monkeypatch.setattr(search, "_DRAW_SYMBOLS", 3 * n)
+    for seed in (DEFAULT_SEED, 4):
+        budget = SearchBudget(rng_seed=seed)
+        expected, state = _reference_ensemble(q, n, m, 3, budget)
+        got = random_ensemble(q, n, m, 3, budget)
+        assert [(code.words, d) for code, d in got] == expected
+        assert generators[-1].getstate() == state
