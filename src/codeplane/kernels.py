@@ -144,34 +144,34 @@ def greedy_sieve(chunks, q, d, limit=None):
     width = _field_width(q - 1)
     kept_rows, kept = [], None
     count = 0
-    for chunk in chunks:
-        for lo in range(0, len(chunk), _SIEVE_ROWS):
-            rows = chunk[lo:lo + _SIEVE_ROWS]
-            packed = _pack_rows(rows, width)
-            if kept is not None:
-                far = np.concatenate([(dists >= d).all(axis=1)
-                                      for dists in _blocks(packed, kept, width)])
-                rows, packed = rows[far], packed[far]
-            if not len(rows):
-                continue
-            apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width)])
-            room = None if limit is None else limit - count
-            picks = []
-            alive = np.ones(len(rows), dtype=bool)
-            i = 0
-            while True:
-                picks.append(i)
-                if len(picks) == room:
-                    break
-                alive &= apart[i]  # row i is at distance 0 < d from itself
-                i = int(alive.argmax())
-                if not alive[i]:
-                    break
-            kept_rows.append(rows[picks])
-            kept = packed[picks] if kept is None else np.concatenate([kept, packed[picks]])
-            count += len(picks)
-            if count == limit:
-                return np.concatenate(kept_rows)
+    blocks = (chunk[lo:lo + _SIEVE_ROWS] for chunk in chunks
+              for lo in range(0, len(chunk), _SIEVE_ROWS))
+    for rows in blocks:
+        packed = _pack_rows(rows, width)
+        if kept is not None:
+            far = np.concatenate([(dists >= d).all(axis=1)
+                                  for dists in _blocks(packed, kept, width)])
+            rows, packed = rows[far], packed[far]
+        if not len(rows):
+            continue
+        apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width)])
+        room = None if limit is None else limit - count
+        picks = []
+        alive = np.ones(len(rows), dtype=bool)
+        i = 0
+        while True:
+            picks.append(i)
+            if len(picks) == room:
+                break
+            alive &= apart[i]  # row i is at distance 0 < d from itself
+            i = int(alive.argmax())
+            if not alive[i]:
+                break
+        kept_rows.append(rows[picks])
+        kept = packed[picks] if kept is None else np.concatenate([kept, packed[picks]])
+        count += len(picks)
+        if count == limit:
+            break
     return np.concatenate(kept_rows)
 
 
