@@ -25,7 +25,12 @@ Every verdict on a square depends only on its own column's enclosures (f at
 the column's two clipped ends for the graph, f(i/N) for the domain), so
 "wait until stabilization" is realized column by column: each column walks
 the precision ladder (base, doubling, clipped to the cap), evaluating the
-curve once per column end per rung, until all of its rows are decided. A
+curve once per column end per rung, until all of its rows are decided.
+Within a column each verdict is monotone in the row index j, so a rung
+turns the column's enclosures into at most four integer row thresholds
+(exact floors and ceilings of N times an endpoint) and decides whole row
+ranges at once; only the ranges still undecided are walked to the next
+rung. Strips are built from these column ranges without an N x N table. A
 square still undecided at the cap is treated as meeting the set
 (conservative: strips may widen, never falsely thin). The amendment pass of
 the two-sided approximation is an index test, since two closed grid squares
@@ -37,6 +42,7 @@ ball sequence so soundness examples can be exercised directly.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -147,34 +153,68 @@ class DomainBallDecider:
         return Decision.UNKNOWN
 
 
-def _sweep_columns(n_grid: int, column_verdicts: Callable[[int, int], Callable[[int], tuple]],
+Segment = tuple[int, int, tuple[Decision, ...]]  # rows lo..hi inclusive, their verdicts
+
+
+def _floor_times(x: Fraction, n: int) -> int:
+    """Exact floor(n * x)."""
+    return (x.numerator * n) // x.denominator
+
+
+def _ceil_times(x: Fraction, n: int) -> int:
+    """Exact ceil(n * x)."""
+    return -((-x.numerator * n) // x.denominator)
+
+
+def _row_pieces(n_grid: int, starts: Iterable[int], verdicts: Callable[[int], tuple]) -> list[Segment]:
+    """Split rows 0..N-1 at ``starts`` and decide each piece at its first row.
+
+    Each start is the first row at which one of the verdict's comparisons
+    against the row edges flips. Those comparisons are monotone in the row
+    index, so the verdicts are constant between consecutive starts.
+    """
+    cuts = sorted({0, *(s for s in starts if 0 < s < n_grid)})
+    return [(lo, hi - 1, verdicts(lo)) for lo, hi in zip(cuts, cuts[1:] + [n_grid])]
+
+
+def _sweep_columns(n_grid: int, column_pieces: Callable[[int, int], list[Segment]],
                    deadline: Optional[float], base_precision: int, precision_cap: int,
-                   what: str) -> dict[tuple[int, int], tuple[Decision, ...]]:
+                   what: str) -> list[list[Segment]]:
     """Walk each column up the precision ladder until its rows are decided.
 
-    ``column_verdicts(i, precision)`` evaluates the curve for column i once
-    and returns the verdicts of a row j at that precision. Certified
-    enclosures never give conflicting verdicts, so a row keeps those of the
-    last rung it was walked to; UNKNOWN left in a cell's tuple means it was
-    still undecided at the cap.
+    ``column_pieces(i, precision)`` evaluates the curve for column i once and
+    turns the enclosures into integer row thresholds, floors and ceilings of
+    N times an endpoint, at which the verdicts change; it returns the rows
+    0..N-1 as ranges with one verdict tuple each. Only the ranges still
+    UNKNOWN are walked to the next rung, where each takes its whole verdict
+    tuple from the new enclosures (enclosures at different rungs need not be
+    nested), so a row keeps the verdicts of the rung that decided it. UNKNOWN
+    left in a range's tuple means it was still undecided at the cap.
+
+    Returns, per column, its row ranges sorted by row. On timeout the
+    StabilizationTimeoutError carries the columns finished so far.
     """
     if n_grid < 1:
         raise ContractViolationError("grid resolution must be >= 1")
-    cells: dict[tuple[int, int], tuple[Decision, ...]] = {}
+    columns: list[list[Segment]] = []
     for i in range(n_grid):
-        pending = range(n_grid)
+        decided: list[Segment] = []
+        pending: list[Segment] = [(0, n_grid - 1, (Decision.UNKNOWN,))]
         precision = base_precision
         while True:
             if deadline is not None and time.monotonic() > deadline:
-                raise StabilizationTimeoutError(f"{what} timed out", partial=cells)
-            verdicts = column_verdicts(i, precision)
-            for j in pending:
-                cells[i, j] = verdicts(j)
-            pending = [j for j in pending if Decision.UNKNOWN in cells[i, j]]
+                raise StabilizationTimeoutError(f"{what} timed out", partial=columns)
+            fresh = column_pieces(i, precision)
+            walked = [(max(lo, f_lo), min(hi, f_hi), verdicts)
+                      for lo, hi, _ in pending for f_lo, f_hi, verdicts in fresh
+                      if max(lo, f_lo) <= min(hi, f_hi)]
+            decided += [seg for seg in walked if Decision.UNKNOWN not in seg[2]]
+            pending = [seg for seg in walked if Decision.UNKNOWN in seg[2]]
             if not pending or precision >= precision_cap:
                 break
             precision = min(precision_cap, precision * 2)
-    return cells
+        columns.append(sorted(decided + pending))
+    return columns
 
 
 # --- canonical enumeration of rational balls -------------------------------
@@ -552,39 +592,54 @@ def build_strip(
 
     Accepts the graph's co-r.e. presentation or the curve itself. Squares
     undecided at the precision cap stay in the strip (conservative) and are
-    reported in ``capped``. Raises StabilizationTimeoutError with the cells
+    reported in ``capped``. Raises StabilizationTimeoutError with the columns
     decided so far when the wall clock runs out first.
     """
     decider = source.decider if isinstance(source, CurveGraphCoPresentation) else GraphBallDecider(source)
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
-    def column_verdicts(i: int, precision: int):
+    def column_pieces(i: int, precision: int) -> list[Segment]:
         ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
-        return lambda j: (decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),)
+        if ends is None:
+            return [(0, n_grid - 1, (Decision.DISJOINT,))]
+        fa, fb = ends
+        # rows where f(a) >= j/N, f(b) <= (j+1)/N, f(a) < j/N, f(b) > (j+1)/N flip
+        starts = (_floor_times(fa.lo, n_grid) + 1, _ceil_times(fb.hi, n_grid) - 1,
+                  _floor_times(fa.hi, n_grid) + 1, _ceil_times(fb.lo, n_grid) - 1)
+        return _row_pieces(n_grid, starts, lambda j: (
+            decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),))
 
-    cells = _sweep_columns(n_grid, column_verdicts, deadline, base_precision, precision_cap,
-                           "strip construction")
-    capped = tuple(sorted(key for key, (dec,) in cells.items() if dec is Decision.UNKNOWN))
-    members = {key for key, (dec,) in cells.items() if dec is not Decision.DISJOINT}
+    columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
+                             "strip construction")
+    capped = []
+    members: dict[int, list[list[int]]] = {}
+    for i, segments in enumerate(columns):
+        for lo, hi, (dec,) in segments:
+            if dec is Decision.UNKNOWN:
+                capped.extend((i, j) for j in range(lo, hi + 1))
+            if dec is not Decision.DISJOINT:
+                runs = members.setdefault(i, [])
+                if runs and runs[-1][1] == lo - 1:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
     if not members:
         raise InternalContractError("no grid square meets the presented graph")
-    return _assemble_strip(n_grid, members, capped)
+    return _assemble_strip(n_grid, members, tuple(capped))
 
 
-def _assemble_strip(n_grid: int, members: set[tuple[int, int]],
+def _assemble_strip(n_grid: int, members: dict[int, list[list[int]]],
                     capped: tuple[tuple[int, int], ...]) -> NStrip:
-    by_col: dict[int, list[int]] = {}
-    for i, j in members:
-        by_col.setdefault(i, []).append(j)
-    cols = sorted(by_col)
+    """Strip from each occupied column's maximal runs of member rows."""
+    cols = sorted(members)
     if cols != list(range(cols[0], cols[-1] + 1)):
         raise InternalContractError("strip columns are not contiguous")
     ranges = []
     for i in cols:
-        rows = sorted(by_col[i])
-        if rows != list(range(rows[0], rows[-1] + 1)):
+        if len(members[i]) != 1:
             raise InternalContractError(f"strip column {i} is not contiguous")
-        ranges.append((i, rows[0], rows[-1]))
+        (lo, hi), = members[i]
+        ranges.append((i, lo, hi))
     for (i, lo, hi), (i2, lo2, hi2) in zip(ranges, ranges[1:]):
         if lo2 > hi + 1 or hi2 < lo - 1:
             raise InternalContractError(f"strip disconnected between columns {i} and {i2}")
@@ -733,16 +788,29 @@ def two_sided_approx(
         decider = co.decider
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
-    def column_verdicts(i: int, precision: int):
+    def column_pieces(i: int, precision: int) -> list[Segment]:
         fa = decider.curve.eval(Fraction(i, n_grid), precision)
-        return lambda j: (decider.closed_verdict(fa, Fraction(j, n_grid)),
-                          decider.open_verdict(fa, Fraction(j, n_grid)))
+        # rows where f(x0) >= j/N, f(x0) < j/N, f(x0) > j/N, f(x0) <= j/N flip
+        starts = (_floor_times(fa.lo, n_grid) + 1, _floor_times(fa.hi, n_grid) + 1,
+                  _ceil_times(fa.lo, n_grid), _ceil_times(fa.hi, n_grid))
+        return _row_pieces(n_grid, starts, lambda j: (decider.closed_verdict(fa, Fraction(j, n_grid)),
+                                                      decider.open_verdict(fa, Fraction(j, n_grid))))
 
-    cells = _sweep_columns(n_grid, column_verdicts, deadline, base_precision, precision_cap,
-                           "two-sided approximation")
-    u_plus = {c for c, (closed, _) in cells.items() if closed is Decision.DISJOINT}
-    u_minus = {c for c, (_, open_) in cells.items() if open_ is Decision.INTERSECTS}
-    initial_undecided = tuple(sorted(c for c in cells if c not in u_plus and c not in u_minus))
+    columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
+                             "two-sided approximation")
+    u_plus: set[tuple[int, int]] = set()
+    u_minus: set[tuple[int, int]] = set()
+    undecided = []
+    for i, segments in enumerate(columns):
+        for lo, hi, (closed, open_) in segments:
+            cells = [(i, j) for j in range(lo, hi + 1)]
+            if closed is Decision.DISJOINT:
+                u_plus.update(cells)
+            if open_ is Decision.INTERSECTS:
+                u_minus.update(cells)
+            if closed is not Decision.DISJOINT and open_ is not Decision.INTERSECTS:
+                undecided += cells
+    initial_undecided = tuple(undecided)
 
     # amendment pass against the *initial* decided sets; two closed grid
     # squares meet iff their indices differ by at most one on both axes
@@ -826,22 +894,19 @@ def _values_staircase(values: Sequence[Fraction], n_grid: int) -> tuple[RatPoint
 
 def curve_estimate(adm: AdmissibleSet) -> CurveEstimate:
     n = adm.n_grid
-    upper = []
-    lower = []
-    exceptional = set(adm.exceptional)
-    for i in range(n):
-        tops = [j for (ci, j) in adm.u_plus if ci == i]
-        tops += [j for (ci, j) in exceptional if ci == i]
-        upper.append(Fraction(min(tops), n) if tops else ONE)
-        bots = [j for (ci, j) in adm.u_minus if ci == i]
-        lower.append(Fraction(max(bots) + 1, n) if bots else ZERO)
-    corners = tuple(
-        GridBall(n, i, j).lower_left for i, j in sorted(exceptional)
-    )
+    tops: dict[int, int] = {}
+    bots: dict[int, int] = {}
+    for i, j in itertools.chain(adm.u_plus, adm.exceptional):
+        tops[i] = min(j, tops.get(i, j))
+    for i, j in adm.u_minus:
+        bots[i] = max(j, bots.get(i, j))
+    upper = tuple(Fraction(tops[i], n) if i in tops else ONE for i in range(n))
+    lower = tuple(Fraction(bots[i] + 1, n) if i in bots else ZERO for i in range(n))
+    corners = tuple(GridBall(n, i, j).lower_left for i, j in sorted(adm.exceptional))
     return CurveEstimate(
         n_grid=n,
-        upper_values=tuple(upper),
-        lower_values=tuple(lower),
+        upper_values=upper,
+        lower_values=lower,
         corner_points=corners,
     )
 

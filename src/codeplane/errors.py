@@ -49,7 +49,10 @@ class StabilizationTimeoutError(CodeplaneError, RuntimeError):
     """A wait-until-stable loop hit its wall-clock limit.
 
     A legitimate outcome for co-r.e. inputs, which promise no convergence
-    rate. ``partial`` holds whatever state was reached.
+    rate. ``partial`` holds whatever state was reached. For the grid sweeps
+    (``build_strip``, ``two_sided_approx``) it is the list of columns decided
+    so far, column i at index i, each a list of ``(lo, hi, verdicts)`` row
+    ranges covering its rows in order.
     """
 
     def __init__(self, message, *, partial=None):

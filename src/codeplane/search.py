@@ -610,11 +610,14 @@ def random_ensemble(
 
     A trial draws words one at a time until m distinct ones are seen; the
     draws run in rounds of at most as many words as are still missing,
-    which cannot pass that stopping point.
+    which cannot pass that stopping point. Codes of more than ``_SPACE_CAP``
+    words are refused, since every word of every trial is materialized.
     """
     check_alphabet(q)
     if not 1 <= m <= q ** n:
         raise ContractViolationError("cardinality out of range")
+    if m > _SPACE_CAP:
+        raise ContractViolationError(f"ensemble cardinality {m} exceeds {_SPACE_CAP}")
     if trials < 1:
         raise ContractViolationError("trials must be >= 1")
     rng = random.Random(budget.rng_seed)

@@ -91,6 +91,14 @@ def test_oracle_deep_search_and_huge_length(tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
+def test_sample_refuses_an_unbounded_cardinality(tmp_path):
+    # 2^40 - 1 words would be materialized per trial; refused before any draw
+    start = time.perf_counter()
+    assert run(tmp_path, "sample", "--n", "40", "--m", "1099511627775", "--trials", "1") == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.5
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spoil_roundtrip(tmp_path):
     (tmp_path / "in.txt").write_text("2 3 2\n000\n111\n")
     assert main(["spoil", "--input", str(tmp_path / "in.txt"), "--op", "puncture",
@@ -329,3 +337,26 @@ def test_any_argv_exits_within_the_contract(tmp_path_factory, argv):
         code = main(argv + ["--out", str(work / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_INTERNAL), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+# SHA-256 of the grid outputs at large N as written by the per-row sweep that
+# decided every square with its own Fraction compares; the threshold sweep
+# has to reproduce these bytes
+GRID_SHA256 = {
+    ("strip", "--curve", "synthetic:diag", "--N", "1024"): {
+        "strip.json": "29599c4c0461b7aaceb6343123e91560def78e0d0370cc361c155d8d5bf8224e"},
+    ("strip", "--curve", "vg", "--q", "2", "--N", "1024"): {
+        "strip.json": "2ec990fd7fe5b4dc674dc1a91dd913f203a11f87853d82bef42961080c98b672"},
+    ("approx", "--curve", "vg", "--N", "256"): {
+        "approx.json": "a2b79af215bf059a88f8b90df01c38dcd23e83462afd34cbba27cd15b9336458",
+        "approx.csv": "99cfed8432f6031036bbff9c2346acc63d0f720533591088ee2962c32ce5155b"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GRID_SHA256))
+def test_large_grid_bytes_are_pinned(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
+    monkeypatch.chdir(tmp_path)  # and the output directory
+    assert main([*argv, "--out", "."]) == EXIT_OK
+    for name, digest in GRID_SHA256[argv].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -1,9 +1,11 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from codeplane.bounds import (
+    BoundCurve,
     constant_curve,
     diagonal_curve,
     gv_lower_curve,
@@ -14,9 +16,13 @@ from codeplane.bounds import (
 from codeplane.effective import (
     DEFAULT_BASE_PRECISION,
     DEFAULT_PRECISION_CAP,
+    AdmissibleSet,
     Decision,
     DomainBallDecider,
     GraphBallDecider,
+    NStrip,
+    _check_admissible,
+    _staircase,
     build_strip,
     canonical_ball,
     classify_points,
@@ -28,8 +34,9 @@ from codeplane.effective import (
     re_from_dense_points,
     two_sided_approx,
 )
-from codeplane.errors import ContractViolationError
-from codeplane.geometry import GridBall, RatPoint, balls_closures_intersect
+from codeplane import effective
+from codeplane.errors import ContractViolationError, InternalContractError
+from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect
 
 
 DIAG = diagonal_curve()
@@ -302,6 +309,35 @@ def test_build_strip_timeout():
     assert err.value.partial is not None
 
 
+def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
+    from codeplane.errors import StabilizationTimeoutError
+
+    now = [0.0]
+    monkeypatch.setattr(effective.time, "monotonic", lambda: now[0])
+
+    class LateCurve:
+        """The diagonal, whose evaluations right of 1/2 take a second each."""
+        name = "late"
+        continuous = True
+
+        def eval(self, delta, precision):
+            if delta > Fraction(1, 2):
+                now[0] += 1.0
+            return DIAG.eval(delta, precision)
+
+    with pytest.raises(StabilizationTimeoutError) as err:
+        build_strip(LateCurve(), 16, timeout_ms=500)
+    # column 8 (from 1/2 to 9/16) finishes late; column 9 never starts
+    columns = err.value.partial
+    assert len(columns) == 9
+    strip = build_strip(DIAG, 16)
+    for i, segments in enumerate(columns):
+        assert [lo for lo, _, _ in segments] == [0] + [hi + 1 for _, hi, _ in segments[:-1]]
+        assert segments[-1][1] == 15
+        members = [(lo, hi) for lo, hi, (dec,) in segments if dec is not Decision.DISJOINT]
+        assert members == [strip.column_range(i)]
+
+
 def _first_verdict(decide, base, cap):
     """First decisive verdict along base, doubling, clipped to the cap."""
     precision = base
@@ -354,3 +390,211 @@ def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
         assert adm.u_plus == u_plus | to_plus
         assert adm.u_minus == u_minus | to_minus
         assert adm.exceptional == tuple(c for c in undecided if c not in to_plus | to_minus)
+
+
+def test_row_thresholds_are_exact_floors_and_ceilings():
+    values = [Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3, 7, 64)]
+    for n_grid in (1, 3, 16, 48):
+        for x in values:
+            assert effective._floor_times(x, n_grid) == math.floor(x * n_grid)
+            assert effective._ceil_times(x, n_grid) == math.ceil(x * n_grid)
+
+
+# --- the per-row sweep that the threshold sweep replaced ----------------------
+# A word-for-word copy of the sweep, its two verdict lambdas, the strip
+# assembly and the curve estimate as they decided every row with Fraction
+# compares; the threshold sweep must reproduce their outputs byte for byte.
+
+def _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap):
+    cells = {}
+    for i in range(n_grid):
+        pending = range(n_grid)
+        precision = base_precision
+        while True:
+            verdicts = column_verdicts(i, precision)
+            for j in pending:
+                cells[i, j] = verdicts(j)
+            pending = [j for j in pending if Decision.UNKNOWN in cells[i, j]]
+            if not pending or precision >= precision_cap:
+                break
+            precision = min(precision_cap, precision * 2)
+    return cells
+
+
+def _reference_assemble_strip(n_grid, members, capped):
+    by_col = {}
+    for i, j in members:
+        by_col.setdefault(i, []).append(j)
+    cols = sorted(by_col)
+    if cols != list(range(cols[0], cols[-1] + 1)):
+        raise InternalContractError("strip columns are not contiguous")
+    ranges = []
+    for i in cols:
+        rows = sorted(by_col[i])
+        if rows != list(range(rows[0], rows[-1] + 1)):
+            raise InternalContractError(f"strip column {i} is not contiguous")
+        ranges.append((i, rows[0], rows[-1]))
+    for (i, lo, hi), (i2, lo2, hi2) in zip(ranges, ranges[1:]):
+        if lo2 > hi + 1 or hi2 < lo - 1:
+            raise InternalContractError(f"strip disconnected between columns {i} and {i2}")
+    return NStrip(n_grid=n_grid, column_ranges=tuple(ranges),
+                  gamma_plus=_staircase([(i, hi + 1) for i, lo, hi in ranges], n_grid),
+                  gamma_minus=_staircase([(i, lo) for i, lo, hi in ranges], n_grid),
+                  capped=capped)
+
+
+def _reference_strip(curve, n_grid, base_precision, precision_cap):
+    decider = GraphBallDecider(curve)
+
+    def column_verdicts(i, precision):
+        ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
+        return lambda j: (decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),)
+
+    cells = _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap)
+    capped = tuple(sorted(key for key, (dec,) in cells.items() if dec is Decision.UNKNOWN))
+    members = {key for key, (dec,) in cells.items() if dec is not Decision.DISJOINT}
+    if not members:
+        return cells, "InternalContractError: no grid square meets the presented graph"
+    return cells, _outcome(lambda: _reference_assemble_strip(n_grid, members, capped))
+
+
+def _reference_approx(curve, n_grid, base_precision, precision_cap):
+    decider = DomainBallDecider(curve)
+
+    def column_verdicts(i, precision):
+        fa = decider.curve.eval(Fraction(i, n_grid), precision)
+        return lambda j: (decider.closed_verdict(fa, Fraction(j, n_grid)),
+                          decider.open_verdict(fa, Fraction(j, n_grid)))
+
+    cells = _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap)
+    u_plus = {c for c, (closed, _) in cells.items() if closed is Decision.DISJOINT}
+    u_minus = {c for c, (_, open_) in cells.items() if open_ is Decision.INTERSECTS}
+    initial_undecided = tuple(sorted(c for c in cells if c not in u_plus and c not in u_minus))
+
+    def touches(cell, side):
+        i, j = cell
+        return any((i + di, j + dj) in side for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+    u_minus_initial = frozenset(u_minus)
+    u_plus_initial = frozenset(u_plus)
+    remaining = []
+    for cell in initial_undecided:
+        if not touches(cell, u_minus_initial):
+            u_plus.add(cell)
+        elif not touches(cell, u_plus_initial):
+            u_minus.add(cell)
+        else:
+            remaining.append(cell)
+    exceptional = tuple(sorted(remaining))
+    return cells, AdmissibleSet(n_grid=n_grid, u_plus=frozenset(u_plus), u_minus=frozenset(u_minus),
+                                exceptional=exceptional, initial_undecided=initial_undecided,
+                                admissible=_check_admissible(exceptional))
+
+
+def _reference_curve_estimate(adm):
+    n = adm.n_grid
+    upper = []
+    lower = []
+    exceptional = set(adm.exceptional)
+    for i in range(n):
+        tops = [j for (ci, j) in adm.u_plus if ci == i]
+        tops += [j for (ci, j) in exceptional if ci == i]
+        upper.append(Fraction(min(tops), n) if tops else Fraction(1))
+        bots = [j for (ci, j) in adm.u_minus if ci == i]
+        lower.append(Fraction(max(bots) + 1, n) if bots else Fraction(0))
+    corners = tuple(GridBall(n, i, j).lower_left for i, j in sorted(exceptional))
+    return tuple(upper), tuple(lower), corners
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InternalContractError as exc:
+        return f"InternalContractError: {exc}"
+
+
+def _polyline(*points):
+    """Polyline through (delta, R) vertices."""
+    return synthetic_polyline([RatPoint.of(r, delta) for delta, r in points])
+
+
+def _blurred(polyline):
+    """Interval stand-in for an exact curve spanning [0, 1].
+
+    Its enclosures are a few 2^-(p+3) wide around the polyline's values.
+    Their ends lie on N-grid lines wherever the value does, for N a multiple
+    of 2^(p+3). They are not nested from one precision to the next.
+    """
+    def evaluate(delta, precision):
+        value = polyline.value_exact(delta)
+        w = Fraction(1, 2 ** (precision + 3))
+        if precision % 2:
+            return RatInterval(value - w, value + 2 * w)
+        return RatInterval(value - 3 * w, value + w)
+
+    return BoundCurve("blurred " + polyline.name, evaluate, support=(Fraction(0), Fraction(1)))
+
+
+_F = Fraction
+THRESHOLD_CURVES = {
+    **{f"{name}_q{q}": (lambda name=name, q=q: make(q))
+       for name, make in (("vg", vg_bound_curve), ("gv_lower", gv_lower_curve),
+                          ("hamming", hamming_curve)) for q in (2, 3)},
+    "diag": lambda: DIAG,
+    "constant_third": lambda: constant_curve(_F(1, 3)),
+    "constant_half": lambda: constant_curve(_F(1, 2)),
+    # vertices on the grid lines of N divisible by 4 or 8 (flat and steep pieces)
+    "quarters": lambda: _polyline((0, 1), (_F(1, 4), _F(1, 2)), (_F(1, 2), _F(1, 2)),
+                                  (_F(3, 4), _F(1, 4)), (1, 0)),
+    "steep_eighth": lambda: _polyline((0, 1), (_F(1, 8), _F(1, 4)), (1, 0)),
+    # vertices on the grid lines of N divisible by 3 or 6
+    "thirds": lambda: _polyline((0, _F(3, 4)), (_F(1, 3), _F(2, 3)), (_F(2, 3), _F(1, 6)), (1, 0)),
+    # slope -14 near 0: columns with decided rows between two undecided ranges
+    "cliff": lambda: _polyline((0, 1), (_F(1, 16), _F(1, 8)), (1, 0)),
+    **{f"blurred_{name}": (lambda make=make: _blurred(make()))
+       for name, make in (("diag", lambda: DIAG),
+                          ("quarters", lambda: THRESHOLD_CURVES["quarters"]()),
+                          ("cliff", lambda: THRESHOLD_CURVES["cliff"]()))},
+    # spans only [1/4, 3/4], so it has a graph but no domain
+    "partial_span": lambda: _polyline((_F(1, 4), 1), (_F(3, 4), 0)),
+}
+THRESHOLD_GRIDS = (*range(1, 17), 31, 32, 48)
+
+
+@pytest.mark.parametrize("ladder", [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)])
+@pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
+def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
+    # besides the outputs, every row's verdict tuple must equal the per-row
+    # sweep's: a spy expands the column ranges each build swept into cells
+    swept = []
+    sweep = effective._sweep_columns
+
+    def spy(*args):
+        columns = sweep(*args)
+        swept.append({(i, j): verdicts for i, segments in enumerate(columns)
+                      for lo, hi, verdicts in segments for j in range(lo, hi + 1)})
+        return columns
+
+    monkeypatch.setattr(effective, "_sweep_columns", spy)
+    curve = THRESHOLD_CURVES[name]()
+    base, cap = ladder
+    for n_grid in THRESHOLD_GRIDS:
+        want_cells, want = _reference_strip(curve, n_grid, base, cap)
+        got = _outcome(lambda: build_strip(curve, n_grid, base_precision=base, precision_cap=cap))
+        assert swept.pop() == want_cells, n_grid
+        if isinstance(want, str):
+            assert got == want, n_grid
+        else:
+            assert got.to_json() == want.to_json(), n_grid
+            assert got.capped == want.capped, n_grid
+        if name == "partial_span":
+            continue
+        want_cells, want = _reference_approx(curve, n_grid, base, cap)
+        got = two_sided_approx(curve, n_grid=n_grid, base_precision=base, precision_cap=cap,
+                               strict=False)
+        assert swept.pop() == want_cells, n_grid
+        assert got.to_json() == want.to_json(), n_grid
+        assert got.initial_undecided == want.initial_undecided, n_grid
+        estimate = curve_estimate(got)
+        assert (estimate.upper_values, estimate.lower_values, estimate.corner_points) == \
+            _reference_curve_estimate(want), n_grid

@@ -120,6 +120,32 @@ def test_random_ensemble_examples():
     assert all(d == 1 for _, d in random_ensemble(2, 3, 8, trials=3))
 
 
+class _PastTheCap(Exception):
+    pass
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise _PastTheCap
+
+
+@pytest.mark.parametrize("n, m", [(20, 1 << 20), (21, 1 << 20)])  # full space, sampled
+def test_random_ensemble_accepts_the_cap(monkeypatch, n, m):
+    # the words of 2^20 codewords and their O(m^2) distance pass are not
+    # needed to see the cardinality pass the check: stop at the first draw
+    monkeypatch.setattr(search, "_word_rows", _refuse_to_draw)
+    monkeypatch.setattr(search, "_draw_words", _refuse_to_draw)
+    with pytest.raises(_PastTheCap):
+        random_ensemble(2, n, m, trials=1)
+
+
+@pytest.mark.parametrize("n, m", [(21, 1 << 21), (21, (1 << 20) + 1), (40, (1 << 40) - 1)])
+def test_random_ensemble_refuses_more_words_than_the_cap(monkeypatch, n, m):
+    monkeypatch.setattr(search, "_word_rows", _refuse_to_draw)
+    monkeypatch.setattr(search, "_draw_words", _refuse_to_draw)
+    with pytest.raises(ContractViolationError):
+        random_ensemble(2, n, m, trials=1)
+
+
 def test_point_cloud_contents():
     cloud = enumerate_point_cloud(2, 8, strategies=("exhaustive-linear",))
     assert (7, 16, 3) in cloud.triples()
