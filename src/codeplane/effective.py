@@ -612,34 +612,30 @@ def build_strip(
     columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
                              "strip construction")
     capped = []
-    members: dict[int, list[list[int]]] = {}
+    members: dict[int, list[tuple[int, int]]] = {}
     for i, segments in enumerate(columns):
         for lo, hi, (dec,) in segments:
             if dec is Decision.UNKNOWN:
                 capped.extend((i, j) for j in range(lo, hi + 1))
             if dec is not Decision.DISJOINT:
-                runs = members.setdefault(i, [])
-                if runs and runs[-1][1] == lo - 1:
-                    runs[-1][1] = hi
-                else:
-                    runs.append([lo, hi])
+                members.setdefault(i, []).append((lo, hi))
     if not members:
         raise InternalContractError("no grid square meets the presented graph")
     return _assemble_strip(n_grid, members, tuple(capped))
 
 
-def _assemble_strip(n_grid: int, members: dict[int, list[list[int]]],
+def _assemble_strip(n_grid: int, members: dict[int, list[tuple[int, int]]],
                     capped: tuple[tuple[int, int], ...]) -> NStrip:
-    """Strip from each occupied column's maximal runs of member rows."""
+    """Strip from each occupied column's member row ranges, sorted by row."""
     cols = sorted(members)
     if cols != list(range(cols[0], cols[-1] + 1)):
         raise InternalContractError("strip columns are not contiguous")
     ranges = []
     for i in cols:
-        if len(members[i]) != 1:
+        rows = members[i]
+        if any(lo != prev_hi + 1 for (_, prev_hi), (lo, _) in zip(rows, rows[1:])):
             raise InternalContractError(f"strip column {i} is not contiguous")
-        (lo, hi), = members[i]
-        ranges.append((i, lo, hi))
+        ranges.append((i, rows[0][0], rows[-1][1]))
     for (i, lo, hi), (i2, lo2, hi2) in zip(ranges, ranges[1:]):
         if lo2 > hi + 1 or hi2 < lo - 1:
             raise InternalContractError(f"strip disconnected between columns {i} and {i2}")

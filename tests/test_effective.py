@@ -400,6 +400,15 @@ def test_row_thresholds_are_exact_floors_and_ceilings():
             assert effective._ceil_times(x, n_grid) == math.ceil(x * n_grid)
 
 
+def test_assemble_strip_joins_adjacent_row_ranges_and_rejects_gaps():
+    strip = effective._assemble_strip(4, {0: [(2, 2), (3, 3)], 1: [(0, 1), (2, 2)]}, ())
+    assert strip.column_ranges == ((0, 2, 3), (1, 0, 2))
+    with pytest.raises(InternalContractError, match="strip column 1 is not contiguous"):
+        effective._assemble_strip(4, {0: [(2, 3)], 1: [(0, 0), (2, 2)]}, ())
+    with pytest.raises(InternalContractError, match="strip columns are not contiguous"):
+        effective._assemble_strip(4, {0: [(2, 3)], 2: [(0, 0)]}, ())
+
+
 # --- the per-row sweep that the threshold sweep replaced ----------------------
 # A word-for-word copy of the sweep, its two verdict lambdas, the strip
 # assembly and the curve estimate as they decided every row with Fraction
