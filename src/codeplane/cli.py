@@ -40,7 +40,7 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import RatPoint, format_rational
+from .geometry import RatInterval, RatPoint, format_rational
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -173,39 +173,37 @@ def cmd_bounds(args) -> int:
     curve_names = args.curves
     curves = [(name, bounds_mod.named_curve(name, cfg.q)) for name in curve_names]
     manifest = _manifest(cfg, {"curves": curve_names})
-    edge = Fraction(cfg.q - 1, cfg.q)
-    samples = cfg.grid_samples
-    if samples < 2:
+    if cfg.grid_samples < 2:
         raise ConfigError("need at least two sample points")
-    rows = []
-    for name, curve in curves:
-        for idx in range(samples):
-            delta = edge * Fraction(idx, samples - 1)
-            value = curve.eval(delta, cfg.precision)
-            rows.append(
-                [
-                    format_rational(delta),
-                    name,
-                    f"{float(value.lo):.12g}",
-                    f"{float(value.hi):.12g}",
-                    str(cfg.precision),
-                ]
-            )
+    sampled = [(name, _curve_samples(curve, cfg.q, cfg.grid_samples, cfg.precision))
+               for name, curve in curves]
+    rows = [
+        [format_rational(delta), name, f"{float(value.lo):.12g}", f"{float(value.hi):.12g}",
+         str(cfg.precision)]
+        for name, samples in sampled
+        for delta, value in samples
+    ]
     out = Path(cfg.out_dir)
     _write(out / "bounds.csv", _csv(manifest, ["delta", "curve", "lo_float", "hi_float", "precision_bits"], rows))
     if cfg.svg:
         canvas = PlaneSvg(title="bound curves")
         palette = ["#b03030", "#1f4e9c", "#247a3d", "#7a4a24", "#555555"]
-        for (name, curve), color in zip(curves, palette * 3):
-            verts = []
-            for idx in range(samples):
-                delta = edge * Fraction(idx, samples - 1)
-                value = curve.eval(delta, cfg.precision)
-                mid = (value.lo + value.hi) / 2
-                verts.append(RatPoint(mid, delta))
-            canvas.add_polyline(f"curve_{name}", verts, color=color)
+        for (name, samples), color in zip(sampled, palette * 3):
+            canvas.add_polyline(f"curve_{name}", _midline(samples), color=color)
         _write(out / "bounds.svg", canvas.render(_manifest_comment(manifest)))
     return EXIT_OK
+
+
+def _curve_samples(curve: bounds_mod.BoundCurve, q: int, samples: int, precision: int) -> list[tuple[Fraction, RatInterval]]:
+    """(delta, enclosure of the curve) at ``samples`` evenly spaced deltas of [0, (q-1)/q]."""
+    edge = Fraction(q - 1, q)
+    deltas = (edge * Fraction(idx, samples - 1) for idx in range(samples))
+    return [(delta, curve.eval(delta, precision)) for delta in deltas]
+
+
+def _midline(samples: list[tuple[Fraction, RatInterval]]) -> list[RatPoint]:
+    """The polyline through the midpoints of sampled enclosures."""
+    return [RatPoint((value.lo + value.hi) / 2, delta) for delta, value in samples]
 
 
 def cmd_enumerate(args) -> int:
@@ -221,13 +219,7 @@ def cmd_enumerate(args) -> int:
         canvas = PlaneSvg(title="code points")
         canvas.add_points("cloud", [e.point for e in cloud.entries])
         vg = bounds_mod.vg_bound_curve(cfg.q)
-        edge = Fraction(cfg.q - 1, cfg.q)
-        verts = []
-        for idx in range(65):
-            delta = edge * Fraction(idx, 64)
-            value = vg.eval(delta, cfg.precision)
-            verts.append(RatPoint((value.lo + value.hi) / 2, delta))
-        canvas.add_polyline("curve_vg", verts)
+        canvas.add_polyline("curve_vg", _midline(_curve_samples(vg, cfg.q, 65, cfg.precision)))
         _write(out / "cloud.svg", canvas.render(_manifest_comment(manifest)))
     return EXIT_OK
 

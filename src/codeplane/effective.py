@@ -36,7 +36,9 @@ square still undecided at the cap is treated as meeting the set
 the two-sided approximation is an index test, since two closed grid squares
 meet iff their column and row indices each differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
-ball sequence so soundness examples can be exercised directly.
+ball sequence so soundness examples can be exercised directly; they share
+one stage loop (``_StagedEnumeration.advance``) and differ only in the
+per-ball test that decides whether a ball is emitted.
 """
 
 from __future__ import annotations
@@ -261,12 +263,18 @@ def canonical_ball(index: int) -> RatBall:
 
 
 class _StagedEnumeration:
-    """Shared driver: deterministic stages, each possibly emitting new balls."""
+    """Shared driver of the ball presentations: deterministic stages.
 
-    def __init__(self):
+    Stage s tests the first s canonical balls at precision
+    min(DEFAULT_PRECISION_CAP, base + 4s) with the presentation's per-ball
+    ``_emits``, and emits each ball it accepts the first time it does.
+    """
+
+    def __init__(self, base_precision: int = DEFAULT_BASE_PRECISION):
+        self.base_precision = base_precision
         self._stage = 0
-        self._emitted: list = []
-        self._emitted_keys: set = set()
+        self._emitted: list[RatBall] = []
+        self._emitted_set: set[RatBall] = set()
 
     @property
     def progress(self) -> int:
@@ -278,32 +286,29 @@ class _StagedEnumeration:
 
     def advance(self, stages: int) -> list:
         """Run the dovetail for ``stages`` rounds; return newly emitted balls."""
-        fresh: list = []
+        fresh: list[RatBall] = []
         for _ in range(stages):
             self._stage += 1
-            for ball in self._stage_emissions(self._stage):
-                key = self._key(ball)
-                if key not in self._emitted_keys:
-                    self._emitted_keys.add(key)
+            precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * self._stage)
+            for idx in range(self._stage):
+                ball = canonical_ball(idx)
+                if self._emits(ball, precision) and ball not in self._emitted_set:
+                    self._emitted_set.add(ball)
                     self._emitted.append(ball)
                     fresh.append(ball)
         return fresh
 
-    def _key(self, ball):
-        if isinstance(ball, RatBall):
-            return (ball.center.r, ball.center.delta, ball.radius, ball.kind)
-        return ball
-
-    def _stage_emissions(self, stage: int) -> Iterable:
+    def _emits(self, ball: RatBall, precision: int) -> bool:
+        """Whether ``ball`` is proven at the current stage (``progress``)."""
         raise NotImplementedError
 
 
 class DensePointPresentation(_StagedEnumeration):
     """Sound ball enumerator for the closure of a restartable point stream.
 
-    At stage s, the first s canonical balls are tested against the first s
-    streamed points; a ball is emitted once it contains a streamed point,
-    which certifies it meets the closure of the stream's range.
+    At stage s, a ball is emitted once it contains one of the first s
+    streamed points, which certifies it meets the closure of the stream's
+    range.
     """
 
     kind = "re"
@@ -313,24 +318,13 @@ class DensePointPresentation(_StagedEnumeration):
         self._factory = stream_factory
         self._iter: Optional[Iterator[RatPoint]] = None
         self._points: list[RatPoint] = []
-        self._exhausted = False
 
-    def _pull_points(self, count: int):
+    def _emits(self, ball: RatBall, precision: int) -> bool:
         if self._iter is None:
             self._iter = self._factory()
-        while not self._exhausted and len(self._points) < count:
-            try:
-                self._points.append(next(self._iter))
-            except StopIteration:
-                self._exhausted = True
-
-    def _stage_emissions(self, stage: int):
-        self._pull_points(stage)
-        prefix = self._points[:stage]
-        for idx in range(stage):
-            ball = canonical_ball(idx)
-            if any(ball.contains(p) for p in prefix):
-                yield ball
+        # streamed points up to the stage number, fewer once the stream ends
+        self._points += itertools.islice(self._iter, self._stage - len(self._points))
+        return any(ball.contains(p) for p in self._points)
 
 
 def re_from_dense_points(stream_factory: Callable[[], Iterator[RatPoint]]) -> DensePointPresentation:
@@ -343,49 +337,41 @@ class CurveGraphCoPresentation(_StagedEnumeration):
     kind = "co"
 
     def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__()
+        super().__init__(base_precision)
         self.decider = GraphBallDecider(curve)
-        self.base_precision = base_precision
 
-    def _stage_emissions(self, stage: int):
-        precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * stage)
-        for idx in range(stage):
-            ball = canonical_ball(idx)
-            d_iv, r_iv = ball.delta_interval, ball.r_interval
-            if self.decider.decide(d_iv.lo, d_iv.hi, r_iv.lo, r_iv.hi, precision) is Decision.DISJOINT:
-                yield ball
+    def _emits(self, ball: RatBall, precision: int) -> bool:
+        d_iv, r_iv = ball.delta_interval, ball.r_interval
+        return self.decider.decide(d_iv.lo, d_iv.hi, r_iv.lo, r_iv.hi, precision) is Decision.DISJOINT
 
 
 class CurveGraphRePresentation(_StagedEnumeration):
     """Enumerates open rational balls that provably meet the graph.
 
     A ball is emitted once some dyadic sample point delta strictly inside
-    it has its curve value proven strictly inside the ball's rate range.
+    it (at stage s, up to 2^min(s, 8) + 1 of them) has its curve value
+    proven strictly inside the ball's rate range.
     """
 
     kind = "re"
 
     def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__()
+        super().__init__(base_precision)
         _require_usable(curve)
         self.curve = curve
-        self.base_precision = base_precision
 
-    def _stage_emissions(self, stage: int):
-        precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * stage)
+    def _emits(self, ball: RatBall, precision: int) -> bool:
         span = getattr(self.curve, "span", (ZERO, ONE))
-        for idx in range(stage):
-            ball = canonical_ball(idx)
-            d_iv, r_iv = ball.delta_interval, ball.r_interval
-            a = max(d_iv.lo, span[0])
-            b = min(d_iv.hi, span[1])
-            if a > b:
-                continue
-            for delta in _sample_points(a, b, d_iv.lo, d_iv.hi, depth=stage):
-                value = self.curve.eval(delta, precision)
-                if value.lo > r_iv.lo and value.hi < r_iv.hi:
-                    yield ball
-                    break
+        d_iv, r_iv = ball.delta_interval, ball.r_interval
+        a = max(d_iv.lo, span[0])
+        b = min(d_iv.hi, span[1])
+        if a > b:
+            return False
+        for delta in _sample_points(a, b, d_iv.lo, d_iv.hi, depth=self._stage):
+            value = self.curve.eval(delta, precision)
+            if value.lo > r_iv.lo and value.hi < r_iv.hi:
+                return True
+        return False
 
 
 def _sample_points(a: Fraction, b: Fraction, open_lo: Fraction, open_hi: Fraction,
@@ -411,62 +397,48 @@ def re_from_curve(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISIO
 
 
 class DomainCoPresentation(_StagedEnumeration):
-    """Closed-rectangle provers for the complement side of a monotone domain."""
+    """Closed-rectangle provers for the complement side of a monotone domain:
+    a ball is emitted when it misses the unit square or its closure provably
+    misses U (f(x0) < y0 at the clipped lower-left corner)."""
 
     kind = "co"
 
     def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__()
+        super().__init__(base_precision)
         self.decider = DomainBallDecider(curve)
-        self.base_precision = base_precision
 
-    def _stage_emissions(self, stage: int):
-        precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * stage)
-        for idx in range(stage):
-            ball = canonical_ball(idx)
-            if _domain_closed_disjoint(self.decider.curve, ball, precision):
-                yield ball
+    def _emits(self, ball: RatBall, precision: int) -> bool:
+        d_iv, r_iv = ball.delta_interval, ball.r_interval
+        x0 = max(d_iv.lo, ZERO)
+        y0 = max(r_iv.lo, ZERO)
+        if x0 > min(d_iv.hi, ONE) or y0 > min(r_iv.hi, ONE):
+            return True  # no overlap with the unit square at all
+        fa = self.decider.curve.eval(x0, precision)
+        return DomainBallDecider.closed_verdict(fa, y0) is Decision.DISJOINT
 
 
 class DomainRePresentation(_StagedEnumeration):
-    """Open-rectangle provers for the inside of a monotone domain."""
+    """Open-rectangle provers for the inside of a monotone domain: a ball is
+    emitted when its open part within the unit square provably meets U
+    (f(x0) > y0 at the clipped lower-left corner)."""
 
     kind = "re"
 
     def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__()
+        super().__init__(base_precision)
         self.decider = DomainBallDecider(curve)
-        self.base_precision = base_precision
 
-    def _stage_emissions(self, stage: int):
-        precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * stage)
-        for idx in range(stage):
-            ball = canonical_ball(idx)
-            if _domain_open_intersects(self.decider.curve, ball, precision):
-                yield ball
-
-
-def _domain_closed_disjoint(curve: BoundCurve, ball: RatBall, precision: int) -> bool:
-    d_iv, r_iv = ball.delta_interval, ball.r_interval
-    x0 = max(d_iv.lo, ZERO)
-    x1 = min(d_iv.hi, ONE)
-    y0 = max(r_iv.lo, ZERO)
-    y1 = min(r_iv.hi, ONE)
-    if x0 > x1 or y0 > y1:
-        return True  # no overlap with the unit square at all
-    return DomainBallDecider.closed_verdict(curve.eval(x0, precision), y0) is Decision.DISJOINT
-
-
-def _domain_open_intersects(curve: BoundCurve, ball: RatBall, precision: int) -> bool:
-    d_iv, r_iv = ball.delta_interval, ball.r_interval
-    x0 = max(d_iv.lo, ZERO)
-    x1 = min(d_iv.hi, ONE)
-    if x0 > x1 or (x0 == x1 and not d_iv.lo < x0 < d_iv.hi):
-        return False
-    y0 = max(r_iv.lo, ZERO)
-    if y0 >= r_iv.hi:
-        return False
-    return DomainBallDecider.open_verdict(curve.eval(x0, precision), y0) is Decision.INTERSECTS
+    def _emits(self, ball: RatBall, precision: int) -> bool:
+        d_iv, r_iv = ball.delta_interval, ball.r_interval
+        x0 = max(d_iv.lo, ZERO)
+        x1 = min(d_iv.hi, ONE)
+        if x0 > x1 or (x0 == x1 and not d_iv.lo < x0 < d_iv.hi):
+            return False
+        y0 = max(r_iv.lo, ZERO)
+        if y0 >= r_iv.hi:
+            return False
+        fa = self.decider.curve.eval(x0, precision)
+        return DomainBallDecider.open_verdict(fa, y0) is Decision.INTERSECTS
 
 
 def domain_presentations(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION

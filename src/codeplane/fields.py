@@ -6,12 +6,19 @@ modulus is the lexicographically least monic primitive polynomial of degree
 e over GF(p); for e = 1 the generator is the least primitive root mod p.
 Both rules are deterministic, so tables are reproducible across runs and
 platforms.
+
+``FieldSpec.tables`` holds the whole addition and multiplication tables as
+two q x q uint8 arrays, built once per field (``GF`` is cached) from the
+same digit and exp/log rules as ``add`` and ``mul``; array code indexes
+them, e.g. ``add[a, b]`` over whole rows of elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import ContractViolationError
 
@@ -153,6 +160,19 @@ class FieldSpec:
         if a == 0:
             raise ContractViolationError("zero has no multiplicative inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, mul): q x q uint8 arrays with add[a, b] = a + b, mul[a, b] = a * b."""
+        powers = self.p ** np.arange(self.e)
+        digits = np.arange(self.q)[:, None] // powers % self.p
+        add = ((digits[:, None, :] + digits[None, :, :]) % self.p) @ powers
+        log = np.array(self.log)
+        mul = np.array(self.exp)[(log[:, None] + log[None, :]) % (self.q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        add, mul = add.astype(np.uint8), mul.astype(np.uint8)
+        add.flags.writeable = mul.flags.writeable = False  # shared by every caller
+        return add, mul
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,7 @@ length-n words into one read-only buffer. All functions are pure.
 XORed as uint64 words, every nonzero field is OR-folded down to its low bit
 and the surviving bits are counted with ``np.bitwise_count``.
 ``greedy_sieve`` runs a greedy scan on the same packed rows, a block of
-scanned words at a time. ``hamming`` serves many tiny calls and stays on
-plain byte compares, where repacking would cost more than it saves.
+scanned words at a time. ``hamming`` compares two words symbol by symbol.
 ``all_at_least`` (one candidate against a word set) has no library caller
 since the greedy scan moved to ``greedy_sieve``; it stays as an entry point
 that the benchmark's tracer binds.
@@ -46,11 +45,7 @@ def _as_matrix(buf, m, n):
 def hamming(a, b):
     if len(a) != len(b):
         raise ValueError("hamming distance requires equal-length words")
-    if len(a) <= 64:
-        return sum(x != y for x, y in zip(a, b))
-    arr_a = np.frombuffer(a, dtype=np.uint8)
-    arr_b = np.frombuffer(b, dtype=np.uint8)
-    return int((arr_a != arr_b).sum())
+    return sum(x != y for x, y in zip(a, b))
 
 
 def _field_width(top):

@@ -2,45 +2,62 @@
 
 Minimum distance is the minimum weight of a nonzero codeword and is found
 by full enumeration of all q^k codewords, capped by an explicit budget; the
-library never reports an approximate distance as exact. Binary codes take a
-packed-integer Gray-code path, everything else a generic odometer walk.
+library never reports an approximate distance as exact. Every codeword
+comes from one engine over the field's add/mul tables: the span of the
+generator's trailing rows is built once, and each codeword of the leading
+rows shifts it into one block of words, so blocks follow message order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
-from .codes import Code, CodeParams
+import numpy as np
+
+from .codes import Code, CodeParams, floor_log_q
 from .errors import BudgetExceededError, ContractViolationError, UnknownSeedFamilyError
 from .fields import GF, FieldSpec
 
 DEFAULT_ENUM_CAP = 1 << 24
 DEFAULT_WORDS_CAP = 1 << 20
 
+# codewords per block of the codeword engine at most
+_BLOCK_WORDS = 4096
+
+
+def pivot_step(field: FieldSpec, rows: list[list[int]], pivot: int, col: int) -> None:
+    """Scale ``rows[pivot]`` to a 1 in ``col`` and clear ``col`` from every
+    other row, in place; the rows keep their order."""
+    inv = field.inv(rows[pivot][col])
+    rows[pivot] = [field.mul(inv, x) for x in rows[pivot]]
+    for r, row in enumerate(rows):
+        if r != pivot and row[col] != 0:
+            factor = row[col]
+            rows[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(row, rows[pivot])]
+
 
 def _rank(field: FieldSpec, rows: list[list[int]]) -> int:
+    """Rank by Gauss-Jordan elimination: one pivot per column that has a
+    nonzero entry outside the rows already pivoted."""
     rows = [row[:] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < n_cols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    pivots: set[int] = set()
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r, row in enumerate(rows) if r not in pivots and row[col] != 0), None)
+        if pivot is not None:
+            pivot_step(field, rows, pivot, col)
+            pivots.add(pivot)
+    return len(pivots)
+
+
+def _span(rows: np.ndarray, add: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """Every combination of ``rows`` as uint8 word rows, in ``itertools.product``
+    order of the coefficients (the first row's coefficient varies slowest)."""
+    span = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for row in rows[::-1]:
+        span = np.concatenate([add[mul[c, row], span] for c in range(len(add))])
+    return span
 
 
 @dataclass(frozen=True)
@@ -110,21 +127,30 @@ class LinearCode:
     def d(self) -> int:
         return min_weight(self)
 
-    def codewords(self, cap: int = DEFAULT_WORDS_CAP):
-        """Yield all q^k codewords as bytes, message order."""
+    def codeword_blocks(self, cap: int = DEFAULT_WORDS_CAP) -> Iterator[np.ndarray]:
+        """All q^k codewords as uint8 rows in message order (``itertools.product``
+        over the coefficients), in blocks of at most ``_BLOCK_WORDS`` words.
+
+        The span of the last t rows, q^t <= ``_BLOCK_WORDS``, is built once;
+        each codeword of the leading k - t rows, in message order, shifts it
+        into the next block.
+        """
         if self.m > cap:
             raise BudgetExceededError(
                 f"q^k = {self.m} exceeds word enumeration cap", nodes=self.m, cap=cap
             )
-        field = self.field
-        for message in itertools.product(range(self.q), repeat=self.k):
-            word = [0] * self.n
-            for coeff, row in zip(message, self.gen.rows):
-                if coeff:
-                    for idx, entry in enumerate(row):
-                        if entry:
-                            word[idx] = field.add(word[idx], field.mul(coeff, entry))
-            yield bytes(word)
+        add, mul = self.field.tables
+        rows = np.array(self.gen.rows, dtype=np.uint8)
+        lead = self.k - min(self.k, floor_log_q(_BLOCK_WORDS, self.q))
+        tail = _span(rows[lead:], add, mul)
+        for shift in _span(rows[:lead], add, mul):
+            yield add[shift, tail]
+
+    def codewords(self, cap: int = DEFAULT_WORDS_CAP):
+        """Yield all q^k codewords as bytes, message order."""
+        for block in self.codeword_blocks(cap):
+            data = block.tobytes()
+            yield from (data[i:i + self.n] for i in range(0, len(data), self.n))
 
     def params(self) -> CodeParams:
         return CodeParams(q=self.q, n=self.n, m=self.m, d=self.d)
@@ -136,40 +162,9 @@ def min_weight(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
         raise BudgetExceededError(
             f"q^k = {code.m} exceeds enumeration cap", nodes=code.m, cap=cap
         )
-    if code.q == 2:
-        return _min_weight_binary(code.gen)
-    best = code.n + 1
-    first = True
-    for word in code.codewords(cap=cap):
-        if first:
-            first = False  # zero message
-            continue
-        w = sum(1 for s in word if s)
-        if w < best:
-            best = w
-    return best
-
-
-def _min_weight_binary(gen: GeneratorMatrix) -> int:
-    rows = [_row_to_int(row) for row in gen.rows]
-    best = gen.n + 1
-    word = 0
-    gray_prev = 0
-    for counter in range(1, 1 << gen.k):
-        gray = counter ^ (counter >> 1)
-        word ^= rows[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best
-
-
-def _row_to_int(row) -> int:
-    value = 0
-    for bit in row:
-        value = (value << 1) | bit
-    return value
+    # the generator has full rank, so only the zero message gives a zero word
+    weights = (np.count_nonzero(block, axis=1) for block in code.codeword_blocks(cap))
+    return min(int(w[w > 0].min(initial=code.n + 1)) for w in weights)
 
 
 def to_code(code: LinearCode, cap: int = DEFAULT_WORDS_CAP) -> Code:

@@ -151,14 +151,6 @@ class ExistsOutcome:
         return self.status is ExistsStatus.FOUND
 
 
-def _int_to_word(value: int, q: int, n: int) -> bytes:
-    digits = bytearray(n)
-    for pos in range(n - 1, -1, -1):
-        digits[pos] = value % q
-        value //= q
-    return bytes(digits)
-
-
 # search spaces larger than this are never materialized
 _SPACE_CAP = 1 << 20
 
@@ -186,7 +178,9 @@ def exists_code(
     preserve n and m). IMPOSSIBLE is returned only after exhausting the
     reduced search space. ``meter`` charges the search to a meter shared
     with earlier calls, so that one budget covers a whole query; by
-    default the call meters itself against ``budget``.
+    default the call meters itself against ``budget``. A distance-1 query
+    is answered by the first m words in lexicographic order, and refuses
+    m > ``_SPACE_CAP`` as the random ensembles do.
     """
     check_alphabet(q)
     if n < 1 or m < 1 or not at_most_power(m, q, n) or not 0 <= d <= n:
@@ -199,7 +193,9 @@ def exists_code(
         raise ContractViolationError("d = 0 is reserved for singletons")
     if d == 1:
         # the first m words in lex order contain a pair at distance exactly 1
-        words = [_int_to_word(v, q, n) for v in range(m)]
+        if m > _SPACE_CAP:
+            raise ContractViolationError(f"distance-1 witness of {m} words exceeds {_SPACE_CAP}")
+        words = _as_words(_word_rows(np.arange(m), q, n))
         return ExistsOutcome(ExistsStatus.FOUND, Code.from_words(q, words), 0)
     if at_most_power(_SPACE_CAP + 1, q, n):  # q**n > _SPACE_CAP
         return ExistsOutcome(
@@ -215,7 +211,7 @@ def exists_code(
         if meter.exhausted():
             return ExistsOutcome(ExistsStatus.UNKNOWN, None, nodes, reason="budget")
         return ExistsOutcome(ExistsStatus.IMPOSSIBLE, None, nodes, reason="exhausted")
-    code = Code.from_words(q, [_int_to_word(v, q, n) for v in found])
+    code = Code.from_words(q, _as_words(_word_rows(found, q, n)))
     actual, _ = min_distance(code)
     if actual > d:
         code = spoiling.reduce_distance_exact(code, d)
@@ -383,8 +379,7 @@ def _best_linear(q: int, n: int, k: int, budget: SearchBudget) -> OracleOutcome:
     if q == 2:
         ops = (np.bitwise_xor, lambda c, part: part, np.bitwise_count)
     else:
-        add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
-        mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+        add, mul = field.tables
         ops = (
             lambda a, b: add[a, b],
             lambda c, part: mul[c][part],
@@ -408,7 +403,7 @@ def _best_linear(q: int, n: int, k: int, budget: SearchBudget) -> OracleOutcome:
         tail = [(best_tail >> (r * tail_cols + tail_cols - 1 - b)) & 1
                 for r in range(k) for b in range(tail_cols)]
     else:
-        tail = _int_to_word(best_tail, q, k * tail_cols)
+        tail = _word_rows([best_tail], q, k * tail_cols)[0].tolist()
     rows = tuple(
         tuple(1 if c == r else 0 for c in range(k)) + tuple(tail[r * tail_cols:(r + 1) * tail_cols])
         for r in range(k)

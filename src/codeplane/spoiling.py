@@ -26,8 +26,11 @@ final parameters exactly from the initial code.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .codes import Code, CodeParams, code_point, floor_log_q, min_distance, params
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
     SeedNotFoundError,
 )
 from .geometry import RatPoint
-from .linear import GeneratorMatrix, LinearCode
+from .linear import GeneratorMatrix, LinearCode, pivot_step
 
 LENGTHEN = "lengthen"
 PUNCTURE = "puncture"
@@ -109,8 +112,8 @@ def _params_from_json(payload: dict) -> CodeParams:
 
 
 def _lengthen_step(code: Code) -> tuple[Code, SpoilStep]:
-    words = tuple(w + b"\x00" for w in code.words)
-    return Code.from_words(code.q, words), SpoilStep(LENGTHEN, coordinate=code.n, symbol=0)
+    step = SpoilStep(LENGTHEN, coordinate=code.n, symbol=0)
+    return apply_step(code, step), step
 
 
 def _puncture_step(code: Code) -> tuple[Code, SpoilStep]:
@@ -122,9 +125,8 @@ def _puncture_step(code: Code) -> tuple[Code, SpoilStep]:
             f"puncture requires minimum distance >= 2, have {d}"
         )
     a, b = witness
-    coord = next(i for i in range(code.n) if a[i] != b[i])
-    words = tuple(w[:coord] + w[coord + 1:] for w in code.words)
-    return Code.from_words(code.q, words), SpoilStep(PUNCTURE, coordinate=coord)
+    step = SpoilStep(PUNCTURE, coordinate=next(i for i in range(code.n) if a[i] != b[i]))
+    return apply_step(code, step), step
 
 
 def _shorten_step(code: Code) -> tuple[Code, SpoilStep]:
@@ -137,17 +139,15 @@ def _shorten_step(code: Code) -> tuple[Code, SpoilStep]:
     )
     if coord is None:
         raise InternalContractError("distinct words with all coordinates constant")
-    fibers: dict[int, list[bytes]] = {}
-    for w in code.words:
-        fibers.setdefault(w[coord], []).append(w)
-    best_symbol = min(fibers, key=lambda s: (-len(fibers[s]), s))
-    kept = fibers[best_symbol]
-    words = tuple(w[:coord] + w[coord + 1:] for w in kept)
-    return Code.from_words(code.q, words), SpoilStep(SHORTEN, coordinate=coord, symbol=best_symbol)
+    fibers = Counter(w[coord] for w in code.words)
+    # the largest fiber, ties to the smallest symbol
+    step = SpoilStep(SHORTEN, coordinate=coord, symbol=min(fibers, key=lambda s: (-fibers[s], s)))
+    return apply_step(code, step), step
 
 
 def apply_step(code: Code, step: SpoilStep) -> Code:
-    """Replay one recorded move on an explicit code."""
+    """Apply one move to an explicit code; the only place words are rewritten,
+    so a trace replays through the code that recorded it."""
     if step.kind == LENGTHEN:
         return Code.from_words(code.q, tuple(w + bytes([step.symbol or 0]) for w in code.words))
     if step.kind == PUNCTURE:
@@ -201,16 +201,14 @@ def _puncture_linear(code: LinearCode) -> LinearCode:
     d = code.d
     if d < 2:
         raise DistanceTooSmallError(f"puncture requires minimum distance >= 2, have {d}")
-    witness = None
-    for word in code.codewords():
-        if sum(1 for s in word if s) == d:
-            witness = word
-            break
-    if witness is None:
-        raise InternalContractError("no codeword attains the minimum weight")
-    coord = next(i for i in range(code.n) if witness[i])
-    rows = tuple(row[:coord] + row[coord + 1:] for row in code.gen.rows)
-    return LinearCode(GeneratorMatrix(code.field, rows))
+    # drop the first nonzero coordinate of the first minimum-weight codeword
+    for block in code.codeword_blocks():
+        hits = np.flatnonzero(np.count_nonzero(block, axis=1) == d)
+        if len(hits):
+            coord = int(np.flatnonzero(block[hits[0]])[0])
+            rows = tuple(row[:coord] + row[coord + 1:] for row in code.gen.rows)
+            return LinearCode(GeneratorMatrix(code.field, rows))
+    raise InternalContractError("no codeword attains the minimum weight")
 
 
 def shorten(code: AnyCode) -> AnyCode:
@@ -237,13 +235,8 @@ def _shorten_linear(code: LinearCode) -> LinearCode:
     )
     if coord is None:
         raise InternalContractError("full-rank generator with zero matrix")
-    pivot = next(r for r in range(len(rows)) if rows[r][coord] != 0)
-    inv = field.inv(rows[pivot][coord])
-    rows[pivot] = [field.mul(inv, x) for x in rows[pivot]]
-    for r in range(len(rows)):
-        if r != pivot and rows[r][coord] != 0:
-            factor = rows[r][coord]
-            rows[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[r], rows[pivot])]
+    pivot = next(r for r, row in enumerate(rows) if row[coord] != 0)
+    pivot_step(field, rows, pivot, coord)
     kept = [tuple(row[:coord] + row[coord + 1:]) for r, row in enumerate(rows) if r != pivot]
     return LinearCode(GeneratorMatrix(field, tuple(kept)))
 

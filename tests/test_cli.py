@@ -99,6 +99,15 @@ def test_sample_refuses_an_unbounded_cardinality(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_oracle_refuses_an_unbounded_distance_one_witness(tmp_path):
+    # the witness of a d = 1 query is its first 10^8 words; refused before any is built
+    start = time.perf_counter()
+    assert run(tmp_path, "oracle", "--n", "40", "--m", "100000000", "--d", "1",
+               "--max-nodes", "1000") == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.5
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spoil_roundtrip(tmp_path):
     (tmp_path / "in.txt").write_text("2 3 2\n000\n111\n")
     assert main(["spoil", "--input", str(tmp_path / "in.txt"), "--op", "puncture",
@@ -273,6 +282,32 @@ def test_bounds_csv_bytes_are_pinned(tmp_path, monkeypatch, q, precision):
     digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
     assert digest == BOUNDS_CSV_SHA256[(q, precision)]
 
+
+
+# SHA-256 of every file the curve samples feed (the bounds CSV and both SVG
+# midlines), recorded when each curve was still sampled once per output
+SAMPLED_OUTPUT_SHA256 = {
+    ("bounds", "--q", "3", "--curves", "vg,gv_lower,hamming", "--grid", "9", "--precision", "128",
+     "--svg"): {
+        "bounds.csv": "42fd9bfbda5465b1321694abd93be2ca3bc38bceabf455ad5b3f155578754df1",
+        "bounds.svg": "094ed139cc1c877a1d3e41a1872aba234b2bc01be60f1c2c11b9de22d981dd7b",
+    },
+    ("enumerate", "--q", "2", "--nmax", "6", "--strategy", "seeded-family,exhaustive-linear",
+     "--svg"): {
+        "cloud.csv": "4cb2a7b9e0936aeddb042d37ccce5f2a7a600fb5fce908382d54cf3c10da723f",
+        "cloud.svg": "a57c3e0ab8dad5ab3c16da1a34465bf8156de91e36df3e3f3b7ad7530c4c3ad1",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLED_OUTPUT_SHA256))
+def test_curve_sample_outputs_are_pinned(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "."]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SAMPLED_OUTPUT_SHA256[argv]}
+    assert digests == SAMPLED_OUTPUT_SHA256[argv]
 
 # --- argv fuzzing: every argv ends in an exit code of the contract ----------
 

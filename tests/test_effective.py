@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -280,6 +281,69 @@ def test_domain_presentations_sound():
         assert 1 - x0 > max(r_iv.lo, Fraction(0))
     adm = two_sided_approx(re_pres, co_pres, n_grid=4)
     assert adm.exceptional == ((1, 3), (2, 2), (3, 1))
+
+
+# SHA-256 of each presentation's emissions over 5, 20 and 15 more stages,
+# recorded when every presentation ran its own stage loop
+_PRESENTATION_CURVES = {
+    "diag": diagonal_curve,
+    "vg2": lambda: vg_bound_curve(2),
+    "partial": lambda: synthetic_polyline([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))]),
+    "third": lambda: constant_curve(Fraction(1, 3)),
+}
+_PRESENTATION_SHA256 = {
+    ("core", "diag"): "c47f8a3e898b9375a779f943897a5bce8cd0c7cb516deb94554c93d28d2cfb10",
+    ("re", "diag"): "1cf54ae19aaf8b965b409635f07b534d1a6bacc546aec8d92909c75daa85bf0d",
+    ("domain_re", "diag"): "48975e124a0548f45226be8beb9d8691b1f8fc5a6580c029138f0b32823b5bf1",
+    ("domain_co", "diag"): "00490f7d82d25e0e5720ec7c9bc50f6f46580b291c7a2f6bca9288b2ad5c723f",
+    ("core", "vg2"): "2f1906c9b3060489785c4c6e5303a04196289d5f37ef79549719e93ee15a8450",
+    ("re", "vg2"): "5c871013926a98c8889bb76d3810c8a6ac1bd5e6fcba50f96b6e77d68aa13624",
+    ("domain_re", "vg2"): "6e7b05647e31dc2e2335901125f098d397ddad8ef8b154cedf9e878d191594a5",
+    ("domain_co", "vg2"): "3dae94b54eb521afacf0161c1dedb966014d829acb3803ab4da0d0234162ab70",
+    ("core", "partial"): "c381fac6bd72d8a3fa136c100ccd34228e2f02449eb82fd623de667884b6edf9",
+    ("re", "partial"): "1cf54ae19aaf8b965b409635f07b534d1a6bacc546aec8d92909c75daa85bf0d",
+    ("core", "third"): "aac45ca25fd9e87ded77b6d7f0643f706a03babc4ae90e70f9592d4241e43f15",
+    ("re", "third"): "e4000ee69577fc279659955b8fdcc3180c1d540989eadee2ee1692b48c0d9e2f",
+    ("domain_re", "third"): "5c871013926a98c8889bb76d3810c8a6ac1bd5e6fcba50f96b6e77d68aa13624",
+    ("domain_co", "third"): "2172f6ab196302f904cd820eb08901b9482ea4fc5fc5564b3bf7de4621f11e1d",
+    ("dense", "grid"): "48975e124a0548f45226be8beb9d8691b1f8fc5a6580c029138f0b32823b5bf1",
+}
+
+_DENSE_STAGEWISE_SHA256 = "14f2f8427a874dba51505f58ec45f7f02243db32639a6a4bcc67fc1108770332"
+
+
+def _emission_digest(pres, steps=(5, 20, 15)) -> str:
+    h = hashlib.sha256()
+    for stages in steps:
+        for b in pres.advance(stages):
+            h.update(f"{b.center.r},{b.center.delta},{b.radius},{b.kind.value};".encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PRESENTATION_CURVES))
+def test_presentation_emissions_are_pinned(name):
+    make = _PRESENTATION_CURVES[name]
+    got = {("core", name): _emission_digest(core_from_curve(make())),
+           ("re", name): _emission_digest(re_from_curve(make()))}
+    if name == "partial":
+        with pytest.raises(ContractViolationError):  # domains need the full span
+            domain_presentations(make())
+    else:
+        re_pres, co_pres = domain_presentations(make())
+        got[("domain_re", name)] = _emission_digest(re_pres)
+        got[("domain_co", name)] = _emission_digest(co_pres)
+    assert got == {key: value for key, value in _PRESENTATION_SHA256.items() if key[1] == name}
+
+
+def test_dense_point_emissions_are_pinned():
+    points = [RatPoint(Fraction(i % 7, 7), Fraction(i % 5, 5)) for i in range(100)]
+    pres = re_from_dense_points(lambda: iter(points))
+    assert _emission_digest(pres) == _PRESENTATION_SHA256[("dense", "grid")]
+    # stage by stage, from a stream that ends early: each stage sees exactly its prefix
+    spread = [RatPoint(Fraction((7 * i) % 31, 31), Fraction(i, 31)) for i in range(31)]
+    pres = re_from_dense_points(lambda: iter(spread))
+    assert _emission_digest(pres, steps=(1,) * 45) == _DENSE_STAGEWISE_SHA256
 
 
 def test_polyline_within():

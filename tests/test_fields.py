@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from codeplane.errors import ContractViolationError
@@ -117,3 +118,14 @@ def test_tables_are_deterministic():
     GF.cache_clear()
     b = GF(16)
     assert a.modulus == b.modulus and a.exp == b.exp
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 256])
+def test_tables_match_add_and_mul(q):
+    field = GF(q)
+    add, mul = field.tables
+    assert add.shape == mul.shape == (q, q) and add.dtype == mul.dtype == np.uint8
+    assert add.tolist() == [[field.add(a, b) for b in range(q)] for a in range(q)]
+    assert mul.tolist() == [[field.mul(a, b) for b in range(q)] for a in range(q)]
+    assert field.tables is GF(q).tables  # built once per field
+    assert not add.flags.writeable and not mul.flags.writeable

@@ -31,6 +31,15 @@ from codeplane.search import (
 )
 
 
+def _int_to_word(value: int, q: int, n: int) -> bytes:
+    """Reference word codec: base-q digits of value, most significant first."""
+    digits = bytearray(n)
+    for pos in range(n - 1, -1, -1):
+        digits[pos] = value % q
+        value //= q
+    return bytes(digits)
+
+
 def test_exists_examples():
     out = exists_code(2, 3, 2, 3)
     assert out.found and params(out.witness).triple() == (3, 2, 3)
@@ -146,6 +155,22 @@ def test_random_ensemble_refuses_more_words_than_the_cap(monkeypatch, n, m):
         random_ensemble(2, n, m, trials=1)
 
 
+@pytest.mark.parametrize("q, n, m", [(2, 5, 20), (3, 4, 10), (7, 3, 40), (256, 2, 300), (2, 70, 5),
+                                     (5, 30, 7)])
+def test_distance_one_witness_is_the_first_m_words(q, n, m):
+    out = exists_code(q, n, m, 1)
+    assert out.found and out.nodes == 0
+    assert out.witness.words == tuple(_int_to_word(v, q, n) for v in range(m))
+
+
+def test_distance_one_witness_refuses_more_words_than_the_cap(monkeypatch):
+    monkeypatch.setattr(search, "_SPACE_CAP", 16)
+    assert exists_code(2, 40, 16, 1).witness.m == 16
+    with pytest.raises(ContractViolationError):
+        exists_code(2, 40, 17, 1)
+    assert exists_code(2, 40, 17, 2).status is ExistsStatus.UNKNOWN  # q^n > cap, as before
+
+
 def test_point_cloud_contents():
     cloud = enumerate_point_cloud(2, 8, strategies=("exhaustive-linear",))
     assert (7, 16, 3) in cloud.triples()
@@ -213,7 +238,7 @@ def _reference_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
     for v in range(1, space):
         if _reference_word_weight(v, q, n) >= d:
             candidates.append(v)
-    words = None if binary else {v: search._int_to_word(v, q, n) for v in candidates}
+    words = None if binary else {v: _int_to_word(v, q, n) for v in candidates}
 
     def dist(a: int, b: int) -> int:
         if binary:
@@ -488,7 +513,7 @@ def _reference_greedy(q, n, d, budget, target_m=None):
         order = ((mult * t + offset) % space for t in range(scan_cap))
     kept = []
     for value in order:
-        word = search._int_to_word(value, q, n)
+        word = _int_to_word(value, q, n)
         if kept:
             rows = np.frombuffer(b"".join(kept), dtype=np.uint8).reshape(len(kept), n)
             if ((rows != np.frombuffer(word, dtype=np.uint8)).sum(axis=1) < d).any():
@@ -506,12 +531,12 @@ def _reference_ensemble(q, n, m, trials, budget):
     results = []
     for _ in range(trials):
         if m == q ** n:
-            words = [search._int_to_word(v, q, n) for v in range(m)]
+            words = [_int_to_word(v, q, n) for v in range(m)]
         else:
             seen = set()
             while len(seen) < m:
                 if q == 2:
-                    word = search._int_to_word(rng.getrandbits(n), q, n)
+                    word = _int_to_word(rng.getrandbits(n), q, n)
                 else:
                     word = bytes(rng.randrange(q) for _ in range(n))
                 seen.add(word)

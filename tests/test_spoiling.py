@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codeplane.codes import Code, code_point, floor_log_q, params
+from codeplane.codes import Code, code_point, floor_log_q, min_distance, params
 from codeplane.errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -14,7 +14,11 @@ from codeplane.errors import (
 from codeplane.geometry import RatPoint, max_distance
 from codeplane.linear import seed_family, to_code
 from codeplane.spoiling import (
+    LENGTHEN,
     LENGTHEN_LIMIT,
+    PUNCTURE,
+    SHORTEN,
+    SpoilStep,
     SpoilTrace,
     lengthen,
     multiplicity_witness,
@@ -24,6 +28,9 @@ from codeplane.spoiling import (
     reduce_floor_logcard,
     replay_trace,
     shorten,
+    _lengthen_step,
+    _puncture_step,
+    _shorten_step,
 )
 
 
@@ -103,6 +110,50 @@ def test_shorten_examples_and_errors():
     assert p.n == 6 and p.m == 8 and p.d >= 3
     with pytest.raises(DegenerateInputError):
         shorten(Code.from_words(2, [b"\x00\x00"]))
+
+
+def test_shorten_takes_the_largest_fiber_then_the_smallest_symbol():
+    # coordinate 0: symbol 0 has one word, symbols 1 and 2 have two each
+    code = Code.from_words(3, [b"\x00\x00", b"\x01\x00", b"\x01\x01", b"\x02\x01", b"\x02\x02"])
+    out, step = _shorten_step(code)
+    assert step == SpoilStep(SHORTEN, coordinate=0, symbol=1)
+    assert out.words == (b"\x00", b"\x01")
+    # a larger fiber beats a smaller symbol
+    out, step = _shorten_step(Code.from_words(3, [b"\x00\x00", b"\x02\x00", b"\x02\x01"]))
+    assert (step.symbol, out.words) == (2, (b"\x00", b"\x01"))
+
+
+def _reference_moves(code):
+    """The three moves as they were, each rewriting the words itself."""
+    out = [(Code.from_words(code.q, tuple(w + b"\x00" for w in code.words)),
+            SpoilStep(LENGTHEN, coordinate=code.n, symbol=0))]
+    d, witness = min_distance(code)
+    if code.n > 1 and d >= 2:
+        a, b = witness
+        coord = next(i for i in range(code.n) if a[i] != b[i])
+        out.append((Code.from_words(code.q, tuple(w[:coord] + w[coord + 1:] for w in code.words)),
+                    SpoilStep(PUNCTURE, coordinate=coord)))
+    if code.m > 1 and code.n > 1:
+        coord = next(i for i in range(code.n) if len({w[i] for w in code.words}) > 1)
+        fibers = {}
+        for w in code.words:
+            fibers.setdefault(w[coord], []).append(w)
+        symbol = min(fibers, key=lambda s: (-len(fibers[s]), s))
+        out.append((Code.from_words(code.q, tuple(w[:coord] + w[coord + 1:] for w in fibers[symbol])),
+                    SpoilStep(SHORTEN, coordinate=coord, symbol=symbol)))
+    return out
+
+
+@given(codes)
+@settings(max_examples=150, deadline=None)
+def test_moves_match_the_word_rewriting_reference(code):
+    moves = [_lengthen_step(code)]
+    d, _ = min_distance(code)
+    if code.n > 1 and d >= 2:
+        moves.append(_puncture_step(code))
+    if code.m > 1 and code.n > 1:
+        moves.append(_shorten_step(code))
+    assert moves == _reference_moves(code)
 
 
 def test_linear_variants_preserve_linearity():
