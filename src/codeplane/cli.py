@@ -194,7 +194,8 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _curve_samples(curve: bounds_mod.BoundCurve, q: int, samples: int, precision: int) -> list[tuple[Fraction, RatInterval]]:
+def _curve_samples(curve: bounds_mod.BoundCurve, q: int, samples: int,
+                   precision: int) -> list[tuple[Fraction, RatInterval]]:
     """(delta, enclosure of the curve) at ``samples`` evenly spaced deltas of [0, (q-1)/q]."""
     edge = Fraction(q - 1, q)
     deltas = (edge * Fraction(idx, samples - 1) for idx in range(samples))

@@ -263,7 +263,7 @@ def canonical_ball(index: int) -> RatBall:
 
 
 class _StagedEnumeration:
-    """Shared driver of the ball presentations: deterministic stages.
+    """The stage loop shared by the ball presentations: deterministic stages.
 
     Stage s tests the first s canonical balls at precision
     min(DEFAULT_PRECISION_CAP, base + 4s) with the presentation's per-ball

@@ -285,7 +285,7 @@ def test_bounds_csv_bytes_are_pinned(tmp_path, monkeypatch, q, precision):
 
 
 # SHA-256 of every file the curve samples feed (the bounds CSV and both SVG
-# midlines), recorded when each curve was still sampled once per output
+# midlines), recorded when each output still sampled its curves itself
 SAMPLED_OUTPUT_SHA256 = {
     ("bounds", "--q", "3", "--curves", "vg,gv_lower,hamming", "--grid", "9", "--precision", "128",
      "--svg"): {
