@@ -40,7 +40,7 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import RatInterval, RatPoint, format_rational
+from .geometry import RatInterval, RatPoint, format_rational, vertex_list
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -351,7 +351,7 @@ def cmd_strip(args) -> int:
     _write(out / "strip.json", _json_text(manifest, {"strip": strip.to_json()}))
     if cfg.svg:
         canvas = PlaneSvg(title="N-strip")
-        canvas.add_cells("strip", strip.ball_set(), cfg.n_grid)
+        canvas.add_cells("strip", strip.cells(), cfg.n_grid)
         canvas.add_polyline("gamma_plus", strip.gamma_plus, color="#b03030")
         canvas.add_polyline("gamma_minus", strip.gamma_minus, color="#1f4e9c")
         _write(out / "strip.svg", canvas.render(_manifest_comment(manifest)))
@@ -367,12 +367,9 @@ def cmd_approx(args) -> int:
     estimate = effective.curve_estimate(adm)
     out = Path(cfg.out_dir)
     estimate_json = {
-        "upper_staircase": [[format_rational(v.delta), format_rational(v.r)]
-                            for v in estimate.upper_polyline()],
-        "lower_staircase": [[format_rational(v.delta), format_rational(v.r)]
-                            for v in estimate.lower_polyline()],
-        "corner_points": [[format_rational(p.delta), format_rational(p.r)]
-                          for p in estimate.corner_points],
+        "upper_staircase": vertex_list(estimate.upper_polyline()),
+        "lower_staircase": vertex_list(estimate.lower_polyline()),
+        "corner_points": vertex_list(estimate.corner_points),
         "error_bound": format_rational(estimate.error_bound),
     }
     _write(out / "approx.json",

@@ -30,9 +30,11 @@ Within a column each verdict is monotone in the row index j, so a rung
 turns the column's enclosures into at most four integer row thresholds
 (exact floors and ceilings of N times an endpoint) and decides whole row
 ranges at once; only the ranges still undecided are walked to the next
-rung. Strips are built from these column ranges without an N x N table. A
-square still undecided at the cap is treated as meeting the set
-(conservative: strips may widen, never falsely thin). The amendment pass of
+rung. A strip stores only these column ranges and its capped squares; its
+cells, boundary staircases and end segments are derived from the ranges,
+so no N x N table and no per-square object is built. A square still
+undecided at the cap is treated as meeting the set (conservative: strips
+may widen, never falsely thin). The amendment pass of
 the two-sided approximation is an index test, since two closed grid squares
 meet iff their column and row indices each differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
@@ -48,6 +50,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -57,7 +60,7 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, format_rational
+from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, vertex_list
 from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
 ZERO = Fraction(0)
@@ -454,53 +457,51 @@ def domain_presentations(curve: BoundCurve, base_precision: int = DEFAULT_BASE_P
 class NStrip:
     """Union of grid squares meeting a decreasing curve's graph.
 
-    ``column_ranges`` maps each occupied column i to its contiguous row
-    range (lo, hi) inclusive. ``gamma_plus``/``gamma_minus`` are the upper
-    and lower boundary staircases. ``capped`` lists squares kept
-    conservatively because they were still undecided at the precision cap.
+    ``column_ranges`` lists the occupied columns i, contiguous and in order,
+    each with its contiguous row range (lo, hi) inclusive. ``capped`` lists
+    squares kept conservatively because they were still undecided at the
+    precision cap. Everything else is derived from the column ranges: the
+    cells, the upper and lower boundary staircases ``gamma_plus`` and
+    ``gamma_minus``, and the end segments.
     """
 
     n_grid: int
-    column_ranges: tuple[tuple[int, int, int], ...]  # (i, lo, hi) sorted by i
-    gamma_plus: tuple[RatPoint, ...]
-    gamma_minus: tuple[RatPoint, ...]
+    column_ranges: tuple[tuple[int, int, int], ...]  # (i, lo, hi), i contiguous and increasing
     capped: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def balls(self) -> tuple[GridBall, ...]:
-        out = []
-        for i, lo, hi in self.column_ranges:
-            out.extend(GridBall(self.n_grid, i, j) for j in range(lo, hi + 1))
-        return tuple(out)
+    def cells(self) -> list[tuple[int, int]]:
+        """The strip's squares (i, j), sorted."""
+        return [(i, j) for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)]
 
     def ball_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((b.i, b.j) for b in self.balls)
+        return frozenset(self.cells())
 
     @property
     def columns(self) -> tuple[int, ...]:
         return tuple(i for i, _, _ in self.column_ranges)
 
     def column_range(self, i: int) -> Optional[tuple[int, int]]:
-        for col, lo, hi in self.column_ranges:
-            if col == i:
-                return lo, hi
+        k = i - self.column_ranges[0][0]
+        if 0 <= k < len(self.column_ranges) and self.column_ranges[k][0] == i:
+            return self.column_ranges[k][1:]
         return None
+
+    @cached_property
+    def gamma_plus(self) -> tuple[RatPoint, ...]:
+        """Upper boundary staircase: the top edges of the columns."""
+        return _staircase(self.column_ranges[0][0],
+                          (Fraction(hi + 1, self.n_grid) for _, _, hi in self.column_ranges), self.n_grid)
+
+    @cached_property
+    def gamma_minus(self) -> tuple[RatPoint, ...]:
+        """Lower boundary staircase: the bottom edges of the columns."""
+        return _staircase(self.column_ranges[0][0],
+                          (Fraction(lo, self.n_grid) for _, lo, _ in self.column_ranges), self.n_grid)
 
     @property
     def end_segments(self) -> tuple[tuple[RatPoint, RatPoint], tuple[RatPoint, RatPoint]]:
         """The two vertical boundary segments at the strip ends."""
-        n = Fraction(self.n_grid)
-        first_i, first_lo, first_hi = self.column_ranges[0]
-        last_i, last_lo, last_hi = self.column_ranges[-1]
-        left = (
-            RatPoint(Fraction(first_lo) / n, Fraction(first_i) / n),
-            RatPoint(Fraction(first_hi + 1) / n, Fraction(first_i) / n),
-        )
-        right = (
-            RatPoint(Fraction(last_lo) / n, Fraction(last_i + 1) / n),
-            RatPoint(Fraction(last_hi + 1) / n, Fraction(last_i + 1) / n),
-        )
-        return left, right
+        return (self.gamma_minus[0], self.gamma_plus[0]), (self.gamma_minus[-1], self.gamma_plus[-1])
 
     @property
     def end_segments_degenerate(self) -> tuple[bool, bool]:
@@ -514,38 +515,29 @@ class NStrip:
 
     def boundary_within(self, dist: Fraction) -> bool:
         """Exact check: each boundary staircase within max-metric ``dist`` of the other."""
-        return polyline_within(dist, self.gamma_minus, self.gamma_plus) and polyline_within(
-            dist, self.gamma_plus, self.gamma_minus
-        )
+        return (polyline_within(dist, self.gamma_minus, self.gamma_plus)
+                and polyline_within(dist, self.gamma_plus, self.gamma_minus))
 
     def to_json(self) -> dict:
         return {
             "n_grid": self.n_grid,
-            "balls": sorted([i, j] for (i, j) in self.ball_set()),
-            "gamma_plus": [[format_rational(v.delta), format_rational(v.r)] for v in self.gamma_plus],
-            "gamma_minus": [[format_rational(v.delta), format_rational(v.r)] for v in self.gamma_minus],
+            "balls": [list(cell) for cell in self.cells()],
+            "gamma_plus": vertex_list(self.gamma_plus),
+            "gamma_minus": vertex_list(self.gamma_minus),
             "capped": sorted(list(pair) for pair in self.capped),
             "end_segments_degenerate": list(self.end_segments_degenerate),
         }
 
 
-def _staircase(columns: Sequence[tuple[int, int]], n_grid: int) -> tuple[RatPoint, ...]:
-    """Boundary polyline over contiguous columns; (i, level) pairs give the
-    boundary row index per column (exclusive top for the upper staircase)."""
-    n = Fraction(n_grid)
+def _staircase(first: int, heights: Iterable[Fraction], n_grid: int) -> tuple[RatPoint, ...]:
+    """Polyline across the columns first, first + 1, ... at the given
+    heights: a horizontal edge over each column, joined to the next by a
+    vertical step where the heights differ."""
     verts: list[RatPoint] = []
-
-    def push(x: Fraction, y: Fraction):
-        if verts and verts[-1] == RatPoint(y, x):
-            return
-        verts.append(RatPoint(y, x))
-
-    first_i = columns[0][0]
-    push(Fraction(first_i) / n, Fraction(columns[0][1]) / n)
-    for (i, level), nxt in zip(columns, list(columns[1:]) + [None]):
-        push(Fraction(i + 1) / n, Fraction(level) / n)
-        if nxt is not None:
-            push(Fraction(nxt[0]) / n, Fraction(nxt[1]) / n)
+    for i, y in enumerate(heights, start=first):
+        if not verts or verts[-1].r != y:
+            verts.append(RatPoint(y, Fraction(i, n_grid)))
+        verts.append(RatPoint(y, Fraction(i + 1, n_grid)))
     return tuple(verts)
 
 
@@ -611,15 +603,7 @@ def _assemble_strip(n_grid: int, members: dict[int, list[tuple[int, int]]],
     for (i, lo, hi), (i2, lo2, hi2) in zip(ranges, ranges[1:]):
         if lo2 > hi + 1 or hi2 < lo - 1:
             raise InternalContractError(f"strip disconnected between columns {i} and {i2}")
-    gamma_plus = _staircase([(i, hi + 1) for i, lo, hi in ranges], n_grid)
-    gamma_minus = _staircase([(i, lo) for i, lo, hi in ranges], n_grid)
-    return NStrip(
-        n_grid=n_grid,
-        column_ranges=tuple(ranges),
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        capped=capped,
-    )
+    return NStrip(n_grid=n_grid, column_ranges=tuple(ranges), capped=capped)
 
 
 # --- three-way point classification ----------------------------------------
@@ -640,43 +624,25 @@ def classify_points(points: Sequence[RatPoint], strip: NStrip) -> PointPartition
     contains it. For connected strips the verdict cannot be mixed.
     """
     n = strip.n_grid
-    below: list[RatPoint] = []
-    inside: list[RatPoint] = []
-    above: list[RatPoint] = []
+    sides: dict[str, list[RatPoint]] = {"below": [], "inside": [], "above": []}
     for p in points:
         if not p.in_unit_square():
             raise ContractViolationError(f"point {p} outside the unit square")
-        scaled = p.delta * n
-        exact_col = int(scaled) if scaled.denominator == 1 else None
-        if exact_col is not None:
-            cols = [c for c in (exact_col - 1, exact_col) if 0 <= c <= n - 1]
-        else:
-            cols = [int(scaled)]
-        ranges = []
-        for c in cols:
+        rows = p.r * n
+        verdicts = set()
+        # columns {ceil(N delta) - 1, floor(N delta)} within [0, N): two on a grid line
+        for c in range(max(_ceil_times(p.delta, n) - 1, 0), min(_floor_times(p.delta, n), n - 1) + 1):
             rng = strip.column_range(c)
             if rng is None:
-                raise ContractViolationError(
-                    f"strip has no squares in column {c}; cannot classify"
-                )
-            ranges.append(rng)
-        verdicts = []
-        for lo, hi in ranges:
-            if Fraction(lo, n) <= p.r <= Fraction(hi + 1, n):
-                verdicts.append("inside")
-            elif p.r < Fraction(lo, n):
-                verdicts.append("below")
-            else:
-                verdicts.append("above")
+                raise ContractViolationError(f"strip has no squares in column {c}; cannot classify")
+            lo, hi = rng
+            verdicts.add("below" if rows < lo else "above" if rows > hi + 1 else "inside")
         if "inside" in verdicts:
-            inside.append(p)
-        elif all(v == "below" for v in verdicts):
-            below.append(p)
-        elif all(v == "above" for v in verdicts):
-            above.append(p)
-        else:
+            verdicts = {"inside"}
+        if len(verdicts) > 1:
             raise InternalContractError(f"mixed verdict for {p}: strip not connected?")
-    return PointPartition(tuple(below), tuple(inside), tuple(above))
+        sides[verdicts.pop()].append(p)
+    return PointPartition(tuple(sides["below"]), tuple(sides["inside"]), tuple(sides["above"]))
 
 
 # --- exceptional-ball two-sided approximation -------------------------------
@@ -719,9 +685,6 @@ def _check_admissible(cells: Sequence[tuple[int, int]]) -> bool:
         if i2 > i1 and j2 >= j1:
             return False
     return True
-
-
-DomainSource = Union[BoundCurve, tuple[DomainRePresentation, DomainCoPresentation]]
 
 
 def two_sided_approx(
@@ -804,14 +767,9 @@ def two_sided_approx(
             "exceptional set is not admissible; input was not a strictly "
             "decreasing monotone domain"
         )
-    return AdmissibleSet(
-        n_grid=n_grid,
-        u_plus=frozenset(u_plus),
-        u_minus=frozenset(u_minus),
-        exceptional=exceptional,
-        initial_undecided=initial_undecided,
-        admissible=admissible,
-    )
+    return AdmissibleSet(n_grid=n_grid, u_plus=frozenset(u_plus), u_minus=frozenset(u_minus),
+                         exceptional=exceptional, initial_undecided=initial_undecided,
+                         admissible=admissible)
 
 
 # --- staircase curve estimates ----------------------------------------------
@@ -842,22 +800,10 @@ class CurveEstimate:
         return tuple(Fraction(i, self.n_grid) for i in range(self.n_grid))
 
     def upper_polyline(self) -> tuple[RatPoint, ...]:
-        return _values_staircase(self.upper_values, self.n_grid)
+        return _staircase(0, self.upper_values, self.n_grid)
 
     def lower_polyline(self) -> tuple[RatPoint, ...]:
-        return _values_staircase(self.lower_values, self.n_grid)
-
-
-def _values_staircase(values: Sequence[Fraction], n_grid: int) -> tuple[RatPoint, ...]:
-    verts: list[RatPoint] = []
-    n = Fraction(n_grid)
-    for i, value in enumerate(values):
-        left = Fraction(i) / n
-        right = Fraction(i + 1) / n
-        if not verts or verts[-1].r != value:
-            verts.append(RatPoint(value, left))
-        verts.append(RatPoint(value, right))
-    return tuple(verts)
+        return _staircase(0, self.lower_values, self.n_grid)
 
 
 def curve_estimate(adm: AdmissibleSet) -> CurveEstimate:
@@ -870,13 +816,8 @@ def curve_estimate(adm: AdmissibleSet) -> CurveEstimate:
         bots[i] = max(j, bots.get(i, j))
     upper = tuple(Fraction(tops[i], n) if i in tops else ONE for i in range(n))
     lower = tuple(Fraction(bots[i] + 1, n) if i in bots else ZERO for i in range(n))
-    corners = tuple(GridBall(n, i, j).lower_left for i, j in sorted(adm.exceptional))
-    return CurveEstimate(
-        n_grid=n,
-        upper_values=upper,
-        lower_values=lower,
-        corner_points=corners,
-    )
+    corners = tuple(RatPoint(Fraction(j, n), Fraction(i, n)) for i, j in sorted(adm.exceptional))
+    return CurveEstimate(n_grid=n, upper_values=upper, lower_values=lower, corner_points=corners)
 
 
 # --- exact polyline proximity ------------------------------------------------

@@ -416,7 +416,13 @@ def _tail_rows(tails, q: int, k: int, tail_cols: int) -> list:
     """Row r of the tail A for every tail index: binary rows are the bits
     r(n-k).. of the index, packed (bit 0 is the last column); q-ary rows
     are digit arrays, the index holding the entries of A row by row as
-    base-q digits, most significant first (``itertools.product`` order)."""
+    base-q digits, most significant first (``itertools.product`` order).
+
+    Binary tail t is the q-ary tail t with its rows reversed, so the table
+    lane with that reversal reproduces the binary lane's d, node counts and
+    witnesses (checked on every binary (n, k) with k(n-k) <= 18). The packed
+    lane stays for speed: on a 2-vCPU x86-64 machine the table lane took
+    82 ms against 5 ms on (n, k) = (8, 4) and 267 ms against 41 ms on (9, 4)."""
     if q == 2:
         mask = (1 << tail_cols) - 1
         return [(tails >> (r * tail_cols)) & mask for r in range(k)]
@@ -822,6 +828,12 @@ def multiplicity_in_range(
         for m in range(m_lo, m_hi + 1):
             if m == 1:
                 continue  # singleton triples carry d = 0 only
+            if d == 1:
+                # realizable by the first m words, as exists_code answers, and refused above its cap
+                if m > _SPACE_CAP:
+                    raise ContractViolationError(f"distance-1 witness of {m} words exceeds {_SPACE_CAP}")
+                verified.append(CodeParams(q=q, n=n, m=m, d=d))
+                continue
             outcome = exists_code(q, n, m, d, budget)
             if outcome.found:
                 verified.append(CodeParams(q=q, n=n, m=m, d=d))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,7 @@ from codeplane.effective import (
     Decision,
     DomainBallDecider,
     GraphBallDecider,
-    NStrip,
     _check_admissible,
-    _staircase,
     build_strip,
     canonical_ball,
     classify_points,
@@ -37,7 +36,7 @@ from codeplane.effective import (
 )
 from codeplane import effective
 from codeplane.errors import ContractViolationError, InternalContractError
-from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect
+from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_rational
 
 
 DIAG = diagonal_curve()
@@ -476,7 +475,10 @@ def test_assemble_strip_joins_adjacent_row_ranges_and_rejects_gaps():
 # --- the per-row sweep that the threshold sweep replaced ----------------------
 # A word-for-word copy of the sweep, its two verdict lambdas, the strip
 # assembly and the curve estimate as they decided every row with Fraction
-# compares; the threshold sweep must reproduce their outputs byte for byte.
+# compares, and of the strip and estimate outputs as they were read from
+# stored staircases, per-square GridBalls and a scan over the columns. The
+# threshold sweep and the outputs derived from column ranges must reproduce
+# them byte for byte.
 
 def _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap):
     cells = {}
@@ -492,6 +494,120 @@ def _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_
                 break
             precision = min(precision_cap, precision * 2)
     return cells
+
+
+def _reference_staircase(columns, n_grid):
+    n = Fraction(n_grid)
+    verts = []
+
+    def push(x, y):
+        if verts and verts[-1] == RatPoint(y, x):
+            return
+        verts.append(RatPoint(y, x))
+
+    first_i = columns[0][0]
+    push(Fraction(first_i) / n, Fraction(columns[0][1]) / n)
+    for (i, level), nxt in zip(columns, list(columns[1:]) + [None]):
+        push(Fraction(i + 1) / n, Fraction(level) / n)
+        if nxt is not None:
+            push(Fraction(nxt[0]) / n, Fraction(nxt[1]) / n)
+    return tuple(verts)
+
+
+def _reference_values_staircase(values, n_grid):
+    verts = []
+    n = Fraction(n_grid)
+    for i, value in enumerate(values):
+        left = Fraction(i) / n
+        right = Fraction(i + 1) / n
+        if not verts or verts[-1].r != value:
+            verts.append(RatPoint(value, left))
+        verts.append(RatPoint(value, right))
+    return tuple(verts)
+
+
+@dataclass(frozen=True)
+class _ReferenceStrip:
+    n_grid: int
+    column_ranges: tuple
+    gamma_plus: tuple
+    gamma_minus: tuple
+    capped: tuple
+
+    def ball_set(self):
+        balls = [GridBall(self.n_grid, i, j) for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)]
+        return frozenset((b.i, b.j) for b in balls)
+
+    def column_range(self, i):
+        for col, lo, hi in self.column_ranges:
+            if col == i:
+                return lo, hi
+        return None
+
+    @property
+    def end_segments(self):
+        n = Fraction(self.n_grid)
+        first_i, first_lo, first_hi = self.column_ranges[0]
+        last_i, last_lo, last_hi = self.column_ranges[-1]
+        left = (
+            RatPoint(Fraction(first_lo) / n, Fraction(first_i) / n),
+            RatPoint(Fraction(first_hi + 1) / n, Fraction(first_i) / n),
+        )
+        right = (
+            RatPoint(Fraction(last_lo) / n, Fraction(last_i + 1) / n),
+            RatPoint(Fraction(last_hi + 1) / n, Fraction(last_i + 1) / n),
+        )
+        return left, right
+
+    def to_json(self):
+        first, last = self.column_ranges[0], self.column_ranges[-1]
+        return {
+            "n_grid": self.n_grid,
+            "balls": sorted([i, j] for (i, j) in self.ball_set()),
+            "gamma_plus": [[format_rational(v.delta), format_rational(v.r)] for v in self.gamma_plus],
+            "gamma_minus": [[format_rational(v.delta), format_rational(v.r)] for v in self.gamma_minus],
+            "capped": sorted(list(pair) for pair in self.capped),
+            "end_segments_degenerate": [first[1] == first[2], last[1] == last[2]],
+        }
+
+
+def _reference_classify_points(points, strip):
+    n = strip.n_grid
+    below, inside, above = [], [], []
+    for p in points:
+        if not p.in_unit_square():
+            raise ContractViolationError(f"point {p} outside the unit square")
+        scaled = p.delta * n
+        exact_col = int(scaled) if scaled.denominator == 1 else None
+        if exact_col is not None:
+            cols = [c for c in (exact_col - 1, exact_col) if 0 <= c <= n - 1]
+        else:
+            cols = [int(scaled)]
+        ranges = []
+        for c in cols:
+            rng = strip.column_range(c)
+            if rng is None:
+                raise ContractViolationError(
+                    f"strip has no squares in column {c}; cannot classify"
+                )
+            ranges.append(rng)
+        verdicts = []
+        for lo, hi in ranges:
+            if Fraction(lo, n) <= p.r <= Fraction(hi + 1, n):
+                verdicts.append("inside")
+            elif p.r < Fraction(lo, n):
+                verdicts.append("below")
+            else:
+                verdicts.append("above")
+        if "inside" in verdicts:
+            inside.append(p)
+        elif all(v == "below" for v in verdicts):
+            below.append(p)
+        elif all(v == "above" for v in verdicts):
+            above.append(p)
+        else:
+            raise InternalContractError(f"mixed verdict for {p}: strip not connected?")
+    return tuple(below), tuple(inside), tuple(above)
 
 
 def _reference_assemble_strip(n_grid, members, capped):
@@ -510,10 +626,10 @@ def _reference_assemble_strip(n_grid, members, capped):
     for (i, lo, hi), (i2, lo2, hi2) in zip(ranges, ranges[1:]):
         if lo2 > hi + 1 or hi2 < lo - 1:
             raise InternalContractError(f"strip disconnected between columns {i} and {i2}")
-    return NStrip(n_grid=n_grid, column_ranges=tuple(ranges),
-                  gamma_plus=_staircase([(i, hi + 1) for i, lo, hi in ranges], n_grid),
-                  gamma_minus=_staircase([(i, lo) for i, lo, hi in ranges], n_grid),
-                  capped=capped)
+    return _ReferenceStrip(n_grid=n_grid, column_ranges=tuple(ranges),
+                           gamma_plus=_reference_staircase([(i, hi + 1) for i, lo, hi in ranges], n_grid),
+                           gamma_minus=_reference_staircase([(i, lo) for i, lo, hi in ranges], n_grid),
+                           capped=capped)
 
 
 def _reference_strip(curve, n_grid, base_precision, precision_cap):
@@ -577,6 +693,33 @@ def _reference_curve_estimate(adm):
         lower.append(Fraction(max(bots) + 1, n) if bots else Fraction(0))
     corners = tuple(GridBall(n, i, j).lower_left for i, j in sorted(exceptional))
     return tuple(upper), tuple(lower), corners
+
+
+_CLASSIFIED = set()
+
+
+def _grid_probes(n_grid):
+    """Every grid vertex (k/N, j/N) and every grid-edge midpoint."""
+    return [RatPoint(Fraction(u, 2 * n_grid), Fraction(t, 2 * n_grid))
+            for t in range(2 * n_grid + 1) for u in range(2 * n_grid + 1) if t % 2 == 0 or u % 2 == 0]
+
+
+def _partition(points, strip):
+    part = classify_points(points, strip)
+    return part.below, part.inside, part.above
+
+
+def _classified(classify, points, strip):
+    """The partition of all points, or when that raises, each point's
+    partition or error."""
+    def one(batch):
+        try:
+            return classify(batch, strip)
+        except (ContractViolationError, InternalContractError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    whole = one(points)
+    return [one([p]) for p in points] if isinstance(whole, str) else [whole]
 
 
 def _outcome(build):
@@ -660,6 +803,15 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
         else:
             assert got.to_json() == want.to_json(), n_grid
             assert got.capped == want.capped, n_grid
+            assert got.end_segments == want.end_segments, n_grid
+            columns = range(-1, n_grid + 1)
+            assert [got.column_range(c) for c in columns] == [want.column_range(c) for c in columns], n_grid
+            # both classifications read only N and the column ranges: probe each strip once
+            if (n_grid, got.column_ranges) not in _CLASSIFIED:
+                _CLASSIFIED.add((n_grid, got.column_ranges))
+                probes = _grid_probes(n_grid)
+                assert _classified(_partition, probes, got) == \
+                    _classified(_reference_classify_points, probes, want), n_grid
         if name == "partial_span":
             continue
         want_cells, want = _reference_approx(curve, n_grid, base, cap)
@@ -669,5 +821,8 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
         assert got.to_json() == want.to_json(), n_grid
         assert got.initial_undecided == want.initial_undecided, n_grid
         estimate = curve_estimate(got)
+        want_upper, want_lower, want_corners = _reference_curve_estimate(want)
         assert (estimate.upper_values, estimate.lower_values, estimate.corner_points) == \
-            _reference_curve_estimate(want), n_grid
+            (want_upper, want_lower, want_corners), n_grid
+        assert estimate.upper_polyline() == _reference_values_staircase(want_upper, n_grid), n_grid
+        assert estimate.lower_polyline() == _reference_values_staircase(want_lower, n_grid), n_grid

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import types
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from codeplane import search
-from codeplane.codes import Code, min_distance, params, write_code_text
+from codeplane.codes import Code, CodeParams, min_distance, params, write_code_text
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatPoint
 from codeplane.fields import GF
@@ -19,6 +20,7 @@ from codeplane.linear import GeneratorMatrix, LinearCode, seed_family, to_code, 
 from codeplane.search import (
     DEFAULT_SEED,
     ExistsStatus,
+    MultiplicityReport,
     OracleOutcome,
     OracleStatus,
     SearchBudget,
@@ -206,6 +208,62 @@ def test_multiplicity_examples():
 
     for p in report.verified:
         assert code_point(p) == RatPoint.of(Fraction(1, 2), Fraction(1, 2))
+
+
+def _reference_multiplicity_in_range(point, q, n_max, budget):
+    """multiplicity_in_range as it decided every triple, d = 1 included, with exists_code."""
+    verified = []
+    unknown = []
+    for n in range(1, n_max + 1):
+        rate_num = point.r * n
+        dist_num = point.delta * n
+        if rate_num.denominator != 1 or dist_num.denominator != 1:
+            continue
+        t = int(rate_num)
+        d = int(dist_num)
+        if d == 0:
+            if t == 0:
+                verified.append(CodeParams(q=q, n=n, m=1, d=0))
+            continue
+        if t > n or d > n:
+            continue
+        m_lo = q ** t
+        m_hi = min(q ** (t + 1) - 1, q ** n)
+        for m in range(m_lo, m_hi + 1):
+            if m == 1:
+                continue
+            outcome = exists_code(q, n, m, d, budget)
+            if outcome.found:
+                verified.append(CodeParams(q=q, n=n, m=m, d=d))
+            elif outcome.status is ExistsStatus.UNKNOWN:
+                unknown.append((n, m, d))
+    return MultiplicityReport(point=point, verified=tuple(verified), unknown=tuple(unknown))
+
+
+def test_multiplicity_decides_distance_one_without_the_oracle(monkeypatch):
+    budget = SearchBudget(max_nodes=200)
+    # every point with denominators up to n_max; q = 3 stops at 4, where the
+    # distance >= 2 searches are still fast
+    want = {(RatPoint(Fraction(t, n), Fraction(d, n)), q, n_max): None
+            for q, n_max in ((2, 6), (3, 4)) for n in range(1, n_max + 1)
+            for t in range(n + 1) for d in range(n + 1)}
+    for key in want:
+        want[key] = _reference_multiplicity_in_range(*key, budget)
+    exists = search.exists_code
+
+    def exists_beyond_distance_one(q, n, m, d, *args, **kwargs):
+        assert d != 1, "a distance-1 triple reached the existence oracle"
+        return exists(q, n, m, d, *args, **kwargs)
+
+    monkeypatch.setattr(search, "exists_code", exists_beyond_distance_one)
+    assert {key: multiplicity_in_range(*key, budget) for key in want} == want
+    start = time.perf_counter()
+    report = multiplicity_in_range(RatPoint.of(Fraction(3, 4), Fraction(1, 16)), 2, 16)
+    assert time.perf_counter() - start < 1.0
+    assert report.count == 4096 and not report.unknown
+    # witnesses of more than 2^20 words stay refused, as exists_code refuses them
+    with pytest.raises(ContractViolationError, match="exceeds"):
+        multiplicity_in_range(RatPoint.of(Fraction(21, 25), Fraction(1, 25)), 2, 25)
 
 
 def test_budget_dataclass_validation():
@@ -451,6 +509,19 @@ def test_best_linear_budget_exhaustion_matches_reference(q, n, k):
     new = search._best_linear(q, n, k, budget)
     assert new.status is OracleStatus.UNKNOWN
     assert _linear_fingerprint(new) == _linear_fingerprint(_reference_best_linear(q, n, k, budget))
+
+
+def test_binary_tail_rows_are_the_qary_rows_reversed():
+    # one tail index read by the packed binary lane and by the digit-array
+    # lane of q > 2 gives the same rows in opposite orders
+    for k, tail_cols in ((1, 3), (2, 2), (3, 2), (4, 3)):
+        tails = np.arange(1 << (k * tail_cols), dtype=np.int64)
+        packed = search._tail_rows(tails, 2, k, tail_cols)
+        digits = search._word_rows(tails, 2, k * tail_cols)
+        qary = [digits[:, r * tail_cols:(r + 1) * tail_cols] for r in range(k)]
+        for row, qary_row in zip(packed, reversed(qary)):
+            bits = np.stack([(row >> (tail_cols - 1 - c)) & 1 for c in range(tail_cols)], axis=1)
+            assert np.array_equal(bits, qary_row)
 
 
 def test_deep_clique_search_needs_no_recursion():
