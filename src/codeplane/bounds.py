@@ -19,9 +19,10 @@ points; that boundary has no known formula. The module provides bracketing
 curves around it, plus exactly decidable synthetic polylines used to
 exercise the pixel algorithms where ground truth is computable.
 
-All ``BoundCurve`` objects evaluate on the whole of [0, 1]; curves whose
-classical domain ends at 1 - 1/q continue with exact zero, keeping them
-monotone and total, which is what the grid algorithms need.
+``BoundCurve`` objects evaluate on the whole of [0, 1], polylines on their
+own span; curves whose classical domain ends at 1 - 1/q continue with
+exact zero, keeping them monotone and total, which is what the grid
+algorithms need.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
 class BoundCurve:
     """Monotone non-increasing curve on [0, 1] with two-sided evaluation.
 
-    ``support`` is the closed interval outside of which the value is exactly
-    zero. ``exact`` marks curves whose evaluation is a zero-width rational
-    at every rational abscissa; ``continuous`` gates use by the grid
-    deciders, whose correctness needs the intermediate value property.
+    ``span`` is the closed delta interval the curve is defined on, all of
+    [0, 1] unless a polyline passes its own; the grid deciders clip to it.
+    ``continuous`` gates use by the grid deciders, whose correctness needs
+    the intermediate value property.
 
     Evaluations are memoized; entries are value-deterministic, so concurrent
     readers see identical results regardless of interleaving.
@@ -95,14 +96,12 @@ class BoundCurve:
         self,
         name: str,
         evaluator: Callable[[Fraction, int], RatInterval],
-        support: tuple[Fraction, Fraction],
-        exact: bool = False,
+        span: tuple[Fraction, Fraction] = (ZERO, ONE),
         continuous: bool = True,
     ):
         self.name = name
         self._evaluator = evaluator
-        self.support = support
-        self.exact = exact
+        self.span = span
         self.continuous = continuous
         self._memo: dict[tuple[Fraction, int], RatInterval] = {}
 
@@ -130,7 +129,7 @@ def vg_bound_curve(q: int) -> BoundCurve:
             return RatInterval.point(ZERO)
         return vg_curve(q, delta, precision)
 
-    return BoundCurve(f"vg_q{q}", evaluate, support=(ZERO, edge))
+    return BoundCurve(f"vg_q{q}", evaluate)
 
 
 def gv_lower_curve(q: int) -> BoundCurve:
@@ -143,7 +142,7 @@ def gv_lower_curve(q: int) -> BoundCurve:
         h = entropy(q, delta, precision + 1)
         return RatInterval.point(ONE) - h
 
-    return BoundCurve(f"gv_lower_q{q}", evaluate, support=(ZERO, edge))
+    return BoundCurve(f"gv_lower_q{q}", evaluate)
 
 
 def hamming_curve(q: int) -> BoundCurve:
@@ -153,8 +152,7 @@ def hamming_curve(q: int) -> BoundCurve:
         h = entropy(q, delta / 2, precision + 1)
         return RatInterval.point(ONE) - h
 
-    support_hi = min(ONE, 2 * Fraction(q - 1, q))
-    return BoundCurve(f"hamming_q{q}", evaluate, support=(ZERO, support_hi))
+    return BoundCurve(f"hamming_q{q}", evaluate)
 
 
 def singleton_curve() -> BoundCurve:
@@ -163,7 +161,7 @@ def singleton_curve() -> BoundCurve:
     def evaluate(delta: Fraction, precision: int) -> RatInterval:
         return RatInterval.point(ONE - delta)
 
-    return BoundCurve("singleton", evaluate, support=(ZERO, ONE), exact=True)
+    return BoundCurve("singleton", evaluate)
 
 
 def upper_bracket_curve(q: int) -> BoundCurve:
@@ -177,9 +175,7 @@ def upper_bracket_curve(q: int) -> BoundCurve:
             return RatInterval.point(ZERO)
         return RatInterval.point(ONE - delta)
 
-    return BoundCurve(
-        f"singleton_zero_q{q}", evaluate, support=(ZERO, edge), exact=True, continuous=False
-    )
+    return BoundCurve(f"singleton_zero_q{q}", evaluate, continuous=False)
 
 
 def bracket_curves(q: int) -> tuple[BoundCurve, BoundCurve]:
@@ -211,8 +207,7 @@ class PolylineCurve(BoundCurve):
             return RatInterval.point(self.value_exact(delta))
 
         name = "polyline:" + ";".join(f"{v.delta},{v.r}" for v in self.vertices)
-        super().__init__(name, evaluate, support=span, exact=True)
-        self.span = span
+        super().__init__(name, evaluate, span=span)
 
     def value_exact(self, delta: Fraction) -> Fraction:
         delta = as_rational(delta)

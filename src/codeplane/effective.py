@@ -30,13 +30,14 @@ Within a column each verdict is monotone in the row index j, so a rung
 turns the column's enclosures into at most four integer row thresholds
 (exact floors and ceilings of N times an endpoint) and decides whole row
 ranges at once; only the ranges still undecided are walked to the next
-rung. A strip stores only these column ranges and its capped squares; its
-cells, boundary staircases and end segments are derived from the ranges,
-so no N x N table and no per-square object is built. A square still
-undecided at the cap is treated as meeting the set (conservative: strips
-may widen, never falsely thin). The amendment pass of
-the two-sided approximation is an index test, since two closed grid squares
-meet iff their column and row indices each differ by at most one.
+rung. A strip stores only these column ranges and its capped squares, a
+two-sided approximation only each column's band of undecided rows; cells,
+staircases and end segments are derived from them, so no N x N table and
+no per-square object is built. A square still undecided at the cap is
+treated as meeting the set (conservative: strips may widen, never falsely
+thin). The amendment pass of the two-sided approximation compares
+neighbouring bands, since two closed grid squares meet iff their column
+and row indices each differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
 ball sequence so soundness examples can be exercised directly; they share
 one stage loop (``_StagedEnumeration.advance``) and differ only in the
@@ -52,7 +53,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import BoundCurve
 from .errors import (
@@ -96,7 +97,7 @@ class GraphBallDecider:
 
     def ends(self, d_lo: Fraction, d_hi: Fraction, precision: int) -> Optional[tuple[RatInterval, RatInterval]]:
         """Enclosures of f at [d_lo, d_hi] clipped to the curve span; None if they miss."""
-        span = getattr(self.curve, "span", None) or (ZERO, ONE)
+        span = self.curve.span
         a = max(d_lo, span[0])
         b = min(d_hi, span[1])
         if a > b:
@@ -126,8 +127,7 @@ class DomainBallDecider:
 
     def __init__(self, curve: BoundCurve):
         _require_usable(curve)
-        span = getattr(curve, "span", None)
-        if span is not None and (span[0] > ZERO or span[1] < ONE):
+        if curve.span[0] > ZERO or curve.span[1] < ONE:
             raise ContractViolationError(
                 "domain decisions need a curve spanning [0, 1]"
             )
@@ -364,7 +364,7 @@ class CurveGraphRePresentation(_StagedEnumeration):
         self.curve = curve
 
     def _emits(self, ball: RatBall, precision: int) -> bool:
-        span = getattr(self.curve, "span", (ZERO, ONE))
+        span = self.curve.span
         d_iv, r_iv = ball.delta_interval, ball.r_interval
         a = max(d_iv.lo, span[0])
         b = min(d_iv.hi, span[1])
@@ -541,11 +541,8 @@ def _staircase(first: int, heights: Iterable[Fraction], n_grid: int) -> tuple[Ra
     return tuple(verts)
 
 
-CurveOrCo = Union[BoundCurve, CurveGraphCoPresentation]
-
-
 def build_strip(
-    source: CurveOrCo,
+    curve: BoundCurve,
     n_grid: int,
     timeout_ms: Optional[int] = None,
     base_precision: int = DEFAULT_BASE_PRECISION,
@@ -554,12 +551,11 @@ def build_strip(
     """Grid squares not provably disjoint from the curve's graph, once every
     column's precision ladder settles, together with the boundary staircases.
 
-    Accepts the graph's co-r.e. presentation or the curve itself. Squares
-    undecided at the precision cap stay in the strip (conservative) and are
-    reported in ``capped``. Raises StabilizationTimeoutError with the columns
-    decided so far when the wall clock runs out first.
+    Squares undecided at the precision cap stay in the strip (conservative)
+    and are reported in ``capped``. Raises StabilizationTimeoutError with the
+    columns decided so far when the wall clock runs out first.
     """
-    decider = source.decider if isinstance(source, CurveGraphCoPresentation) else GraphBallDecider(source)
+    decider = GraphBallDecider(curve)
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
     def column_pieces(i: int, precision: int) -> list[Segment]:
@@ -650,19 +646,35 @@ def classify_points(points: Sequence[RatPoint], strip: NStrip) -> PointPartition
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Final partition of the N-grid against a monotone domain.
+    """Final partition of the N-grid against a monotone domain, by column.
 
-    ``exceptional`` is the post-amendment undecided set X; ``admissible``
-    records whether it satisfies (a) at most one square per row and per
-    column and (b) further right implies strictly lower.
+    ``bands[i] = (a, b)`` splits column i into U- (rows < a), the
+    exceptional squares X (rows a..b-1) and U+ (rows >= b); ``initial`` is
+    the same split before the amendment pass. The square sets are derived
+    from the bands. ``admissible`` records whether X has at most one square
+    per column and its rows fall strictly from left to right.
     """
 
     n_grid: int
-    u_plus: frozenset[tuple[int, int]]
-    u_minus: frozenset[tuple[int, int]]
-    exceptional: tuple[tuple[int, int], ...]
-    initial_undecided: tuple[tuple[int, int], ...]
+    bands: tuple[tuple[int, int], ...]
+    initial: tuple[tuple[int, int], ...]
     admissible: bool
+
+    @cached_property
+    def u_plus(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, (_, b) in enumerate(self.bands) for j in range(b, self.n_grid))
+
+    @cached_property
+    def u_minus(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, (a, _) in enumerate(self.bands) for j in range(a))
+
+    @property
+    def exceptional(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, (a, b) in enumerate(self.bands) for j in range(a, b))
+
+    @property
+    def initial_undecided(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i, (a, b) in enumerate(self.initial) for j in range(a, b))
 
     def to_json(self) -> dict:
         return {
@@ -675,52 +687,34 @@ class AdmissibleSet:
         }
 
 
-def _check_admissible(cells: Sequence[tuple[int, int]]) -> bool:
-    rows = [j for _, j in cells]
-    cols = [i for i, _ in cells]
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        return False
-    ordered = sorted(cells)
-    for (i1, j1), (i2, j2) in zip(ordered, ordered[1:]):
-        if i2 > i1 and j2 >= j1:
-            return False
-    return True
+def _check_admissible(bands: Sequence[tuple[int, int]]) -> bool:
+    """At most one X square per column, and the X rows fall strictly from left to right."""
+    rows = [a for a, b in bands if a < b]
+    return all(b - a <= 1 for a, b in bands) and all(j2 < j1 for j1, j2 in zip(rows, rows[1:]))
 
 
 def two_sided_approx(
-    re: Union[BoundCurve, DomainRePresentation],
-    co: Optional[DomainCoPresentation] = None,
-    n_grid: int = 4,
+    curve: BoundCurve,
+    n_grid: int,
     timeout_ms: Optional[int] = None,
     base_precision: int = DEFAULT_BASE_PRECISION,
     precision_cap: int = DEFAULT_PRECISION_CAP,
     strict: bool = True,
 ) -> AdmissibleSet:
-    """Run the two provers over the N-grid until every column's precision
-    ladder settles, then apply the amendment pass moving undecided squares
-    whose closures miss the decided sides.
+    """Decide the N-grid against U = {R <= f(delta)} until every column's
+    precision ladder settles, then apply the amendment pass moving undecided
+    squares whose closures miss the decided sides.
 
-    Call either with a (re, co) presentation pair for the same domain, or
-    with a single curve in place of ``re``. With ``strict`` (default) a
-    non-admissible final exceptional set raises InternalContractError,
-    which indicates the presented set was not the domain of a strictly
-    decreasing curve; pass strict=False to get the flagged result instead
-    (useful for deliberately degenerate stand-ins such as constant curves).
+    With ``strict`` (default) a non-admissible final exceptional set raises
+    InternalContractError, which indicates the curve was not strictly
+    decreasing; pass strict=False to get the flagged result instead (useful
+    for deliberately degenerate stand-ins such as constant curves).
     """
-    if isinstance(re, BoundCurve):
-        if co is not None:
-            raise ContractViolationError("pass either a curve or a presentation pair")
-        decider = DomainBallDecider(re)
-    else:
-        if co is None:
-            raise ContractViolationError("need both re and co presentations")
-        if re.decider.curve is not co.decider.curve:
-            raise ContractViolationError("re and co must present the same domain")
-        decider = co.decider
+    decider = DomainBallDecider(curve)
     deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
     def column_pieces(i: int, precision: int) -> list[Segment]:
-        fa = decider.curve.eval(Fraction(i, n_grid), precision)
+        fa = curve.eval(Fraction(i, n_grid), precision)
         # rows where f(x0) >= j/N, f(x0) < j/N, f(x0) > j/N, f(x0) <= j/N flip
         starts = (_floor_times(fa.lo, n_grid) + 1, _floor_times(fa.hi, n_grid) + 1,
                   _ceil_times(fa.lo, n_grid), _ceil_times(fa.hi, n_grid))
@@ -729,47 +723,30 @@ def two_sided_approx(
 
     columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
                              "two-sided approximation")
-    u_plus: set[tuple[int, int]] = set()
-    u_minus: set[tuple[int, int]] = set()
-    undecided = []
-    for i, segments in enumerate(columns):
-        for lo, hi, (closed, open_) in segments:
-            cells = [(i, j) for j in range(lo, hi + 1)]
-            if closed is Decision.DISJOINT:
-                u_plus.update(cells)
-            if open_ is Decision.INTERSECTS:
-                u_minus.update(cells)
-            if closed is not Decision.DISJOINT and open_ is not Decision.INTERSECTS:
-                undecided += cells
-    initial_undecided = tuple(undecided)
+    # U- is the open-INTERSECTS rows and U+ the closed-DISJOINT rows; both
+    # verdicts are monotone in j at every rung, so they form a bottom and a top range
+    initial = tuple(
+        (max((hi + 1 for _, hi, (_, open_) in segments if open_ is Decision.INTERSECTS), default=0),
+         min((lo for lo, _, (closed, _) in segments if closed is Decision.DISJOINT), default=n_grid))
+        for segments in columns)
 
-    # amendment pass against the *initial* decided sets; two closed grid
-    # squares meet iff their indices differ by at most one on both axes
-    def touches(cell: tuple[int, int], side: frozenset) -> bool:
-        i, j = cell
-        return any((i + di, j + dj) in side for di in (-1, 0, 1) for dj in (-1, 0, 1))
+    # amendment pass against the *initial* sides; two closed grid squares meet
+    # iff their indices differ by at most one on both axes, so an undecided
+    # row j touches U- iff j < top and touches U+ iff j >= bottom
+    bands = []
+    for i, (a, b) in enumerate(initial):
+        near = initial[max(i - 1, 0):i + 2]
+        top = 1 + max((a_k for a_k, _ in near if a_k > 0), default=-1)
+        bottom = min((b_k - 1 for _, b_k in near if b_k < n_grid), default=n_grid)
+        bands.append((max(a, min(b, top, bottom)), min(b, max(a, top))))
 
-    u_minus_initial = frozenset(u_minus)
-    u_plus_initial = frozenset(u_plus)
-    remaining = []
-    for cell in initial_undecided:
-        if not touches(cell, u_minus_initial):
-            u_plus.add(cell)
-        elif not touches(cell, u_plus_initial):
-            u_minus.add(cell)
-        else:
-            remaining.append(cell)
-
-    exceptional = tuple(sorted(remaining))
-    admissible = _check_admissible(exceptional)
+    admissible = _check_admissible(bands)
     if strict and not admissible:
         raise InternalContractError(
             "exceptional set is not admissible; input was not a strictly "
             "decreasing monotone domain"
         )
-    return AdmissibleSet(n_grid=n_grid, u_plus=frozenset(u_plus), u_minus=frozenset(u_minus),
-                         exceptional=exceptional, initial_undecided=initial_undecided,
-                         admissible=admissible)
+    return AdmissibleSet(n_grid=n_grid, bands=tuple(bands), initial=initial, admissible=admissible)
 
 
 # --- staircase curve estimates ----------------------------------------------
@@ -779,12 +756,13 @@ def two_sided_approx(
 class CurveEstimate:
     """Per-column two-sided staircase estimate of the bounding curve.
 
-    ``upper_values[i]`` is the bottom edge of the lowest square in column i
-    known to lie outside the domain (default 1); ``lower_values[i]`` the top
-    edge of the highest square known to meet its interior (default 0). Both
-    are within 1/N of the true curve at the column's left abscissa, and each
-    exceptional square contributes its lower-left corner as a point
-    estimate sitting exactly on the curve for exact stand-ins.
+    ``upper_values[i]`` is the bottom edge of the lowest square of U+ or X
+    in column i (default 1), ``lower_values[i]`` the top edge of the highest
+    square of U- (default 0); both are a/N for the column's final band
+    (a, b), so the two staircases coincide. They are within 1/N of the true
+    curve at the column's left abscissa, and each exceptional square
+    contributes its lower-left corner as a point estimate sitting exactly on
+    the curve for exact stand-ins.
     """
 
     n_grid: int
@@ -808,16 +786,9 @@ class CurveEstimate:
 
 def curve_estimate(adm: AdmissibleSet) -> CurveEstimate:
     n = adm.n_grid
-    tops: dict[int, int] = {}
-    bots: dict[int, int] = {}
-    for i, j in itertools.chain(adm.u_plus, adm.exceptional):
-        tops[i] = min(j, tops.get(i, j))
-    for i, j in adm.u_minus:
-        bots[i] = max(j, bots.get(i, j))
-    upper = tuple(Fraction(tops[i], n) if i in tops else ONE for i in range(n))
-    lower = tuple(Fraction(bots[i] + 1, n) if i in bots else ZERO for i in range(n))
-    corners = tuple(RatPoint(Fraction(j, n), Fraction(i, n)) for i, j in sorted(adm.exceptional))
-    return CurveEstimate(n_grid=n, upper_values=upper, lower_values=lower, corner_points=corners)
+    values = tuple(Fraction(a, n) for a, _ in adm.bands)
+    corners = tuple(RatPoint(Fraction(j, n), Fraction(i, n)) for i, j in adm.exceptional)
+    return CurveEstimate(n_grid=n, upper_values=values, lower_values=values, corner_points=corners)
 
 
 # --- exact polyline proximity ------------------------------------------------

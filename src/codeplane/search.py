@@ -839,4 +839,6 @@ def multiplicity_in_range(
                 verified.append(CodeParams(q=q, n=n, m=m, d=d))
             elif outcome.status is ExistsStatus.UNKNOWN:
                 unknown.append((n, m, d))
+            else:
+                break  # no m-word code has distance >= d, so no larger code does
     return MultiplicityReport(point=point, verified=tuple(verified), unknown=tuple(unknown))

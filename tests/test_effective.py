@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -18,11 +19,9 @@ from codeplane.bounds import (
 from codeplane.effective import (
     DEFAULT_BASE_PRECISION,
     DEFAULT_PRECISION_CAP,
-    AdmissibleSet,
     Decision,
     DomainBallDecider,
     GraphBallDecider,
-    _check_admissible,
     build_strip,
     canonical_ball,
     classify_points,
@@ -105,12 +104,6 @@ def test_strip_partial_span_polyline():
     assert strip.column_range(3) == (0, 0)
     # single-square end columns are the degenerate-end case, and flagged
     assert strip.end_segments_degenerate == (True, True)
-
-
-def test_build_strip_accepts_co_presentation():
-    strip_direct = build_strip(DIAG, 4)
-    strip_via_pres = build_strip(core_from_curve(DIAG), 4)
-    assert strip_via_pres.ball_set() == strip_direct.ball_set()
 
 
 def test_classify_points_diagonal():
@@ -278,8 +271,6 @@ def test_domain_presentations_sound():
         d_iv, r_iv = ball.delta_interval, ball.r_interval
         x0 = max(d_iv.lo, Fraction(0))
         assert 1 - x0 > max(r_iv.lo, Fraction(0))
-    adm = two_sided_approx(re_pres, co_pres, n_grid=4)
-    assert adm.exceptional == ((1, 3), (2, 2), (3, 1))
 
 
 # SHA-256 of each presentation's emissions over 5, 20 and 15 more stages,
@@ -360,8 +351,7 @@ def test_build_strip_timeout():
     class SlowCurve:
         name = "slow"
         continuous = True
-        exact = False
-        support = (Fraction(0), Fraction(1))
+        span = (Fraction(0), Fraction(1))
 
         def eval(self, delta, precision):
             time.sleep(0.002)
@@ -382,6 +372,7 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
         """The diagonal, whose evaluations right of 1/2 take a second each."""
         name = "late"
         continuous = True
+        span = (Fraction(0), Fraction(1))
 
         def eval(self, delta, precision):
             if delta > Fraction(1, 2):
@@ -476,9 +467,11 @@ def test_assemble_strip_joins_adjacent_row_ranges_and_rejects_gaps():
 # A word-for-word copy of the sweep, its two verdict lambdas, the strip
 # assembly and the curve estimate as they decided every row with Fraction
 # compares, and of the strip and estimate outputs as they were read from
-# stored staircases, per-square GridBalls and a scan over the columns. The
-# threshold sweep and the outputs derived from column ranges must reproduce
-# them byte for byte.
+# stored staircases, per-square GridBalls and a scan over the columns; and
+# of the two-sided approximation as it kept U+, U- and X as square sets,
+# amended them by neighbour lookups and read the estimate from them. The
+# threshold sweep and the outputs derived from column ranges and bands
+# must reproduce them byte for byte.
 
 def _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap):
     cells = {}
@@ -647,6 +640,38 @@ def _reference_strip(curve, n_grid, base_precision, precision_cap):
     return cells, _outcome(lambda: _reference_assemble_strip(n_grid, members, capped))
 
 
+@dataclass(frozen=True)
+class _ReferenceAdmissibleSet:
+    n_grid: int
+    u_plus: frozenset
+    u_minus: frozenset
+    exceptional: tuple
+    initial_undecided: tuple
+    admissible: bool
+
+    def to_json(self):
+        return {
+            "n_grid": self.n_grid,
+            "u_plus": sorted(list(p) for p in self.u_plus),
+            "u_minus": sorted(list(p) for p in self.u_minus),
+            "exceptional": [list(p) for p in self.exceptional],
+            "initial_undecided": [list(p) for p in self.initial_undecided],
+            "admissible": self.admissible,
+        }
+
+
+def _reference_check_admissible(cells):
+    rows = [j for _, j in cells]
+    cols = [i for i, _ in cells]
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        return False
+    ordered = sorted(cells)
+    for (i1, j1), (i2, j2) in zip(ordered, ordered[1:]):
+        if i2 > i1 and j2 >= j1:
+            return False
+    return True
+
+
 def _reference_approx(curve, n_grid, base_precision, precision_cap):
     decider = DomainBallDecider(curve)
 
@@ -675,24 +700,23 @@ def _reference_approx(curve, n_grid, base_precision, precision_cap):
         else:
             remaining.append(cell)
     exceptional = tuple(sorted(remaining))
-    return cells, AdmissibleSet(n_grid=n_grid, u_plus=frozenset(u_plus), u_minus=frozenset(u_minus),
-                                exceptional=exceptional, initial_undecided=initial_undecided,
-                                admissible=_check_admissible(exceptional))
+    return cells, _ReferenceAdmissibleSet(
+        n_grid=n_grid, u_plus=frozenset(u_plus), u_minus=frozenset(u_minus), exceptional=exceptional,
+        initial_undecided=initial_undecided, admissible=_reference_check_admissible(exceptional))
 
 
 def _reference_curve_estimate(adm):
     n = adm.n_grid
-    upper = []
-    lower = []
-    exceptional = set(adm.exceptional)
-    for i in range(n):
-        tops = [j for (ci, j) in adm.u_plus if ci == i]
-        tops += [j for (ci, j) in exceptional if ci == i]
-        upper.append(Fraction(min(tops), n) if tops else Fraction(1))
-        bots = [j for (ci, j) in adm.u_minus if ci == i]
-        lower.append(Fraction(max(bots) + 1, n) if bots else Fraction(0))
-    corners = tuple(GridBall(n, i, j).lower_left for i, j in sorted(exceptional))
-    return tuple(upper), tuple(lower), corners
+    tops = {}
+    bots = {}
+    for i, j in itertools.chain(adm.u_plus, adm.exceptional):
+        tops[i] = min(j, tops.get(i, j))
+    for i, j in adm.u_minus:
+        bots[i] = max(j, bots.get(i, j))
+    upper = tuple(Fraction(tops[i], n) if i in tops else Fraction(1) for i in range(n))
+    lower = tuple(Fraction(bots[i] + 1, n) if i in bots else Fraction(0) for i in range(n))
+    corners = tuple(RatPoint(Fraction(j, n), Fraction(i, n)) for i, j in sorted(adm.exceptional))
+    return upper, lower, corners
 
 
 _CLASSIFIED = set()
@@ -748,7 +772,7 @@ def _blurred(polyline):
             return RatInterval(value - w, value + 2 * w)
         return RatInterval(value - 3 * w, value + w)
 
-    return BoundCurve("blurred " + polyline.name, evaluate, support=(Fraction(0), Fraction(1)))
+    return BoundCurve("blurred " + polyline.name, evaluate)
 
 
 _F = Fraction
@@ -819,7 +843,8 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
                                strict=False)
         assert swept.pop() == want_cells, n_grid
         assert got.to_json() == want.to_json(), n_grid
-        assert got.initial_undecided == want.initial_undecided, n_grid
+        assert (got.u_plus, got.u_minus, got.exceptional, got.initial_undecided, got.admissible) == \
+            (want.u_plus, want.u_minus, want.exceptional, want.initial_undecided, want.admissible), n_grid
         estimate = curve_estimate(got)
         want_upper, want_lower, want_corners = _reference_curve_estimate(want)
         assert (estimate.upper_values, estimate.lower_values, estimate.corner_points) == \

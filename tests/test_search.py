@@ -266,6 +266,16 @@ def test_multiplicity_decides_distance_one_without_the_oracle(monkeypatch):
         multiplicity_in_range(RatPoint.of(Fraction(21, 25), Fraction(1, 25)), 2, 25)
 
 
+def test_multiplicity_stops_at_the_first_impossible_size():
+    # m = 243 stays UNKNOWN at this budget and m = 244 is IMPOSSIBLE, which
+    # settles m = 245..728 too; searching each of them took about 17 s
+    start = time.perf_counter()
+    report = multiplicity_in_range(RatPoint.of(Fraction(5, 6), Fraction(1, 3)), 3, 6,
+                                   SearchBudget(max_nodes=200))
+    assert time.perf_counter() - start < 1.0
+    assert report.verified == () and report.unknown == ((6, 243, 2),)
+
+
 def test_budget_dataclass_validation():
     with pytest.raises(ContractViolationError):
         SearchBudget(max_nodes=0)
