@@ -28,6 +28,7 @@ algorithms need.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .enclosure import log_enclosure, pow2
@@ -50,22 +51,26 @@ def entropy(q: int, delta: Fraction, precision: int) -> RatInterval:
     if delta == 0:
         return RatInterval.point(ZERO)  # x log x -> 0 convention
     if delta == 1:
-        if q == 2:
-            return RatInterval.point(ZERO)
-        return log_enclosure(Fraction(q - 1), q, precision)
+        return _alpha(q, precision)  # exactly 0 for q = 2
     if delta == Fraction(q - 1, q):
         return RatInterval.point(ONE)
 
     target = pow2(-precision)
     bits = precision + 3
     while True:
-        alpha = log_enclosure(Fraction(q - 1), q, bits) if q > 2 else RatInterval.point(ZERO)
+        alpha = _alpha(q, bits)
         log_d = log_enclosure(delta, q, bits)
         log_1d = log_enclosure(1 - delta, q, bits)
         value = alpha.scale(delta) + (-log_d.scale(delta)) + (-log_1d.scale(1 - delta))
         if value.width <= target:
             return value
         bits += max(8, bits // 2)
+
+
+@lru_cache(maxsize=256)
+def _alpha(q: int, bits: int) -> RatInterval:
+    """``log_enclosure(Fraction(q - 1), q, bits)``, computed once per pair."""
+    return log_enclosure(Fraction(q - 1), q, bits)
 
 
 def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:

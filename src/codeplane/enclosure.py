@@ -24,6 +24,7 @@ arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ContractViolationError, InternalContractError
 from .geometry import RatInterval
@@ -73,7 +74,7 @@ def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
             hi = _atanh_scaled(c + 1 - (1 << w), c + 1 + (1 << w), w)[1]
         else:
             lo, hi = _atanh_scaled(num - den, num + den, w)
-        ln2_lo, ln2_hi = _atanh_scaled(1, 3, w)
+        ln2_lo, ln2_hi = _ln2_scaled(w)
         d = (lo << digits) // ln2_hi
         # y < 2, so D < 2**J even where the bracket reaches log2 2 = 1
         if d == min((hi << digits) // ln2_lo, (1 << digits) - 1):
@@ -105,6 +106,18 @@ def _atanh_scaled(a: int, b: int, w: int):
     return total, total + 3 * (k // 2) + 3
 
 
+@lru_cache(maxsize=256)
+def _ln2_scaled(w: int) -> tuple[int, int]:
+    """``_atanh_scaled(1, 3, w)``, the ln 2 series, summed once per width."""
+    return _atanh_scaled(1, 3, w)
+
+
+@lru_cache(maxsize=256)
+def _log2_int(base: int, bits: int) -> RatInterval:
+    """``log2_enclosure(Fraction(base), bits)``, computed once per pair."""
+    return log2_enclosure(Fraction(base), bits)
+
+
 def log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:
     """Enclosure of log_base(x) with width <= 2**-precision, base >= 2.
 
@@ -121,7 +134,7 @@ def log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:
     bits = precision + 4
     for _ in range(64):
         num = log2_enclosure(x, bits)
-        den = log2_enclosure(Fraction(base), bits)
+        den = _log2_int(base, bits)
         result = num.div_positive(den)
         if result.width <= target:
             return result

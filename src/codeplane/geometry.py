@@ -95,16 +95,12 @@ class RatInterval:
         return RatInterval(self.hi * c, self.lo * c)
 
     def div_positive(self, other: "RatInterval") -> "RatInterval":
-        """Divide by an interval that is strictly positive. Exact."""
+        """Divide by an interval that is strictly positive. Exact: each dividend end's sign picks its divisor end."""
         if other.lo <= 0:
             raise ContractViolationError("divisor interval must be strictly positive")
-        candidates = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return RatInterval(min(candidates), max(candidates))
+        lo = self.lo / (other.hi if self.lo >= 0 else other.lo)
+        hi = self.hi / (other.lo if self.hi >= 0 else other.hi)
+        return RatInterval(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -807,7 +807,9 @@ def multiplicity_in_range(
 ) -> MultiplicityReport:
     """Count distinct verified-realizable triples with n <= n_max mapping to
     ``point`` under the floor-rate/distance map; the finite shadow of the
-    point's multiplicity."""
+    point's multiplicity. One meter charges every search, so ``budget``
+    caps the whole query; once it runs out, the triples left are unknown."""
+    meter = _Meter(budget)
     verified: list[CodeParams] = []
     unknown: list[tuple[int, int, int]] = []
     for n in range(1, n_max + 1):
@@ -834,7 +836,10 @@ def multiplicity_in_range(
                     raise ContractViolationError(f"distance-1 witness of {m} words exceeds {_SPACE_CAP}")
                 verified.append(CodeParams(q=q, n=n, m=m, d=d))
                 continue
-            outcome = exists_code(q, n, m, d, budget)
+            if meter.exhausted():
+                unknown.append((n, m, d))  # the query's budget is spent
+                continue
+            outcome = exists_code(q, n, m, d, budget, meter=meter)
             if outcome.found:
                 verified.append(CodeParams(q=q, n=n, m=m, d=d))
             elif outcome.status is ExistsStatus.UNKNOWN:

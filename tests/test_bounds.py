@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codeplane import bounds
 from codeplane.bounds import (
     PolylineCurve,
     bracket_curves,
@@ -19,8 +20,9 @@ from codeplane.bounds import (
     vg_bound_curve,
     vg_curve,
 )
+from codeplane.enclosure import log_enclosure
 from codeplane.errors import ContractViolationError
-from codeplane.geometry import RatPoint
+from codeplane.geometry import RatInterval, RatPoint
 
 
 def _entropy_oracle(q, x):
@@ -37,9 +39,19 @@ def test_entropy_exact_points():
     assert entropy(2, Fraction(0), 20).lo == 0
     assert entropy(2, Fraction(1, 2), 20).is_point
     assert entropy(2, Fraction(1, 2), 20).lo == 1
+    assert entropy(2, Fraction(1), 20) == RatInterval.point(0)
     for q in (2, 3, 4, 5):
         at_edge = entropy(q, Fraction(q - 1, q), 20)
         assert at_edge.is_point and at_edge.lo == 1
+
+
+@pytest.mark.parametrize("q", range(3, 17))
+def test_alpha_cache_equals_a_fresh_enclosure(q):
+    for bits in (1, 67, 135, 519):
+        assert bounds._alpha(q, bits) == log_enclosure(Fraction(q - 1), q, bits)
+    assert entropy(q, Fraction(1), 67) == log_enclosure(Fraction(q - 1), q, 67)
+    maxsize = bounds._alpha.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_entropy_derived_value():

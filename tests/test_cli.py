@@ -264,6 +264,8 @@ def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, caps
 # SHA-256 of bounds.csv as written by the repeated-squaring enclosure; any
 # rewrite of the logarithm enclosures has to reproduce these bytes
 BOUNDS_CSV_SHA256 = {
+    (2, 64): "dcabf42cba93031b2a35fe7bf1276bb940347ddbe8f63d26c2bb457208f149d4",
+    (2, 512): "1420e9778519ee2c560e5f8c411e26a15a1ad1b0db594e4df5f91cfa1662f2d9",
     (3, 64): "b756d01b27fd5a9c414f62a039bd053bbfe594efdef5d06d8176a89f12c42bbd",
     (3, 512): "d0f2bfafce7dc731aac6870ea4ecc8bb871c654ab3382c97879dececec5b86bc",
     (5, 64): "f7415c82a47617583867f01cd1c6921d0c0d605f4c483b9ecaf8e4c4af8675dc",

@@ -198,4 +198,31 @@ def test_log_enclosure_matches_reference(base, monkeypatch):
              for precision in (1, 30, 64, 136, 520)]
     got = [log_enclosure(x, base, precision) for x, precision in cases]
     monkeypatch.setattr(enclosure, "log2_enclosure", _reference_log2)
-    assert got == [log_enclosure(x, base, precision) for x, precision in cases]
+    enclosure._log2_int.cache_clear()  # so the cached log2(base) comes from the reference too
+    try:
+        assert got == [log_enclosure(x, base, precision) for x, precision in cases]
+    finally:
+        enclosure._log2_int.cache_clear()
+
+
+# --- cached constants: each equals a fresh computation ---------------------
+
+@given(st.integers(min_value=20, max_value=4096))
+@example(20)
+@example(4096)
+@settings(max_examples=60, deadline=None)
+def test_ln2_cache_equals_the_series(w):
+    assert enclosure._ln2_scaled(w) == enclosure._atanh_scaled(1, 3, w)
+
+
+@pytest.mark.parametrize("bits", [1, 67, 519])
+def test_log2_int_cache_equals_a_fresh_enclosure(bits):
+    for base in range(2, 257):  # powers of two included, where the enclosure is a point
+        assert enclosure._log2_int(base, bits) == log2_enclosure(Fraction(base), bits)
+    assert enclosure._log2_int(256, bits) == RatInterval.point(8)
+
+
+def test_constant_caches_are_bounded():
+    for cached in (enclosure._ln2_scaled, enclosure._log2_int):
+        maxsize = cached.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

@@ -107,6 +107,38 @@ def test_interval_contracts():
     assert quot == RatInterval(Fraction(-2), Fraction(2))
 
 
+def _reference_div_positive(a: RatInterval, b: RatInterval) -> RatInterval:
+    """div_positive as it formed all four quotients and took their min and max."""
+    if b.lo <= 0:
+        raise ContractViolationError("divisor interval must be strictly positive")
+    candidates = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return RatInterval(min(candidates), max(candidates))
+
+
+def _intervals(ends):
+    """Intervals with ends drawn from ``ends``, point intervals included."""
+    return st.one_of(
+        st.builds(RatInterval.point, ends),
+        st.lists(ends, min_size=2, max_size=2).map(sorted).map(lambda e: RatInterval(*e)),
+    )
+
+
+_dividends = _intervals(st.one_of(st.just(Fraction(0)), fractions))
+_positive = st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=64)
+
+
+@given(_dividends, _intervals(_positive))
+def test_div_positive_matches_the_four_quotient_form(a, b):
+    assert a.div_positive(b) == _reference_div_positive(a, b)
+
+
+@given(_dividends, st.fractions(min_value=-2, max_value=0, max_denominator=64),
+       st.fractions(min_value=0, max_value=2, max_denominator=64))
+def test_div_positive_refuses_a_divisor_reaching_zero(a, lo, width):
+    with pytest.raises(ContractViolationError):
+        a.div_positive(RatInterval(lo, lo + width))
+
+
 def test_grid_ball_requires_positive_resolution():
     with pytest.raises(ContractViolationError):
         GridBall(0, 0, 0)

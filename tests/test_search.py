@@ -211,7 +211,9 @@ def test_multiplicity_examples():
 
 
 def _reference_multiplicity_in_range(point, q, n_max, budget):
-    """multiplicity_in_range as it decided every triple, d = 1 included, with exists_code."""
+    """multiplicity_in_range as it decided every triple, d = 1 included, with
+    exists_code, on one meter for the whole query."""
+    meter = search._Meter(budget)
     verified = []
     unknown = []
     for n in range(1, n_max + 1):
@@ -232,11 +234,13 @@ def _reference_multiplicity_in_range(point, q, n_max, budget):
         for m in range(m_lo, m_hi + 1):
             if m == 1:
                 continue
-            outcome = exists_code(q, n, m, d, budget)
+            outcome = exists_code(q, n, m, d, budget, meter=meter)
             if outcome.found:
                 verified.append(CodeParams(q=q, n=n, m=m, d=d))
             elif outcome.status is ExistsStatus.UNKNOWN:
                 unknown.append((n, m, d))
+            else:
+                break
     return MultiplicityReport(point=point, verified=tuple(verified), unknown=tuple(unknown))
 
 
@@ -266,14 +270,41 @@ def test_multiplicity_decides_distance_one_without_the_oracle(monkeypatch):
         multiplicity_in_range(RatPoint.of(Fraction(21, 25), Fraction(1, 25)), 2, 25)
 
 
+@pytest.mark.parametrize("max_nodes", [200, 1000])
+def test_multiplicity_budget_caps_the_whole_query(monkeypatch, max_nodes):
+    # the 16 searches at (2/3, 1/3) take 360 nodes together and at most 30 each
+    outcomes = []
+    exists = search.exists_code
+
+    def recorded(*args, **kwargs):
+        outcomes.append(exists(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(search, "exists_code", recorded)
+    report = multiplicity_in_range(RatPoint.of(Fraction(2, 3), Fraction(1, 3)), 2, 6,
+                                   SearchBudget(max_nodes=max_nodes))
+    # the search that ran the meter out is charged the node it was refused
+    refused = sum(outcome.reason == "budget" for outcome in outcomes)
+    assert refused <= 1
+    assert sum(outcome.nodes for outcome in outcomes) - refused <= max_nodes
+    assert bool(report.unknown) == (max_nodes < 360)
+    assert report.count == (14 if max_nodes < 360 else 20)
+
+
 def test_multiplicity_stops_at_the_first_impossible_size():
-    # m = 243 stays UNKNOWN at this budget and m = 244 is IMPOSSIBLE, which
+    # m = 243 takes 1,170 nodes and m = 244 is IMPOSSIBLE after 121, which
     # settles m = 245..728 too; searching each of them took about 17 s
+    point = RatPoint.of(Fraction(5, 6), Fraction(1, 3))
     start = time.perf_counter()
-    report = multiplicity_in_range(RatPoint.of(Fraction(5, 6), Fraction(1, 3)), 3, 6,
-                                   SearchBudget(max_nodes=200))
+    report = multiplicity_in_range(point, 3, 6, SearchBudget(max_nodes=2000))
     assert time.perf_counter() - start < 1.0
-    assert report.verified == () and report.unknown == ((6, 243, 2),)
+    assert report.verified == (CodeParams(q=3, n=6, m=243, d=2),) and report.unknown == ()
+    # at 200 nodes m = 243 spends the query's budget, and the sizes after it
+    # are unknown without a search each
+    start = time.perf_counter()
+    report = multiplicity_in_range(point, 3, 6, SearchBudget(max_nodes=200))
+    assert time.perf_counter() - start < 1.0
+    assert report.verified == () and report.unknown == tuple((6, m, 2) for m in range(243, 729))
 
 
 def test_budget_dataclass_validation():
