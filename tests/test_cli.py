@@ -91,6 +91,12 @@ def test_oracle_deep_search_and_huge_length(tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
+def test_oracle_proves_a_hard_triple_within_a_small_budget(tmp_path):
+    # A(9, 5) = 6; the plain walk ran out of this budget at m = 7
+    assert run(tmp_path, "oracle", "--n", "9", "--m", "7", "--d", "5", "--max-nodes", "10000") == EXIT_OK
+    assert json.loads((tmp_path / "oracle.json").read_text())["status"] == "impossible"
+
+
 def test_sample_refuses_an_unbounded_cardinality(tmp_path):
     # 2^40 - 1 words would be materialized per trial; refused before any draw
     start = time.perf_counter()

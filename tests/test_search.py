@@ -369,6 +369,48 @@ def _reference_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
     return [0] + found
 
 
+def _reference_bitset_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
+    """The bitset walk before orbit pruning, kept as the reference."""
+    values, words = search._candidates(q, n, d)
+    k = len(values)
+    adj = None
+    if k <= search._ADJ_CAP:
+        adj = [
+            row
+            for lo in range(0, k, search._ROW_BLOCK)
+            for row in search._adjacency_rows(values, words, d, lo, min(k, lo + search._ROW_BLOCK))
+        ]
+    target = m - 1
+    chosen: list[int] = []
+    pools = [(1 << k) - 1]
+    tops = [0]
+    while len(chosen) < target:
+        pool = pools[-1]
+        if pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            bound = (tops[-1] >> v).bit_count() if tops[-1] else pool.bit_count()
+            if len(chosen) + bound >= target:
+                if not meter.spend():
+                    return None
+                pool ^= low
+                pools[-1] = pool
+                row = adj[v] if adj is not None else search._adjacency_rows(values, words, d, v, v + 1)[0]
+                chosen.append(v)
+                pools.append(pool & row)
+                tops.append(0)
+                continue
+        pools.pop()
+        tops.pop()
+        if not chosen:
+            return None
+        chosen.pop()
+        pool = pools[-1]
+        if adj is not None and not tops[-1] and len(chosen) + pool.bit_count() >= target:
+            tops[-1] = search._colour_tops(pool, adj)
+    return [0] + [int(values[v]) for v in chosen]
+
+
 def _reference_best_linear(q, n, k, budget) -> OracleOutcome:
     """The per-tail Gray walk (binary) and odometer (q > 2), for k < n."""
     if q == 2:
@@ -452,9 +494,9 @@ def _reference_min_weight_rows(field, rows, n, k, stop_at=0) -> int:
     return best
 
 
-def _small_triples(m_max):
+def _small_triples(m_max, alphabets=range(2, 17)):
     """Every (q, n, m, d) with q^n <= 2^8, 2 <= m <= m_max and d >= 2."""
-    for q in range(2, 17):
+    for q in alphabets:
         n = 2
         while q ** n <= 256:
             for d in range(2, n + 1):
@@ -479,6 +521,106 @@ def test_clique_search_matches_recursive_reference(monkeypatch):
             assert write_code_text(new.witness) == write_code_text(ref.witness), (q, n, m, d)
         assert new.nodes <= ref.nodes, (q, n, m, d)
     assert decided > 500
+
+
+def test_clique_search_matches_bitset_reference(monkeypatch):
+    # orbit pruning skips only subtrees without the first clique, so every
+    # verdict and witness is the plain walk's, at no more nodes
+    budget = SearchBudget(max_nodes=20_000)
+    decided = 0
+    for q, n, m, d in _small_triples(m_max=24, alphabets=(2, 3, 4)):
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_clique_search", _reference_bitset_clique_search)
+            ref = exists_code(q, n, m, d, budget)
+        new = exists_code(q, n, m, d, budget)
+        assert new.nodes <= ref.nodes, (q, n, m, d)
+        if ExistsStatus.UNKNOWN in (ref.status, new.status):
+            continue
+        decided += 1
+        assert new.status is ref.status, (q, n, m, d)
+        if ref.found:
+            assert write_code_text(new.witness) == write_code_text(ref.witness), (q, n, m, d)
+    assert decided >= 895
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 7, 2), (2, 8, 3), (3, 5, 2), (3, 5, 4), (4, 4, 2), (5, 3, 2)])
+def test_image_table_rows_are_involutive_isometries(q, n, d):
+    values, words = search._candidates(q, n, d)
+    rows = words if words is not None else search._word_rows(values, q, n)
+    images = search._image_table(q, n, values, words)
+    k = len(values)
+    # the coordinate transpositions, then the nonzero symbol swaps per coordinate
+    assert images.shape == (math.comb(n, 2) + n * math.comb(q - 1, 2), k)
+    everyone = np.arange(k)
+    weight = np.count_nonzero(rows, axis=1)
+    rng = random.Random(q * 100 + n)
+    pairs = np.array([rng.sample(range(k), 2) for _ in range(200)])
+    dist = np.count_nonzero(rows[pairs[:, 0]] != rows[pairs[:, 1]], axis=1)
+    for image in images.astype(np.int64):
+        assert np.array_equal(np.sort(image), everyone)
+        assert np.array_equal(image[image], everyone)
+        assert np.array_equal(weight[image], weight)
+        moved = rows[image]
+        assert np.array_equal(np.count_nonzero(moved[pairs[:, 0]] != moved[pairs[:, 1]], axis=1), dist)
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 6, 2), (2, 7, 3), (3, 4, 2), (3, 5, 3), (4, 3, 2), (5, 3, 2)])
+def test_orbit_mask_prunes_only_non_leaders(q, n, d):
+    # u is pruned only if some generator maps P + [u] to a lexicographically
+    # smaller sorted set, which every completion then inherits
+    values, words = search._candidates(q, n, d)
+    images = search._image_table(q, n, values, words).astype(np.int64)
+    k = len(values)
+    rng = random.Random(q * 100 + n * 10 + d)
+    pruned = 0
+    for size in range(search._ORBIT_DEPTH):
+        for _ in range(25):
+            prefix = sorted(rng.sample(range(k - 1), size))
+            mask = search._orbit_mask(images, prefix)
+            smaller = {
+                u for u in range(prefix[-1] + 1 if prefix else 0, k)
+                if any(sorted(image[prefix + [u]]) < prefix + [u] for image in images)
+            }
+            bits = {u for u in range(k) if mask >> u & 1}
+            assert bits <= smaller, (prefix, sorted(bits - smaller))
+            pruned += len(bits)
+    assert pruned > 0
+
+
+def test_hard_triples_decide_within_a_small_budget():
+    budget = SearchBudget(max_nodes=10_000)
+    for n, d in ((9, 5), (10, 6)):
+        out = exists_code(2, n, 7, d, budget)
+        assert out.status is ExistsStatus.IMPOSSIBLE and out.nodes <= 100, (n, d)
+    # m = A(n, d) = 6: the plain walk's witnesses
+    assert write_code_text(exists_code(2, 9, 6, 5, budget).witness) == (
+        "2 9 6\n000000000\n000011111\n011100011\n101101100\n110110101\n111011010\n")
+    assert write_code_text(exists_code(2, 10, 6, 6, budget).witness) == (
+        "2 10 6\n0000000000\n0000111111\n0111000111\n1011011001\n1101101010\n1110110100\n")
+
+
+def _no_image_table(*args):
+    raise AssertionError("image table built")
+
+
+def test_descent_without_backtrack_builds_no_image_table(monkeypatch):
+    monkeypatch.setattr(search, "_image_table", _no_image_table)
+    out = exists_code(2, 11, 1024, 2)
+    assert out.found and out.nodes == 1023
+
+
+@pytest.mark.parametrize("cap", ["_ADJ_CAP", "_IMAGE_CAP"])
+def test_no_image_table_above_its_caps(monkeypatch, cap):
+    # without the table the walk is the plain one, node for node
+    monkeypatch.setattr(search, cap, 8)
+    monkeypatch.setattr(search, "_image_table", _no_image_table)
+    budget = SearchBudget(max_nodes=2_000)
+    for q, n, m, d in ((2, 9, 7, 5), (3, 6, 5, 5), (2, 6, 9, 3)):
+        new = exists_code(q, n, m, d, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_clique_search", _reference_bitset_clique_search)
+            ref = exists_code(q, n, m, d, budget)
+        assert (new.status, new.nodes) == (ref.status, ref.nodes), (q, n, m, d)
 
 
 def _linear_cases():
