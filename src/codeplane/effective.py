@@ -116,9 +116,6 @@ class GraphBallDecider:
             return Decision.DISJOINT
         return Decision.UNKNOWN
 
-    def decide_ball(self, ball: GridBall, precision: int) -> Decision:
-        return self.decide(ball.delta_lo, ball.delta_hi, ball.r_lo, ball.r_hi, precision)
-
 
 class DomainBallDecider:
     """Decides grid squares against the monotone domain U = {R <= f(delta)}.

@@ -201,11 +201,6 @@ class GridBall:
     def r_hi(self) -> Fraction:
         return Fraction(self.j + 1, self.n_grid)
 
-    @property
-    def lower_left(self) -> RatPoint:
-        """Corner with smallest delta and smallest R."""
-        return RatPoint(self.r_lo, self.delta_lo)
-
     def to_ball(self, kind: BallKind = BallKind.CLOSED) -> RatBall:
         half = Fraction(1, 2 * self.n_grid)
         center = RatPoint(self.r_lo + half, self.delta_lo + half)

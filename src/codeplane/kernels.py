@@ -3,15 +3,17 @@
 Words are stored one symbol per byte; a word set is the concatenation of m
 length-n words into one read-only buffer. All functions are pure.
 
-``min_pairwise`` repacks a large buffer into bit fields: each symbol gets a
-1, 2, 4 or 8-bit field (the width of the largest symbol present), rows are
-XORed as uint64 words, every nonzero field is OR-folded down to its low bit
-and the surviving bits are counted with ``np.bitwise_count``.
-``greedy_sieve`` runs a greedy scan on the same packed rows, a block of
-scanned words at a time. ``hamming`` compares two words symbol by symbol.
-``all_at_least`` (one candidate against a word set) has no library caller
-since the greedy scan moved to ``greedy_sieve``; it stays as an entry point
-that the benchmark's tracer binds.
+``pack_rows`` repacks word rows into bit fields: each symbol gets a 1, 2,
+4 or 8-bit field (the width of the largest symbol), a row one uint64 or
+several. Rows are XORed as uint64 words, every nonzero field is OR-folded
+down to its low bit and the surviving bits are counted with
+``np.bitwise_count``; binary word values already are width-1 rows.
+``min_pairwise`` and ``greedy_sieve`` (a greedy scan, a block of scanned
+words at a time) work on packed rows, and ``far_bitsets`` gives the clique
+search's distance->=d graph as one bitset per row. ``hamming`` compares two
+words symbol by symbol. ``all_at_least`` (one candidate against a word set,
+one numpy lane) has no library caller; it stays as an entry point that the
+benchmark's tracer binds.
 """
 
 from __future__ import annotations
@@ -48,13 +50,14 @@ def hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
-def _field_width(top):
-    """Bits per symbol field for symbols up to ``top``."""
-    return 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
+def pack_rows(arr, top):
+    """Rows of the uint8 matrix ``arr``, whose symbols are at most ``top``, as
+    rows of bit fields, with the field width.
 
-
-def _pack_rows(arr, width):
-    """Rows of ``arr`` as uint64 rows of ``width``-bit fields."""
+    A row that fits one uint64 is that uint64 (a 1-D result, counted with no
+    row sum); a longer row is a row of uint64 words.
+    """
+    width = 1 if top < 2 else 2 if top < 4 else 4 if top < 16 else 8
     per_byte = 8 // width
     m, n = arr.shape
     per_word = 64 // width
@@ -62,7 +65,8 @@ def _pack_rows(arr, width):
     padded[:, :n] = arr
     # fields of a byte hold disjoint bits, so their weighted sum is their OR
     weights = np.array([1 << s for s in range(0, 8, width)], dtype=np.uint8)
-    return (padded.reshape(m, -1, per_byte) @ weights).view(np.uint64)
+    rows = (padded.reshape(m, -1, per_byte) @ weights).view(np.uint64)
+    return (rows[:, 0] if rows.shape[1] == 1 else rows), width
 
 
 def _distances(x, y, width):
@@ -104,10 +108,7 @@ def min_pairwise(buf, m, n):
                     best, bi, bj = d, i, j
         return best, bi, bj
     arr = _as_matrix(buf, m, n)
-    width = _field_width(int(arr.max()))
-    rows = _pack_rows(arr, width)
-    if rows.shape[1] == 1:
-        rows = rows[:, 0]  # one uint64 per row: count it directly, no row sum
+    rows, width = pack_rows(arr, int(arr.max()))
     best, bi, bj = n + 1, -1, -1
     i0 = 0
     while i0 < m - 1:
@@ -136,13 +137,12 @@ def greedy_sieve(chunks, q, d, limit=None):
     survivors are settled among themselves from their closeness matrix, one
     step per kept row.
     """
-    width = _field_width(q - 1)
     kept_rows, kept = [], None
     count = 0
     blocks = (chunk[lo:lo + _SIEVE_ROWS] for chunk in chunks
               for lo in range(0, len(chunk), _SIEVE_ROWS))
     for rows in blocks:
-        packed = _pack_rows(rows, width)
+        packed, width = pack_rows(rows, q - 1)
         if kept is not None:
             far = np.concatenate([(dists >= d).all(axis=1)
                                   for dists in _blocks(packed, kept, width)])
@@ -170,18 +170,19 @@ def greedy_sieve(chunks, q, d, limit=None):
     return np.concatenate(kept_rows)
 
 
+def far_bitsets(x, y, width, d):
+    """For each packed row x[i], the bitset (a Python int) of the packed rows
+    y[j] at distance >= d from it: bit j is set iff y[j] is."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for dists in _blocks(x, y, width)
+            for row in np.packbits(dists >= d, axis=1, bitorder="little")]
+
+
 def all_at_least(buf, m, n, cand, d):
     """True iff cand is at distance >= d from every packed word.
 
     No library code calls this; the benchmark's tracer binds it.
     """
-    if d <= 0:
-        return True
-    if m <= _SMALL:
-        for k in range(m):
-            if sum(x != y for x, y in zip(buf[k * n:(k + 1) * n], cand)) < d:
-                return False
-        return True
     arr = _as_matrix(buf, m, n)
     cand_arr = np.frombuffer(cand, dtype=np.uint8)
     return bool(((arr != cand_arr).sum(axis=1) >= d).all())

@@ -15,19 +15,21 @@ than an error.
 
 The branch-and-bound is one explicit-stack depth-first walk over bitsets
 (Python ints, bit i standing for the i-th candidate word in lexicographic
-order): the graph is one adjacency row per candidate, and a stack frame
-holds only ints, its untried pool and, once needed, the tops of its colour
-classes. A frame branches on its pool in ascending order and gives up when
-the words chosen so far plus an upper bound on the clique left in the pool
-fall short of m. The bound is the pool's popcount until the frame's first
-child has failed; from then on it is the number of classes of a greedy
-colouring of the untried pool whose top vertex is at or above the next
-candidate: each class is an independent set, so a clique takes at most
-one word from it (Östergård 2002; San Segundo et al. 2011). Colouring only
-after a failure keeps descents that never backtrack free of its cost.
-Both bounds are sound and the branching order is the lexicographic one,
-so the first clique found, hence every witness, is that of a plain
-lexicographic search, and the walk visits only nodes that search visits.
+order): the graph is one adjacency row per candidate, which
+``kernels.far_bitsets`` computes from the candidates' packed rows, and a
+stack frame holds only ints, its untried pool and, once needed, the tops
+of its colour classes. A frame branches on its pool in ascending order and
+gives up when the words chosen so far plus an upper bound on the clique
+left in the pool fall short of m. The bound is the pool's popcount until
+the frame's first child has failed; from then on it is the number of
+classes of a greedy colouring of the untried pool whose top vertex is at
+or above the next candidate: each class is an independent set, so a clique
+takes at most one word from it (Östergård 2002; San Segundo et al. 2011).
+Colouring only after a failure keeps descents that never backtrack free of
+its cost. Both bounds are sound and the branching order is the
+lexicographic one, so the first clique found, hence every witness, is that
+of a plain lexicographic search, and the walk visits only nodes that
+search visits.
 
 The orbit pruning uses generators g of the isometries fixing the zero
 word: the coordinate transpositions and, for q > 2, the transpositions of
@@ -97,7 +99,7 @@ from .errors import ContractViolationError
 from .fields import GF
 from .geometry import RatPoint
 from .kernels import all_at_least  # unused here; perfbench/tracing.py binds this name
-from .kernels import greedy_sieve, min_pairwise
+from .kernels import far_bitsets, greedy_sieve, min_pairwise, pack_rows
 from .linear import GeneratorMatrix, LinearCode, seed_family, to_code
 
 #: documented default RNG seed for every stochastic procedure
@@ -185,9 +187,6 @@ _SPACE_CAP = 1 << 20
 # bitsets) and the colouring bound is used; above it, rows are built per node
 _ADJ_CAP = 1 << 13
 
-# adjacency rows computed per numpy pass
-_ROW_BLOCK = 32
-
 # frames with fewer chosen words than this compute and apply an orbit prune
 # mask, deeper ones skip it: with no cap, (2, 8, 20, 3) took about 45 us per
 # node over 10^5 nodes, against about 5 us with this cap (2-vCPU x86-64)
@@ -266,15 +265,10 @@ def _candidates(q: int, n: int, d: int) -> tuple[np.ndarray, Optional[np.ndarray
     return values[keep], words[keep]
 
 
-def _adjacency_rows(values, words, d: int, lo: int, hi: int) -> list[int]:
-    """Rows lo..hi-1 of the compatibility graph as bitsets: bit j of row i
-    is set iff candidates i and j are at distance >= d."""
-    if words is None:
-        dist = np.bitwise_count(values[lo:hi, None] ^ values[None, :])
-    else:
-        dist = np.count_nonzero(words[lo:hi, None, :] != words[None, :, :], axis=2)
-    bits = np.packbits(dist >= d, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+def _packed_candidates(q: int, values: np.ndarray, words: Optional[np.ndarray]):
+    """The candidates as the kernels' packed rows, with their field width:
+    binary word values already are width-1 rows."""
+    return (values.view(np.uint64), 1) if words is None else pack_rows(words, q - 1)
 
 
 def _colour_tops(pool: int, adj: list[int]) -> int:
@@ -348,14 +342,9 @@ def _clique_search(q: int, n: int, m: int, d: int, meter: _Meter) -> Optional[li
     """Lexicographically first size-m clique containing the zero word, as
     word values; None when the space or the meter runs out."""
     values, words = _candidates(q, n, d)
+    rows, width = _packed_candidates(q, values, words)
     k = len(values)
-    adj = None
-    if k <= _ADJ_CAP:
-        adj = [
-            row
-            for lo in range(0, k, _ROW_BLOCK)
-            for row in _adjacency_rows(values, words, d, lo, min(k, lo + _ROW_BLOCK))
-        ]
+    adj = far_bitsets(rows, rows, width, d) if k <= _ADJ_CAP else None
     # the generators' image table, if it fits: built when a frame with fewer
     # than _ORBIT_DEPTH chosen words first picks a candidate after a backtrack
     fits = adj is not None and (n * (n - 1) + n * (q - 1) * (q - 2)) // 2 * k <= _IMAGE_CAP
@@ -384,7 +373,7 @@ def _clique_search(q: int, n: int, m: int, d: int, meter: _Meter) -> Optional[li
             if not pruned:
                 if not meter.spend():
                     return None
-                row = adj[v] if adj is not None else _adjacency_rows(values, words, d, v, v + 1)[0]
+                row = adj[v] if adj is not None else far_bitsets(rows[v:v + 1], rows, width, d)[0]
                 chosen.append(v)
                 pools.append(pool & row)
                 tops.append(0)

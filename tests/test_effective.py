@@ -41,14 +41,19 @@ from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_i
 DIAG = diagonal_curve()
 
 
+def _decide_ball(decider, ball, precision):
+    """The graph decider's verdict on one closed grid square."""
+    return decider.decide(ball.delta_lo, ball.delta_hi, ball.r_lo, ball.r_hi, precision)
+
+
 def test_graph_decider_exact_cases():
     decider = GraphBallDecider(DIAG)
     # [0,1/4] x [0,1/4] is strictly below the line
-    assert decider.decide_ball(GridBall(4, 0, 0), 8) is Decision.DISJOINT
+    assert _decide_ball(decider, GridBall(4, 0, 0), 8) is Decision.DISJOINT
     # (i=1, j=2) at N=4 has i+j=3: intersects
-    assert decider.decide_ball(GridBall(4, 1, 2), 8) is Decision.INTERSECTS
+    assert _decide_ball(decider, GridBall(4, 1, 2), 8) is Decision.INTERSECTS
     # corner-touching ball counts as intersecting (closed convention)
-    assert decider.decide_ball(GridBall(4, 1, 3), 8) is Decision.INTERSECTS
+    assert _decide_ball(decider, GridBall(4, 1, 3), 8) is Decision.INTERSECTS
 
 
 def test_graph_decider_interval_curve():
@@ -421,7 +426,7 @@ def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
     graph, domain = GraphBallDecider(curve), DomainBallDecider(curve)
     for n_grid in range(1, 13):
         squares = [GridBall(n_grid, i, j) for i in range(n_grid) for j in range(n_grid)]
-        on_graph = {(b.i, b.j): _first_verdict(lambda p: graph.decide_ball(b, p), *ladder) for b in squares}
+        on_graph = {(b.i, b.j): _first_verdict(lambda p: _decide_ball(graph, b, p), *ladder) for b in squares}
         strip = build_strip(curve, n_grid, base_precision=ladder[0], precision_cap=ladder[1])
         assert strip.ball_set() == {c for c, v in on_graph.items() if v is not Decision.DISJOINT}
         assert strip.capped == tuple(sorted(c for c, v in on_graph.items() if v is Decision.UNKNOWN))

@@ -3,6 +3,7 @@ tie-breaking and the field widths and row blocks of the bit-packed scan."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +73,39 @@ def test_min_pairwise_across_row_blocks(q, n, m):
     expected = _naive_min_pairwise(words)
     assert expected == (1, m // 2, m // 2 + 7)
     assert kernels.min_pairwise(b"".join(words), m, n) == expected
+
+
+def _naive_greedy(words, d):
+    kept = []
+    for word in words:
+        if all(_distance(word, other) >= d for other in kept):
+            kept.append(word)
+    return kept
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("width, q", [(1, 2), (2, 4), (4, 16), (8, 256)])
+def test_packing_boundary(width, q, extra):
+    # rows of 64 / width symbols fill one uint64 and are squeezed to it; one
+    # symbol more takes a second word
+    n = 64 // width + extra
+    m = 3 * kernels._SMALL
+    rng = random.Random(q * 2 + extra)
+    words = [bytes(rng.randrange(q) for _ in range(n)) for _ in range(m)]
+    words[0] = bytes([q - 1]) * n  # the top symbol sets min_pairwise's width
+    # pairs at distance 1 and 2 that differ in the last symbol, across the word boundary
+    words[7] = words[3][:-1] + bytes([(words[3][-1] + 1) % q])
+    words[9] = words[4][:-2] + bytes([(words[4][-2] + 1) % q, (words[4][-1] + 1) % q])
+    arr = np.frombuffer(b"".join(words), dtype=np.uint8).reshape(m, n)
+    rows, got_width = kernels.pack_rows(arr, q - 1)
+    assert got_width == width and rows.shape == ((m,) if extra == 0 else (m, 2))
+    dist = [[_distance(a, b) for b in words] for a in words]
+    for d in (1, 2, n // 2, n):
+        assert kernels.far_bitsets(rows, rows, width, d) == [
+            sum(1 << j for j in range(m) if dist[i][j] >= d) for i in range(m)], d
+        kept = kernels.greedy_sieve([arr], q, d)
+        assert [bytes(row) for row in kept] == _naive_greedy(words, d), d
+    assert kernels.min_pairwise(b"".join(words), m, n) == _naive_min_pairwise(words)
 
 
 def test_hamming_rejects_length_mismatch():

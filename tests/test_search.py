@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from codeplane import search
+from codeplane import kernels, search
 from codeplane.codes import Code, CodeParams, min_distance, params, write_code_text
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatPoint
@@ -369,17 +369,37 @@ def _reference_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
     return [0] + found
 
 
+# adjacency rows the reference computes per numpy pass
+_REFERENCE_ROW_BLOCK = 32
+
+
+def _reference_adjacency_rows(values, words, d: int, lo: int, hi: int) -> list[int]:
+    """Rows lo..hi-1 of the compatibility graph as bitsets, from word values
+    (q = 2, words None) or symbol rows: bit j of row i is set iff candidates
+    i and j are at distance >= d."""
+    if words is None:
+        dist = np.bitwise_count(values[lo:hi, None] ^ values[None, :])
+    else:
+        dist = np.count_nonzero(words[lo:hi, None, :] != words[None, :, :], axis=2)
+    bits = np.packbits(dist >= d, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def _reference_adjacency(values, words, d: int) -> list[int]:
+    k = len(values)
+    return [
+        row
+        for lo in range(0, k, _REFERENCE_ROW_BLOCK)
+        for row in _reference_adjacency_rows(values, words, d, lo, min(k, lo + _REFERENCE_ROW_BLOCK))
+    ]
+
+
 def _reference_bitset_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
-    """The bitset walk before orbit pruning, kept as the reference."""
+    """The bitset walk before orbit pruning, over the reference adjacency
+    rows, kept as the reference."""
     values, words = search._candidates(q, n, d)
     k = len(values)
-    adj = None
-    if k <= search._ADJ_CAP:
-        adj = [
-            row
-            for lo in range(0, k, search._ROW_BLOCK)
-            for row in search._adjacency_rows(values, words, d, lo, min(k, lo + search._ROW_BLOCK))
-        ]
+    adj = _reference_adjacency(values, words, d) if k <= search._ADJ_CAP else None
     target = m - 1
     chosen: list[int] = []
     pools = [(1 << k) - 1]
@@ -395,7 +415,7 @@ def _reference_bitset_clique_search(q, n, m, d, meter) -> Optional[list[int]]:
                     return None
                 pool ^= low
                 pools[-1] = pool
-                row = adj[v] if adj is not None else search._adjacency_rows(values, words, d, v, v + 1)[0]
+                row = adj[v] if adj is not None else _reference_adjacency_rows(values, words, d, v, v + 1)[0]
                 chosen.append(v)
                 pools.append(pool & row)
                 tops.append(0)
@@ -541,6 +561,49 @@ def test_clique_search_matches_bitset_reference(monkeypatch):
         if ref.found:
             assert write_code_text(new.witness) == write_code_text(ref.witness), (q, n, m, d)
     assert decided >= 895
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 16])
+def test_graph_rows_match_reference(q):
+    # every (n, d), 2 <= d <= n, with q^n <= 2^12: the whole graph and the
+    # rows built one node at a time above _ADJ_CAP
+    n = 2
+    while q ** n <= 1 << 12:
+        for d in range(2, n + 1):
+            values, words = search._candidates(q, n, d)
+            rows, width = search._packed_candidates(q, values, words)
+            ref = _reference_adjacency(values, words, d)
+            assert kernels.far_bitsets(rows, rows, width, d) == ref, (q, n, d)
+            for v in sorted({0, len(values) // 2, len(values) - 1}):
+                assert kernels.far_bitsets(rows[v:v + 1], rows, width, d) == [ref[v]], (q, n, d, v)
+        n += 1
+
+
+def test_per_node_rows_match_full_adjacency(monkeypatch):
+    # with _ADJ_CAP = 0 every node's row is built on its own and the walk has
+    # no colouring bound and no orbit pruning: the full adjacency's verdicts
+    # and witnesses at no fewer nodes, and node for node the plain walk over
+    # the reference rows
+    budget = SearchBudget(max_nodes=5_000)
+    decided = 0
+    for q, n, m, d in _small_triples(m_max=12, alphabets=(2, 3, 4, 5)):
+        full = exists_code(q, n, m, d, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_ADJ_CAP", 0)
+            per_node = exists_code(q, n, m, d, budget)
+            patch.setattr(search, "_clique_search", _reference_bitset_clique_search)
+            ref = exists_code(q, n, m, d, budget)
+        assert (per_node.status, per_node.nodes) == (ref.status, ref.nodes), (q, n, m, d)
+        if per_node.found:
+            assert write_code_text(per_node.witness) == write_code_text(ref.witness), (q, n, m, d)
+        if ExistsStatus.UNKNOWN in (full.status, per_node.status):
+            continue
+        decided += 1
+        assert per_node.status is full.status, (q, n, m, d)
+        assert per_node.nodes >= full.nodes, (q, n, m, d)
+        if full.found:
+            assert write_code_text(per_node.witness) == write_code_text(full.witness), (q, n, m, d)
+    assert decided >= 498
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 7, 2), (2, 8, 3), (3, 5, 2), (3, 5, 4), (4, 4, 2), (5, 3, 2)])
