@@ -31,46 +31,61 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .enclosure import log_enclosure, pow2
+from .enclosure import Pair, log_enclosure, log_pairs
 from .errors import ContractViolationError
 from .geometry import RatInterval, RatPoint, as_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def entropy(q: int, delta: Fraction, precision: int) -> RatInterval:
     """Enclosure of H_q(delta), width <= 2**-precision; exact at the three
     algebraically exact sample points 0, 1 (for q = 2), and (q-1)/q."""
+    if as_rational(delta) == 1:
+        return log_enclosure(Fraction(q - 1), q, precision)  # exactly 0 for q = 2
+    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, delta, precision)
+    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def _entropy_pairs(q: int, delta: Fraction, precision: int) -> tuple[Pair, Pair]:
+    """Ends of ``entropy(q, delta, precision)`` as ``log_pairs`` gives them; delta in [0, 1)."""
     if q < 2:
         raise ContractViolationError("alphabet size must be >= 2")
     delta = as_rational(delta)
-    if not 0 <= delta <= 1:
+    a, b = delta.numerator, delta.denominator
+    if not 0 <= a < b:
         raise ContractViolationError("entropy argument must lie in [0, 1]")
-    if delta == 0:
-        return RatInterval.point(ZERO)  # x log x -> 0 convention
-    if delta == 1:
-        return _alpha(q, precision)  # exactly 0 for q = 2
-    if delta == Fraction(q - 1, q):
-        return RatInterval.point(ONE)
-
-    target = pow2(-precision)
+    if a == 0:
+        return (0, 1), (0, 1)  # x log x -> 0 convention
+    if a == q - 1 and b == q:
+        return (1, 1), (1, 1)
+    c = b - a  # 1 - delta = c/b, also in lowest terms
     bits = precision + 3
     while True:
-        alpha = _alpha(q, bits)
-        log_d = log_enclosure(delta, q, bits)
-        log_1d = log_enclosure(1 - delta, q, bits)
-        value = alpha.scale(delta) + (-log_d.scale(delta)) + (-log_1d.scale(1 - delta))
-        if value.width <= target:
-            return value
+        (al, al_d), (ah, ah_d) = _alpha(q, bits)
+        (dl, dl_d), (dh, dh_d) = log_pairs(a, b, q, bits)
+        (cl, cl_d), (ch, ch_d) = log_pairs(c, b, q, bits)
+        # H = delta log_q(q - 1) - delta log_q(delta) - (1 - delta) log_q(1 - delta)
+        lo_n = a * (al * dh_d - dh * al_d) * ch_d - c * ch * al_d * dh_d
+        lo_d = b * al_d * dh_d * ch_d
+        hi_n = a * (ah * dl_d - dl * ah_d) * cl_d - c * cl * ah_d * dl_d
+        hi_d = b * ah_d * dl_d * cl_d
+        if (hi_n * lo_d - lo_n * hi_d) << precision <= hi_d * lo_d:
+            return (lo_n, lo_d), (hi_n, hi_d)
         bits += max(8, bits // 2)
 
 
 @lru_cache(maxsize=256)
-def _alpha(q: int, bits: int) -> RatInterval:
-    """``log_enclosure(Fraction(q - 1), q, bits)``, computed once per pair."""
-    return log_enclosure(Fraction(q - 1), q, bits)
+def _alpha(q: int, bits: int) -> tuple[Pair, Pair]:
+    """``log_pairs(q - 1, 1, q, bits)``, computed once per pair."""
+    return log_pairs(q - 1, 1, q, bits)
+
+
+def _one_minus_entropy(q: int, delta: Fraction, precision: int, halves: int = 0) -> RatInterval:
+    """(1 - H_q(delta)) / 2**halves, H to width 2**-precision, for delta in [0, 1)."""
+    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, delta, precision)
+    return RatInterval(Fraction(hi_d - hi_n, hi_d << halves), Fraction(lo_d - lo_n, lo_d << halves))
 
 
 def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
@@ -81,8 +96,7 @@ def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
     delta = as_rational(delta)
     if not 0 <= delta <= Fraction(q - 1, q):
         raise ContractViolationError(f"delta outside [0, 1 - 1/{q}]")
-    h = entropy(q, delta, precision + 1)
-    return (RatInterval.point(ONE) - h).scale(HALF)
+    return _one_minus_entropy(q, delta, precision + 1, halves=1)
 
 
 class BoundCurve:
@@ -144,8 +158,7 @@ def gv_lower_curve(q: int) -> BoundCurve:
     def evaluate(delta: Fraction, precision: int) -> RatInterval:
         if delta >= edge:
             return RatInterval.point(ZERO)
-        h = entropy(q, delta, precision + 1)
-        return RatInterval.point(ONE) - h
+        return _one_minus_entropy(q, delta, precision + 1)
 
     return BoundCurve(f"gv_lower_q{q}", evaluate)
 
@@ -154,8 +167,7 @@ def hamming_curve(q: int) -> BoundCurve:
     """Sphere-packing upper curve 1 - H_q(delta / 2)."""
 
     def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        h = entropy(q, delta / 2, precision + 1)
-        return RatInterval.point(ONE) - h
+        return _one_minus_entropy(q, delta / 2, precision + 1)
 
     return BoundCurve(f"hamming_q{q}", evaluate)
 

@@ -16,9 +16,12 @@ on log2 y floor to the same J-bit integer (Ziv's rounding test); otherwise
 the guard doubles. log2 of a rational that is not a power of two is
 irrational, so the test passes at some finite guard. An argument wider
 than W bits is first bracketed between two W-bit dyadics, log being
-monotone. Precision is requested in bits of enclosure width. Endpoints are
-exact rationals; every operation downstream of D is exact Fraction
-arithmetic.
+monotone. Precision is requested in bits of enclosure width.
+
+Downstream of D everything is integers: ``_log2_scaled`` gives the ends of
+2**J log2(p/q), and ``log_pairs`` divides two of them taken at the same J,
+so each end of log_base(p/q) is an exact (numerator, denominator) pair and
+the wrappers build one ``Fraction`` per end.
 """
 
 from __future__ import annotations
@@ -30,15 +33,7 @@ from .errors import ContractViolationError, InternalContractError
 from .geometry import RatInterval
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def pow2(k: int) -> Fraction:
-    """2**k as an exact rational, k may be negative."""
-    if k >= 0:
-        return Fraction(1 << k)
-    return Fraction(1, 1 << (-k))
+Pair = tuple[int, int]
 
 
 def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
@@ -51,11 +46,18 @@ def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
         raise ContractViolationError("log2 requires a positive argument")
     if precision < 1:
         raise ContractViolationError("precision must be a positive bit count")
+    lo, hi = _log2_scaled(x.numerator, x.denominator, precision)
+    scale = 1 << (precision + 2)
+    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
 
-    p, q = x.numerator, x.denominator
-    if _is_power_of_two(p) and _is_power_of_two(q):
-        exact = p.bit_length() - q.bit_length()
-        return RatInterval.point(Fraction(exact))
+
+def _log2_scaled(p: int, q: int, precision: int) -> Pair:
+    """(lo, hi) with lo <= 2**J log2(p/q) <= hi, J = precision + 2, for p/q
+    positive in lowest terms; lo == hi when p/q is a power of two."""
+    digits = precision + 2
+    if (p & (p - 1)) == 0 and (q & (q - 1)) == 0:
+        exact = (p.bit_length() - q.bit_length()) << digits
+        return exact, exact
 
     # argument reduction: x = 2**t * num/den with num/den in [1, 2)
     t = p.bit_length() - q.bit_length()
@@ -64,7 +66,6 @@ def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
         t -= 1
         num <<= 1
 
-    digits = precision + 2
     guard = 20
     for _attempt in range(32):
         w = digits + guard
@@ -79,7 +80,7 @@ def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
         # y < 2, so D < 2**J even where the bracket reaches log2 2 = 1
         if d == min((hi << digits) // ln2_lo, (1 << digits) - 1):
             d += t << digits
-            return RatInterval(Fraction(d, 1 << digits), Fraction(d + 1, 1 << digits))
+            return d, d + 1
         guard *= 2
     raise InternalContractError("log2 series failed to separate from a dyadic")
 
@@ -113,9 +114,9 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _log2_int(base: int, bits: int) -> RatInterval:
-    """``log2_enclosure(Fraction(base), bits)``, computed once per pair."""
-    return log2_enclosure(Fraction(base), bits)
+def _log2_int(base: int, bits: int) -> Pair:
+    """``_log2_scaled(base, 1, bits)``, computed once per pair."""
+    return _log2_scaled(base, 1, bits)
 
 
 def log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:
@@ -127,33 +128,42 @@ def log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:
     x = Fraction(x)
     if x <= 0:
         raise ContractViolationError("logarithm requires a positive argument")
-    exact = _integer_power_of(x, base)
+    if precision < 1:
+        raise ContractViolationError("precision must be a positive bit count")
+    (lo_n, lo_d), (hi_n, hi_d) = log_pairs(x.numerator, x.denominator, base, precision)
+    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def log_pairs(p: int, q: int, base: int, precision: int) -> tuple[Pair, Pair]:
+    """Ends of log_base(p/q), width <= 2**-precision, as (numerator, denominator) pairs
+    with positive denominators, p/q positive in lowest terms; both (k, 1) if p/q == base**k."""
+    exact = _power_exponent(p, q, base)
     if exact is not None:
-        return RatInterval.point(Fraction(exact))
-    target = pow2(-precision)
+        return (exact, 1), (exact, 1)
     bits = precision + 4
     for _ in range(64):
-        num = log2_enclosure(x, bits)
-        den = _log2_int(base, bits)
-        result = num.div_positive(den)
-        if result.width <= target:
-            return result
+        # both logarithms are scaled by 2**(bits + 2), which cancels
+        lo, hi = _divide(*_log2_scaled(p, q, bits), *_log2_int(base, bits))
+        if (hi[0] * lo[1] - lo[0] * hi[1]) << precision <= hi[1] * lo[1]:
+            return lo, hi
         bits += max(8, bits // 2)
     raise InternalContractError("log enclosure failed to reach requested width")
 
 
-def _integer_power_of(x: Fraction, base: int):
-    """k with x == base**k, or None."""
-    if x == 1:
-        return 0
-    value = x if x > 1 else 1 / x
-    if value.denominator != 1:
+def _divide(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[Pair, Pair]:
+    """[a_lo, a_hi] / [b_lo, b_hi] for b_lo > 0 as two (numerator, denominator)
+    pairs. Exact: each dividend end's sign picks its divisor end."""
+    if b_lo <= 0:
+        raise ContractViolationError("divisor interval must be strictly positive")
+    return (a_lo, b_hi if a_lo >= 0 else b_lo), (a_hi, b_lo if a_hi >= 0 else b_hi)
+
+
+def _power_exponent(p: int, q: int, base: int):
+    """k with p/q == base**k for p/q in lowest terms, or None."""
+    if min(p, q) != 1:
         return None
-    k = 0
-    n = value.numerator
+    n, k = max(p, q), 0
     while n % base == 0:
         n //= base
         k += 1
-    if n != 1:
-        return None
-    return k if x > 1 else -k
+    return (k if q == 1 else -k) if n == 1 else None

@@ -6,9 +6,8 @@ horizontal and the rate axis (R) vertical, so a "column" of the grid is a
 delta-interval and a "row" is an R-interval.
 
 The ambient space for ball enumeration is conceptually the enlarged square
-[-1, 2]^2, but every algorithm operating on grids works inside [0, 1]^2;
-``grid_balls`` therefore tiles the unit square only, and boundary squares
-are not extended past it.
+[-1, 2]^2, but every algorithm operating on grids works inside [0, 1]^2,
+and no grid square is extended past it.
 """
 
 from __future__ import annotations
@@ -93,14 +92,6 @@ class RatInterval:
         if c >= 0:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
-
-    def div_positive(self, other: "RatInterval") -> "RatInterval":
-        """Divide by an interval that is strictly positive. Exact: each dividend end's sign picks its divisor end."""
-        if other.lo <= 0:
-            raise ContractViolationError("divisor interval must be strictly positive")
-        lo = self.lo / (other.hi if self.lo >= 0 else other.lo)
-        hi = self.hi / (other.lo if self.hi >= 0 else other.hi)
-        return RatInterval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -205,16 +196,3 @@ class GridBall:
         half = Fraction(1, 2 * self.n_grid)
         center = RatPoint(self.r_lo + half, self.delta_lo + half)
         return RatBall(center, half, kind)
-
-    def contains_point(self, p: RatPoint) -> bool:
-        return (
-            self.delta_lo <= p.delta <= self.delta_hi
-            and self.r_lo <= p.r <= self.r_hi
-        )
-
-
-def grid_balls(n_grid: int) -> list[GridBall]:
-    """All N^2 grid squares tiling the unit square, row-major (j outer, i inner)."""
-    if n_grid < 1:
-        raise ContractViolationError("grid resolution must be >= 1")
-    return [GridBall(n_grid, i, j) for j in range(n_grid) for i in range(n_grid)]

@@ -20,7 +20,7 @@ from codeplane.bounds import (
     vg_bound_curve,
     vg_curve,
 )
-from codeplane.enclosure import log_enclosure
+from codeplane.enclosure import log2_enclosure, log_enclosure
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatInterval, RatPoint
 
@@ -48,10 +48,117 @@ def test_entropy_exact_points():
 @pytest.mark.parametrize("q", range(3, 17))
 def test_alpha_cache_equals_a_fresh_enclosure(q):
     for bits in (1, 67, 135, 519):
-        assert bounds._alpha(q, bits) == log_enclosure(Fraction(q - 1), q, bits)
+        (lo_n, lo_d), (hi_n, hi_d) = bounds._alpha(q, bits)
+        fresh = _reference_log_enclosure(Fraction(q - 1), q, bits)
+        assert (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)) == (fresh.lo, fresh.hi)
     assert entropy(q, Fraction(1), 67) == log_enclosure(Fraction(q - 1), q, 67)
     maxsize = bounds._alpha.cache_info().maxsize
     assert isinstance(maxsize, int) and maxsize > 0
+
+
+# --- differential reference: entropy over Fraction intervals ---------------
+# log_enclosure and entropy as they were before both moved to integer pairs,
+# with RatInterval.div_positive's sign rule inlined and no constant caches.
+# Every end the integer path returns must equal the reference's as a rational.
+
+def _reference_integer_power_of(x: Fraction, base: int):
+    """k with x == base**k, or None."""
+    if x == 1:
+        return 0
+    value = x if x > 1 else 1 / x
+    if value.denominator != 1:
+        return None
+    k = 0
+    n = value.numerator
+    while n % base == 0:
+        n //= base
+        k += 1
+    if n != 1:
+        return None
+    return k if x > 1 else -k
+
+
+def _reference_log_enclosure(x: Fraction, base: int, precision: int) -> RatInterval:
+    exact = _reference_integer_power_of(x, base)
+    if exact is not None:
+        return RatInterval.point(Fraction(exact))
+    target = Fraction(2) ** -precision
+    bits = precision + 4
+    for _ in range(64):
+        num = log2_enclosure(x, bits)
+        den = log2_enclosure(Fraction(base), bits)
+        lo = num.lo / (den.hi if num.lo >= 0 else den.lo)
+        hi = num.hi / (den.lo if num.hi >= 0 else den.hi)
+        result = RatInterval(lo, hi)
+        if result.width <= target:
+            return result
+        bits += max(8, bits // 2)
+    raise AssertionError("reference log enclosure failed to reach requested width")
+
+
+def _reference_entropy(q: int, delta: Fraction, precision: int) -> RatInterval:
+    if delta == 0:
+        return RatInterval.point(Fraction(0))
+    if delta == 1:
+        return _reference_log_enclosure(Fraction(q - 1), q, precision)
+    if delta == Fraction(q - 1, q):
+        return RatInterval.point(Fraction(1))
+    target = Fraction(2) ** -precision
+    bits = precision + 3
+    while True:
+        alpha = _reference_log_enclosure(Fraction(q - 1), q, bits)
+        log_d = _reference_log_enclosure(delta, q, bits)
+        log_1d = _reference_log_enclosure(1 - delta, q, bits)
+        value = alpha.scale(delta) + (-log_d.scale(delta)) + (-log_1d.scale(1 - delta))
+        if value.width <= target:
+            return value
+        bits += max(8, bits // 2)
+
+
+def _assert_entropy_matches_reference(q, delta, precision):
+    got, want = entropy(q, delta, precision), _reference_entropy(q, delta, precision)
+    assert (got.lo, got.hi) == (want.lo, want.hi), (q, delta, precision)
+    assert got.width <= Fraction(2) ** -precision
+    if delta < Fraction(q - 1, q):
+        # the curves built on H: (1 - H)/2, 1 - H, and 1 - H(2 delta) when 2 delta <= 1
+        one_minus = RatInterval.point(1) - _reference_entropy(q, delta, precision + 1)
+        assert vg_curve(q, delta, precision) == one_minus.scale(Fraction(1, 2))
+        assert gv_lower_curve(q).eval(delta, precision) == one_minus
+        if 2 * delta <= 1:
+            assert hamming_curve(q).eval(2 * delta, precision) == one_minus
+
+
+_SWEEP_Q = (2, 3, 4, 5, 7, 8, 16)
+
+
+def _sweep_deltas(q):
+    """Exact points, and points near 0, near (q - 1)/q and near 1."""
+    edge = Fraction(q - 1, q)
+    deltas = {Fraction(0), Fraction(1), edge, Fraction(1, 2), Fraction(1, q), Fraction(1, q**3),
+              Fraction(q - 1, q**2), Fraction(3, 7)}
+    for k in (1, 8, 40, 200):
+        tiny = Fraction(1, 2**k + 1)
+        deltas |= {tiny, edge - tiny, edge + tiny * (1 - edge), 1 - tiny}
+    return sorted(deltas)
+
+
+@pytest.mark.parametrize("q", _SWEEP_Q)
+def test_entropy_matches_the_fraction_reference(q):
+    for delta in _sweep_deltas(q):
+        for precision in (1, 2, 30, 64, 200, 600):
+            _assert_entropy_matches_reference(q, delta, precision)
+
+
+@st.composite
+def _unit_fractions(draw):
+    b = draw(st.integers(min_value=1, max_value=2**64))
+    return Fraction(draw(st.integers(min_value=0, max_value=b)), b)
+
+
+@given(st.integers(2, 16), _unit_fractions(), st.integers(1, 600))
+@settings(max_examples=80, deadline=None)
+def test_entropy_matches_the_fraction_reference_anywhere(q, delta, precision):
+    _assert_entropy_matches_reference(q, delta, precision)
 
 
 def test_entropy_derived_value():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from codeplane import enclosure
-from codeplane.enclosure import log2_enclosure, log_enclosure, pow2
+from codeplane.enclosure import log2_enclosure, log_enclosure
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatInterval
 
@@ -16,7 +16,7 @@ positive_fractions = st.fractions(min_value="1/1000", max_value=1000, max_denomi
 
 def test_exact_for_powers_of_two():
     for k in (-5, -1, 0, 1, 3, 20):
-        iv = log2_enclosure(pow2(k), 40)
+        iv = log2_enclosure(Fraction(2) ** k, 40)
         assert iv.is_point and iv.lo == k
 
 
@@ -24,7 +24,7 @@ def test_exact_for_powers_of_two():
 @settings(max_examples=150, deadline=None)
 def test_log2_brackets_float_oracle(x, precision):
     iv = log2_enclosure(x, precision)
-    assert iv.width <= pow2(-precision)
+    assert iv.width <= Fraction(2) ** -precision
     # float logarithm as the independent oracle, with double-precision slack
     true = math.log2(x)
     assert float(iv.lo) - 1e-9 <= true <= float(iv.hi) + 1e-9
@@ -34,8 +34,8 @@ def test_log2_width_contract_tightens():
     x = Fraction(7, 5)
     w20 = log2_enclosure(x, 20).width
     w40 = log2_enclosure(x, 40).width
-    assert w20 <= pow2(-20)
-    assert w40 <= pow2(-40)
+    assert w20 <= Fraction(2) ** -20
+    assert w40 <= Fraction(2) ** -40
     assert w40 <= w20 / 2
 
 
@@ -49,13 +49,15 @@ def test_log2_near_power_of_two_stays_on_the_correct_side():
 
 def test_log_enclosure_general_base():
     iv = log_enclosure(Fraction(20), 2, 50)
-    assert iv.width <= pow2(-50)
+    assert iv.width <= Fraction(2) ** -50
     assert float(iv.lo) <= math.log2(20) <= float(iv.hi)
     iv = log_enclosure(Fraction(3, 4), 3, 40)
     true = math.log(0.75, 3)
     assert float(iv.lo) - 1e-9 <= true <= float(iv.hi) + 1e-9
     # base q applied to q - 1 = base itself
     assert log_enclosure(Fraction(9), 3, 30).is_point
+    assert log_enclosure(Fraction(1, 36), 6, 30) == RatInterval.point(-2)
+    assert not log_enclosure(Fraction(2, 3), 6, 30).is_point  # 2 * 3 == 6, but 2/3 is no power of 6
 
 
 def test_rejects_bad_arguments():
@@ -81,11 +83,11 @@ def _reference_log2(x, precision):
     if p & (p - 1) == 0 and q & (q - 1) == 0:
         return RatInterval.point(Fraction(p.bit_length() - q.bit_length()))
     t = p.bit_length() - q.bit_length()
-    while x < pow2(t):
+    while x < Fraction(2) ** t:
         t -= 1
-    while x >= pow2(t + 1):
+    while x >= Fraction(2) ** (t + 1):
         t += 1
-    y = x / pow2(t)
+    y = x / Fraction(2) ** t
     digits = precision + 2
     scale = 2 * digits + 16
     for _attempt in range(64):
@@ -117,7 +119,7 @@ def _reference_extract_digits(y, digits, scale, precision):
             acc <<= 1
         else:
             done = j - 1
-            if done >= 1 and Fraction(4, 1 << done) <= pow2(-precision):
+            if done >= 1 and Fraction(4, 1 << done) <= Fraction(2) ** -precision:
                 return (acc << 2, done + 2)
             return None
     return (acc, digits)
@@ -136,7 +138,8 @@ def test_log2_matches_squaring_reference(num, den, precision):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 20, 52, 64, 100, 300])
 def test_log2_matches_reference_next_to_one_and_two(k):
-    for x in (1 + pow2(-k), 2 - pow2(-k), (1 + pow2(-k)) / 8, (2 - pow2(-k)) * 1024):
+    tiny = Fraction(2) ** -k
+    for x in (1 + tiny, 2 - tiny, (1 + tiny) / 8, (2 - tiny) * 1024):
         for precision in (1, 2, 30, 64, 200, 600):
             _assert_matches_reference(x, precision)
 
@@ -191,18 +194,70 @@ def test_atanh_series_brackets_the_true_value(ab, w):
     assert lo <= true <= hi
 
 
+def _reference_log2_scaled(p, q, precision):
+    """``enclosure._log2_scaled`` from the squaring reference."""
+    iv = _reference_log2(Fraction(p, q), precision)
+    scale = 1 << (precision + 2)
+    lo, hi = iv.lo * scale, iv.hi * scale
+    assert lo.denominator == hi.denominator == 1
+    return lo.numerator, hi.numerator
+
+
 @pytest.mark.parametrize("base", [3, 5, 7, 15, 16])
 def test_log_enclosure_matches_reference(base, monkeypatch):
     cases = [(x, precision) for x in (Fraction(base - 1), Fraction(2, 7), Fraction(999, 1000),
                                       Fraction(base + 1, base), Fraction(base**5 + 1))
              for precision in (1, 30, 64, 136, 520)]
     got = [log_enclosure(x, base, precision) for x, precision in cases]
-    monkeypatch.setattr(enclosure, "log2_enclosure", _reference_log2)
+    monkeypatch.setattr(enclosure, "_log2_scaled", _reference_log2_scaled)
     enclosure._log2_int.cache_clear()  # so the cached log2(base) comes from the reference too
     try:
         assert got == [log_enclosure(x, base, precision) for x, precision in cases]
     finally:
         enclosure._log2_int.cache_clear()
+
+
+# --- the integer quotient: sign rule against all four quotients ------------
+
+def _reference_divide(a: RatInterval, b: RatInterval) -> RatInterval:
+    """The quotient as all four quotients' min and max."""
+    if b.lo <= 0:
+        raise ContractViolationError("divisor interval must be strictly positive")
+    candidates = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return RatInterval(min(candidates), max(candidates))
+
+
+def _divide(a: RatInterval, b: RatInterval) -> RatInterval:
+    """``enclosure._divide`` on rational ends brought over one denominator."""
+    den = math.lcm(*(end.denominator for end in (a.lo, a.hi, b.lo, b.hi)))
+    (lo_n, lo_d), (hi_n, hi_d) = enclosure._divide(*(int(end * den) for end in (a.lo, a.hi, b.lo, b.hi)))
+    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def _intervals(ends):
+    """Intervals with ends drawn from ``ends``, point intervals included."""
+    return st.one_of(
+        st.builds(RatInterval.point, ends),
+        st.lists(ends, min_size=2, max_size=2).map(sorted).map(lambda e: RatInterval(*e)),
+    )
+
+
+_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=64)
+_dividends = _intervals(st.one_of(st.just(Fraction(0)), _fractions))
+_positive = st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=64)
+
+
+@given(_dividends, _intervals(_positive))
+@example(RatInterval(Fraction(-1), Fraction(1)), RatInterval(Fraction(1, 2), Fraction(2)))
+def test_divide_matches_the_four_quotient_form(a, b):
+    assert _divide(a, b) == _reference_divide(a, b)
+
+
+@given(_dividends, st.fractions(min_value=-2, max_value=0, max_denominator=64),
+       st.fractions(min_value=0, max_value=2, max_denominator=64))
+def test_divide_refuses_a_divisor_reaching_zero(a, lo, width):
+    with pytest.raises(ContractViolationError):
+        _divide(a, RatInterval(lo, lo + width))
 
 
 # --- cached constants: each equals a fresh computation ---------------------
@@ -217,9 +272,11 @@ def test_ln2_cache_equals_the_series(w):
 
 @pytest.mark.parametrize("bits", [1, 67, 519])
 def test_log2_int_cache_equals_a_fresh_enclosure(bits):
+    scale = 1 << (bits + 2)
     for base in range(2, 257):  # powers of two included, where the enclosure is a point
-        assert enclosure._log2_int(base, bits) == log2_enclosure(Fraction(base), bits)
-    assert enclosure._log2_int(256, bits) == RatInterval.point(8)
+        lo, hi = enclosure._log2_int(base, bits)
+        assert RatInterval(Fraction(lo, scale), Fraction(hi, scale)) == log2_enclosure(Fraction(base), bits)
+    assert enclosure._log2_int(256, bits) == (8 * scale, 8 * scale)
 
 
 def test_constant_caches_are_bounded():
