@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .enclosure import Pair, log_enclosure, log_pairs
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InternalContractError
 from .geometry import RatInterval, RatPoint, as_rational
 
 ZERO = Fraction(0)
@@ -61,19 +61,20 @@ def _entropy_pairs(q: int, delta: Fraction, precision: int) -> tuple[Pair, Pair]
     if a == q - 1 and b == q:
         return (1, 1), (1, 1)
     c = b - a  # 1 - delta = c/b, also in lowest terms
+    # each log_q end below is within 2**-bits, so H's width is at most
+    # (1 + delta) * 2**-bits < 2**-(precision + 2): one evaluation always suffices
     bits = precision + 3
-    while True:
-        (al, al_d), (ah, ah_d) = _alpha(q, bits)
-        (dl, dl_d), (dh, dh_d) = log_pairs(a, b, q, bits)
-        (cl, cl_d), (ch, ch_d) = log_pairs(c, b, q, bits)
-        # H = delta log_q(q - 1) - delta log_q(delta) - (1 - delta) log_q(1 - delta)
-        lo_n = a * (al * dh_d - dh * al_d) * ch_d - c * ch * al_d * dh_d
-        lo_d = b * al_d * dh_d * ch_d
-        hi_n = a * (ah * dl_d - dl * ah_d) * cl_d - c * cl * ah_d * dl_d
-        hi_d = b * ah_d * dl_d * cl_d
-        if (hi_n * lo_d - lo_n * hi_d) << precision <= hi_d * lo_d:
-            return (lo_n, lo_d), (hi_n, hi_d)
-        bits += max(8, bits // 2)
+    (al, al_d), (ah, ah_d) = _alpha(q, bits)
+    (dl, dl_d), (dh, dh_d) = log_pairs(a, b, q, bits)
+    (cl, cl_d), (ch, ch_d) = log_pairs(c, b, q, bits)
+    # H = delta log_q(q - 1) - delta log_q(delta) - (1 - delta) log_q(1 - delta)
+    lo_n = a * (al * dh_d - dh * al_d) * ch_d - c * ch * al_d * dh_d
+    lo_d = b * al_d * dh_d * ch_d
+    hi_n = a * (ah * dl_d - dl * ah_d) * cl_d - c * cl * ah_d * dl_d
+    hi_d = b * ah_d * dl_d * cl_d
+    if (hi_n * lo_d - lo_n * hi_d) << precision > hi_d * lo_d:
+        raise InternalContractError("entropy enclosure wider than its log ends allow")
+    return (lo_n, lo_d), (hi_n, hi_d)
 
 
 @lru_cache(maxsize=256)

@@ -26,18 +26,17 @@ the column's two clipped ends for the graph, f(i/N) for the domain), so
 "wait until stabilization" is realized column by column: each column walks
 the precision ladder (base, doubling, clipped to the cap), evaluating the
 curve once per column end per rung, until all of its rows are decided.
-Within a column each verdict is monotone in the row index j, so a rung
-turns the column's enclosures into at most four integer row thresholds
-(exact floors and ceilings of N times an endpoint) and decides whole row
-ranges at once; only the ranges still undecided are walked to the next
-rung. A strip stores only these column ranges and its capped squares, a
-two-sided approximation only each column's band of undecided rows; cells,
-staircases and end segments are derived from them, so no N x N table and
-no per-square object is built. A square still undecided at the cap is
-treated as meeting the set (conservative: strips may widen, never falsely
-thin). The amendment pass of the two-sided approximation compares
-neighbouring bands, since two closed grid squares meet iff their column
-and row indices each differ by at most one.
+Each verdict is monotone in the row index j, so a column is kept as rows
+alone and each rung cuts them at integer row bounds (exact floors and
+ceilings of N times an endpoint): a strip column is its member and pending
+row ranges, a domain column its band (a, b) of undecided rows. No Fraction
+verdict is taken in the grid loops; the deciders serve the presentations.
+Cells, staircases and end segments are derived from the column ranges and
+bands, so no N x N table and no per-square object is built. A square still
+undecided at the cap is treated as meeting the set (conservative: strips
+may widen, never falsely thin). The amendment pass of the two-sided
+approximation compares neighbouring bands, since two closed grid squares
+meet iff their column and row indices each differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
 ball sequence so soundness examples can be exercised directly; they share
 one stage loop (``_StagedEnumeration.advance``) and differ only in the
@@ -155,9 +154,6 @@ class DomainBallDecider:
         return Decision.UNKNOWN
 
 
-Segment = tuple[int, int, tuple[Decision, ...]]  # rows lo..hi inclusive, their verdicts
-
-
 def _floor_times(x: Fraction, n: int) -> int:
     """Exact floor(n * x)."""
     return (x.numerator * n) // x.denominator
@@ -168,54 +164,43 @@ def _ceil_times(x: Fraction, n: int) -> int:
     return -((-x.numerator * n) // x.denominator)
 
 
-def _row_pieces(n_grid: int, starts: Iterable[int], verdicts: Callable[[int], tuple]) -> list[Segment]:
-    """Split rows 0..N-1 at ``starts`` and decide each piece at its first row.
+def _cut(ranges: list[tuple[int, int]], lo: int, hi: int) -> tuple[list, list]:
+    """Row ranges split into their pieces inside [lo, hi] and the pieces outside."""
+    hi = max(hi, lo - 1)  # an empty [lo, hi] cuts each range once, at lo
+    inside, outside = [], []
+    for r_lo, r_hi in ranges:
+        inside += [(max(r_lo, lo), min(r_hi, hi))] if max(r_lo, lo) <= min(r_hi, hi) else []
+        outside += [p for p in ((r_lo, min(r_hi, lo - 1)), (max(r_lo, hi + 1), r_hi)) if p[0] <= p[1]]
+    return inside, outside
 
-    Each start is the first row at which one of the verdict's comparisons
-    against the row edges flips. Those comparisons are monotone in the row
-    index, so the verdicts are constant between consecutive starts.
-    """
-    cuts = sorted({0, *(s for s in starts if 0 < s < n_grid)})
-    return [(lo, hi - 1, verdicts(lo)) for lo, hi in zip(cuts, cuts[1:] + [n_grid])]
 
-
-def _sweep_columns(n_grid: int, column_pieces: Callable[[int, int], list[Segment]],
-                   deadline: Optional[float], base_precision: int, precision_cap: int,
-                   what: str) -> list[list[Segment]]:
+def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int], tuple[object, bool]],
+                   timeout_ms: Optional[int], base_precision: int, precision_cap: int,
+                   what: str) -> list:
     """Walk each column up the precision ladder until its rows are decided.
 
-    ``column_pieces(i, precision)`` evaluates the curve for column i once and
-    turns the enclosures into integer row thresholds, floors and ceilings of
-    N times an endpoint, at which the verdicts change; it returns the rows
-    0..N-1 as ranges with one verdict tuple each. Only the ranges still
-    UNKNOWN are walked to the next rung, where each takes its whole verdict
-    tuple from the new enclosures (enclosures at different rungs need not be
-    nested), so a row keeps the verdicts of the rung that decided it. UNKNOWN
-    left in a range's tuple means it was still undecided at the cap.
-
-    Returns, per column, its row ranges sorted by row. On timeout the
-    StabilizationTimeoutError carries the columns finished so far.
+    Every column starts in state ``start``; ``rung(i, state, precision)``
+    evaluates the curve for column i once, cuts the rows still pending at
+    integer row bounds, and returns the new state and whether rows remain
+    pending. Decided rows are never revisited (enclosures at different rungs
+    need not be nested), and rows pending at the cap stay pending. Returns
+    every column's final state, column i at index i; on timeout the
+    StabilizationTimeoutError carries the states of the finished columns.
     """
     if n_grid < 1:
         raise ContractViolationError("grid resolution must be >= 1")
-    columns: list[list[Segment]] = []
+    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
+    columns: list = []
     for i in range(n_grid):
-        decided: list[Segment] = []
-        pending: list[Segment] = [(0, n_grid - 1, (Decision.UNKNOWN,))]
-        precision = base_precision
+        state, precision = start, base_precision
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 raise StabilizationTimeoutError(f"{what} timed out", partial=columns)
-            fresh = column_pieces(i, precision)
-            walked = [(max(lo, f_lo), min(hi, f_hi), verdicts)
-                      for lo, hi, _ in pending for f_lo, f_hi, verdicts in fresh
-                      if max(lo, f_lo) <= min(hi, f_hi)]
-            decided += [seg for seg in walked if Decision.UNKNOWN not in seg[2]]
-            pending = [seg for seg in walked if Decision.UNKNOWN in seg[2]]
+            state, pending = rung(i, state, precision)
             if not pending or precision >= precision_cap:
                 break
             precision = min(precision_cap, precision * 2)
-        columns.append(sorted(decided + pending))
+        columns.append(state)
     return columns
 
 
@@ -553,32 +538,27 @@ def build_strip(
     columns decided so far when the wall clock runs out first.
     """
     decider = GraphBallDecider(curve)
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
 
-    def column_pieces(i: int, precision: int) -> list[Segment]:
+    def rung(i: int, column, precision: int):
+        members, pending = column
         ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
         if ends is None:
-            return [(0, n_grid - 1, (Decision.DISJOINT,))]
+            return ([], []), False
         fa, fb = ends
-        # rows where f(a) >= j/N, f(b) <= (j+1)/N, f(a) < j/N, f(b) > (j+1)/N flip
-        starts = (_floor_times(fa.lo, n_grid) + 1, _ceil_times(fb.hi, n_grid) - 1,
-                  _floor_times(fa.hi, n_grid) + 1, _ceil_times(fb.lo, n_grid) - 1)
-        return _row_pieces(n_grid, starts, lambda j: (
-            decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),))
+        # row j meets the graph iff f(a) >= j/N and f(b) <= (j+1)/N: keep the
+        # rows where both may hold, and decide those where both surely hold
+        maybe, _ = _cut(pending, _ceil_times(fb.lo, n_grid) - 1, _floor_times(fa.hi, n_grid))
+        sure, pending = _cut(maybe, _ceil_times(fb.hi, n_grid) - 1, _floor_times(fa.lo, n_grid))
+        return (members + sure, pending), bool(pending)
 
-    columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
-                             "strip construction")
-    capped = []
-    members: dict[int, list[tuple[int, int]]] = {}
-    for i, segments in enumerate(columns):
-        for lo, hi, (dec,) in segments:
-            if dec is Decision.UNKNOWN:
-                capped.extend((i, j) for j in range(lo, hi + 1))
-            if dec is not Decision.DISJOINT:
-                members.setdefault(i, []).append((lo, hi))
+    columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, timeout_ms, base_precision,
+                             precision_cap, "strip construction")
+    capped = tuple((i, j) for i, (_, pending) in enumerate(columns)
+                   for lo, hi in pending for j in range(lo, hi + 1))
+    members = {i: sorted(sure + pending) for i, (sure, pending) in enumerate(columns) if sure or pending}
     if not members:
         raise InternalContractError("no grid square meets the presented graph")
-    return _assemble_strip(n_grid, members, tuple(capped))
+    return _assemble_strip(n_grid, members, capped)
 
 
 def _assemble_strip(n_grid: int, members: dict[int, list[tuple[int, int]]],
@@ -707,25 +687,20 @@ def two_sided_approx(
     decreasing; pass strict=False to get the flagged result instead (useful
     for deliberately degenerate stand-ins such as constant curves).
     """
-    decider = DomainBallDecider(curve)
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
+    DomainBallDecider(curve)  # the contract checks: continuous, spanning [0, 1]
 
-    def column_pieces(i: int, precision: int) -> list[Segment]:
+    def rung(i: int, band: tuple[int, int], precision: int):
+        a, b = band
         fa = curve.eval(Fraction(i, n_grid), precision)
-        # rows where f(x0) >= j/N, f(x0) < j/N, f(x0) > j/N, f(x0) <= j/N flip
-        starts = (_floor_times(fa.lo, n_grid) + 1, _floor_times(fa.hi, n_grid) + 1,
-                  _ceil_times(fa.lo, n_grid), _ceil_times(fa.hi, n_grid))
-        return _row_pieces(n_grid, starts, lambda j: (decider.closed_verdict(fa, Fraction(j, n_grid)),
-                                                      decider.open_verdict(fa, Fraction(j, n_grid))))
+        # rows j < N f.lo are U- (the open square meets U), rows j > N f.hi
+        # are U+ (the closed square misses it); a point enclosure on a grid
+        # line decides its row as neither, which leaves it in the band
+        lo, hi = _ceil_times(fa.lo, n_grid), _floor_times(fa.hi, n_grid) + 1
+        a, b = min(max(lo, a), b), min(max(hi, a), b)
+        return (a, b), a < b and fa.lo < fa.hi
 
-    columns = _sweep_columns(n_grid, column_pieces, deadline, base_precision, precision_cap,
-                             "two-sided approximation")
-    # U- is the open-INTERSECTS rows and U+ the closed-DISJOINT rows; both
-    # verdicts are monotone in j at every rung, so they form a bottom and a top range
-    initial = tuple(
-        (max((hi + 1 for _, hi, (_, open_) in segments if open_ is Decision.INTERSECTS), default=0),
-         min((lo for lo, _, (closed, _) in segments if closed is Decision.DISJOINT), default=n_grid))
-        for segments in columns)
+    initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, timeout_ms, base_precision,
+                                   precision_cap, "two-sided approximation"))
 
     # amendment pass against the *initial* sides; two closed grid squares meet
     # iff their indices differ by at most one on both axes, so an undecided

@@ -50,9 +50,10 @@ class StabilizationTimeoutError(CodeplaneError, RuntimeError):
 
     A legitimate outcome for co-r.e. inputs, which promise no convergence
     rate. ``partial`` holds whatever state was reached. For the grid sweeps
-    (``build_strip``, ``two_sided_approx``) it is the list of columns decided
-    so far, column i at index i, each a list of ``(lo, hi, verdicts)`` row
-    ranges covering its rows in order.
+    it is the list of columns finished so far, column i at index i: for
+    ``build_strip`` a pair (member row ranges, row ranges still undecided at
+    the precision cap), each range an inclusive ``(lo, hi)``; for
+    ``two_sided_approx`` the column's band ``(a, b)`` of undecided rows.
     """
 
     def __init__(self, message, *, partial=None):

@@ -33,9 +33,8 @@ def as_rational(value: RationalLike) -> Fraction:
     raise ContractViolationError(f"not a rational value: {value!r}")
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Fraction | int) -> str:
     """Serialize in lowest terms as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -390,11 +390,8 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
     columns = err.value.partial
     assert len(columns) == 9
     strip = build_strip(DIAG, 16)
-    for i, segments in enumerate(columns):
-        assert [lo for lo, _, _ in segments] == [0] + [hi + 1 for _, hi, _ in segments[:-1]]
-        assert segments[-1][1] == 15
-        members = [(lo, hi) for lo, hi, (dec,) in segments if dec is not Decision.DISJOINT]
-        assert members == [strip.column_range(i)]
+    for i, column in enumerate(columns):
+        assert column == ([strip.column_range(i)], [])  # (members, pending)
 
 
 def _first_verdict(decide, base, cap):
@@ -806,27 +803,49 @@ THRESHOLD_CURVES = {
 THRESHOLD_GRIDS = (*range(1, 17), 31, 32, 48)
 
 
+class _RecordingCurve:
+    """A curve that logs the (delta, precision) of every evaluation."""
+
+    def __init__(self, curve):
+        self.curve, self.name, self.continuous, self.span = curve, curve.name, curve.continuous, curve.span
+        self.evals = []
+
+    def eval(self, delta, precision):
+        self.evals.append((delta, precision))
+        return self.curve.eval(delta, precision)
+
+    def taken(self):
+        evals, self.evals = self.evals, []
+        return evals
+
+
 @pytest.mark.parametrize("ladder", [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)])
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
 def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
-    # besides the outputs, every row's verdict tuple must equal the per-row
-    # sweep's: a spy expands the column ranges each build swept into cells
-    swept = []
-    sweep = effective._sweep_columns
+    # besides the outputs, each build must ask the curve for the same
+    # evaluations in the same order as the per-row sweep, and decide every
+    # row as its cells do; a spy reads a strip's rows where they are
+    # assembled, so they are checked also when the assembly raises
+    assembled = []
+    assemble = effective._assemble_strip
 
-    def spy(*args):
-        columns = sweep(*args)
-        swept.append({(i, j): verdicts for i, segments in enumerate(columns)
-                      for lo, hi, verdicts in segments for j in range(lo, hi + 1)})
-        return columns
+    def spy(n_grid, members, capped):
+        assembled.append(({(i, j) for i, rows in members.items() for lo, hi in rows for j in range(lo, hi + 1)},
+                          capped))
+        return assemble(n_grid, members, capped)
 
-    monkeypatch.setattr(effective, "_sweep_columns", spy)
-    curve = THRESHOLD_CURVES[name]()
+    monkeypatch.setattr(effective, "_assemble_strip", spy)
+    curve = _RecordingCurve(THRESHOLD_CURVES[name]())
     base, cap = ladder
     for n_grid in THRESHOLD_GRIDS:
         want_cells, want = _reference_strip(curve, n_grid, base, cap)
+        want_evals = curve.taken()
         got = _outcome(lambda: build_strip(curve, n_grid, base_precision=base, precision_cap=cap))
-        assert swept.pop() == want_cells, n_grid
+        assert curve.taken() == want_evals, n_grid
+        # members are the rows not DISJOINT, capped the rows still UNKNOWN
+        assert (assembled.pop() if assembled else (set(), ())) == (
+            {c for c, (dec,) in want_cells.items() if dec is not Decision.DISJOINT},
+            tuple(sorted(c for c, (dec,) in want_cells.items() if dec is Decision.UNKNOWN))), n_grid
         if isinstance(want, str):
             assert got == want, n_grid
         else:
@@ -844,9 +863,16 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
         if name == "partial_span":
             continue
         want_cells, want = _reference_approx(curve, n_grid, base, cap)
+        want_evals = curve.taken()
         got = two_sided_approx(curve, n_grid=n_grid, base_precision=base, precision_cap=cap,
                                strict=False)
-        assert swept.pop() == want_cells, n_grid
+        assert curve.taken() == want_evals, n_grid
+        # the initial band of a column: U- below its open-INTERSECTS rows, U+ from its first closed-DISJOINT row
+        rows = [[want_cells[i, j] for j in range(n_grid)] for i in range(n_grid)]
+        assert got.initial == tuple(
+            (max((j + 1 for j, (_, open_) in enumerate(col) if open_ is Decision.INTERSECTS), default=0),
+             min((j for j, (closed, _) in enumerate(col) if closed is Decision.DISJOINT), default=n_grid))
+            for col in rows), n_grid
         assert got.to_json() == want.to_json(), n_grid
         assert (got.u_plus, got.u_minus, got.exceptional, got.initial_undecided, got.admissible) == \
             (want.u_plus, want.u_minus, want.exceptional, want.initial_undecided, want.admissible), n_grid
