@@ -74,10 +74,16 @@ the next c raw 32-bit outputs, and numpy applies to them the rules of
 ``getrandbits(n)`` (ceil(n/32) outputs, the last one cut to its top
 n % 32 bits) and of ``randrange(q)`` (the top q.bit_length() bits of an
 output, redrawn when they are >= q), so no state is copied out of the
-generator. The greedy codes keep ``shuffle`` and ``randrange`` for their
-scan order, which depends on the length but not on the distance, so one
-order serves a whole distance sweep; ``kernels.greedy_sieve`` then keeps
-each word at distance >= d from the words kept before it.
+generator. The greedy codes scan spaces of up to 2^16 words in the order
+of ``shuffle``, and larger ones by an affine walk from two ``randrange``
+draws. From 4,096 words on, ``_shuffled_order`` builds the shuffled order
+from batched draws as well: it settles the shuffle's ``randbelow`` draws
+from windows of raw outputs, then traces every position back through the
+swaps in a few numpy passes, so it gives ``shuffle``'s list and leaves the
+generator where ``shuffle`` does. The order depends on the length but not
+on the distance, so one order serves a whole distance sweep;
+``kernels.greedy_sieve`` then keeps each word at distance >= d from the
+words kept before it.
 """
 
 from __future__ import annotations
@@ -565,10 +571,11 @@ def greedy_code(
     """Greedy sieve: scan words in a seeded pseudo-random order, keep each
     word at distance >= d from everything kept so far.
 
-    Stops early once ``target_m`` words are kept. Small spaces use a full
-    Fisher-Yates shuffle; larger ones a seeded affine walk over word
-    indices (full-period, so the scan covers the space given enough
-    budget). Deterministic for a fixed budget.
+    Stops early once ``target_m`` words are kept. Spaces of up to 2^16
+    words use the order of ``random.shuffle`` (a full Fisher-Yates shuffle,
+    rebuilt from batched draws from 4,096 words on); larger ones a seeded
+    affine walk over word indices (full-period, so the scan covers the
+    space given enough budget). Deterministic for a fixed budget.
     """
     check_alphabet(q)
     if not 1 <= d <= n:
@@ -576,7 +583,8 @@ def greedy_code(
     return _sieved_code(q, _scan_chunks(q, n, budget), d, target_m)
 
 
-# spaces up to this size are scanned in shuffled order, larger ones by an affine walk
+# spaces up to this size are scanned in rng.shuffle's order (from
+# _shuffled_order at _BATCHED_SHUFFLE words or more), larger ones by an affine walk
 _SHUFFLE_SPACE = 1 << 16
 
 # words per chunk of the scan order: the first chunk, and the cap as chunks double
@@ -592,8 +600,11 @@ def _scan_chunks(q: int, n: int, budget: SearchBudget) -> Iterator[np.ndarray]:
     space = q ** n
     scan_cap = min(space, budget.max_nodes)
     if space <= _SHUFFLE_SPACE:
-        order = list(range(space))
-        rng.shuffle(order)
+        if space < _BATCHED_SHUFFLE:
+            order = list(range(space))
+            rng.shuffle(order)
+        else:
+            order = _shuffled_order(rng, space)
 
         def values(lo: int, hi: int):
             return order[lo:hi]
@@ -689,6 +700,78 @@ def _draw_words(rng: random.Random, q: int, n: int, count: int) -> np.ndarray:
         symbols[filled:filled + len(raw)] = raw
         filled += len(raw)
     return symbols.reshape(count, n)
+
+
+# shuffles of at least this many words use _shuffled_order (against
+# rng.shuffle, median of 201 runs, Python 3.11, 2-CPU x86-64 container:
+# 2,048 words 1.31 ms against 1.17 ms, 4,096 words 1.97 ms against 2.17 ms,
+# 6,561 words 2.18 ms against 3.55 ms; 65,536 words, 31 runs: 11.9 against 49.5 ms)
+_BATCHED_SHUFFLE = 4096
+
+# raw outputs per window of _shuffled_order's draws, at most
+_SHUFFLE_WINDOW = 4096
+
+
+def _shuffled_order(rng: random.Random, space: int) -> np.ndarray:
+    """``rng.shuffle(list(range(space)))`` as an unsigned array, leaving rng in
+    the state that call leaves it in.
+
+    The shuffle swaps x[i] with x[j_i] for i = space - 1 ... 1, where
+    j_i = randbelow(i + 1) keeps the top (i + 1).bit_length() bits of an
+    output and draws again while they are >= i + 1. The draws come from
+    windows of raw outputs, never more than draws are missing, so the
+    generator ends where the shuffle leaves it. In a window from bound b,
+    at most t draws are accepted before output t, so an output below b - t
+    is accepted; at least the sure accepts before it are, so an output at
+    or above b minus their count is not. Only the outputs in between are
+    settled one at a time.
+
+    No swap is applied. Traced back through the swaps, x[p] sits at j_p
+    after step p, and each step i > p whose draw is where it sits moves it
+    to i, so x[p] is where the chain p -> next step with draw j_p -> first
+    step with draw v -> ... ends, v being the last step reached. A stable
+    sort of the draws gives both hops, and pointer jumping every chain's
+    end.
+    """
+    dtype = np.min_scalar_type(space - 1)
+    draws = np.zeros(space, dtype=dtype)  # draws[i] = j_i, and j_0 = 0
+    i, pending = space - 1, np.empty(0, dtype=np.uint32)
+    while i:
+        bound = i + 1
+        bits = bound.bit_length()
+        left = bound - (1 << (bits - 1)) + 1  # draws left with this bit length
+        raw = np.concatenate((pending, _raw_outputs(rng, min(i, _SHUFFLE_WINDOW) - len(pending))))
+        r = raw >> np.uint32(32 - bits)
+        accepted = r < bound - np.arange(len(r))  # at most t accepts before output t
+        least = np.cumsum(accepted)  # at unsure outputs, the sure accepts before them
+        unsure = np.flatnonzero(~accepted & (r < bound - least))
+        extra = 0  # unsure outputs accepted so far
+        for t, low, value in zip(unsure.tolist(), least[unsure].tolist(), r[unsure].tolist()):
+            if value < bound - low - extra:
+                accepted[t] = True
+                extra += 1
+        # a shorter bit length keeps other bits of an output, so the outputs
+        # after this bit length's last draw wait for the next window
+        taken = np.flatnonzero(accepted)[:left]
+        pending = raw[taken[-1] + 1:] if len(taken) == left else raw[:0]
+        draws[i - len(taken) + 1:i + 1] = r[taken[::-1]]
+        i -= len(taken)
+    by_draw = np.argsort(draws, kind="stable").astype(dtype)  # a radix sort; ties by step
+    ordered = draws[by_draw]
+    head = np.ones(space, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    # the next step with the same draw (0 for none: no hop lands on step 0)
+    after = np.zeros(space, dtype=dtype)
+    after[by_draw[:-1]] = np.where(head[1:], 0, by_draw[1:])
+    # a hop lands on a step v with j_v < v and goes on to the first step with
+    # draw v: hop[v] is that step, or v itself where the chain ends
+    hop = np.arange(space, dtype=dtype)
+    hop[ordered[head]] = by_draw[head]
+    moving = np.flatnonzero(hop[hop] != hop)  # pointer jumping on unfinished chains
+    while len(moving):
+        hop[moving] = hop[hop[moving]]
+        moving = moving[hop[hop[moving]] != hop[moving]]
+    return np.where(after != 0, hop[after], draws)
 
 
 def random_ensemble(
@@ -826,7 +909,7 @@ def _cloud_exhaustive_linear(q, n_max, budget, add):
 def _cloud_greedy(q, n_max, budget, add):
     for n in range(1, n_max + 1):
         # one scan order serves every distance; an affine walk is cheap to
-        # restart, a shuffled order is built once
+        # restart, a shuffled order (batched draws from 4,096 words) is built once
         order = list(_scan_chunks(q, n, budget)) if q ** n <= _SHUFFLE_SPACE else None
         for dist in range(1, n + 1):
             chunks = order if order is not None else _scan_chunks(q, n, budget)

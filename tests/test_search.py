@@ -883,6 +883,9 @@ def test_greedy_code_matches_word_by_word_reference(generators, seed):
     (3, 6, 3, 100, None),           # node cap below q**n
     (2, 9, 2, 37, None),
     (2, 16, 2, 2_000_000, 16),      # the largest shuffled space
+    (2, 16, 3, 2_000_000, 300),     # past its first 64- and 128-word chunks
+    (2, 16, 2, 1_000, None),        # cut by the node cap
+    (3, 8, 3, 2_000_000, None),     # a batched shuffle of 3**8 words, whole scan
     (2, 17, 9, 2_000_000, None),    # affine walk over 2**17 words, whole scan
     (3, 11, 4, 20_000, None),       # affine walk cut by the node cap
     (2, 24, 3, 2_000_000, 64),
@@ -895,6 +898,30 @@ def test_greedy_code_matches_reference_with_caps_and_affine_walks(
     expected, state = _reference_greedy(q, n, d, budget, target_m)
     assert greedy_code(q, n, d, budget, target_m=target_m).words == expected.words
     assert generators[-1].getstate() == state
+
+
+def test_shuffle_draws_through_randbelow_with_getrandbits():
+    # _shuffled_order replays these draws; another randbelow would change them
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+def _shuffle_sizes():
+    sizes = {3 ** 8, 4 ** 8}
+    sizes.update(search._BATCHED_SHUFFLE + k for k in (-1, 0, 1))
+    for k in range(1, 17):
+        sizes.update((2 ** k, 2 ** k + 1))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("space", _shuffle_sizes())
+def test_shuffled_order_is_rng_shuffle(space):
+    for seed in range(20):
+        rng = random.Random(seed)
+        expected = list(range(space))
+        rng.shuffle(expected)
+        batched = random.Random(seed)
+        assert search._shuffled_order(batched, space).tolist() == expected, seed
+        assert batched.getstate() == rng.getstate(), seed
 
 
 @pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5), (2, 17)])
