@@ -256,9 +256,6 @@ def constant_curve(level: Fraction) -> PolylineCurve:
     return PolylineCurve([RatPoint.of(level, 0), RatPoint.of(level, 1)])
 
 
-NAMED_CURVES = ("vg", "gv_lower", "singleton", "hamming", "singleton_zero")
-
-
 def named_curve(name: str, q: int) -> BoundCurve:
     """Curve registry used by the command line: vg, gv_lower, singleton,
     hamming, singleton_zero, synthetic:diag, or synthetic:d,r;d,r;..."""

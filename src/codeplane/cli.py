@@ -38,6 +38,7 @@ from .errors import (
     CodeplaneError,
     ContractViolationError,
     InternalContractError,
+    SeedNotFoundError,
     StabilizationTimeoutError,
 )
 from .geometry import RatInterval, RatPoint, format_rational, vertex_list
@@ -501,7 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BudgetExceededError, StabilizationTimeoutError) as exc:
+    except (BudgetExceededError, SeedNotFoundError, StabilizationTimeoutError) as exc:
         print(f"budget/timeout: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalContractError as exc:

@@ -38,9 +38,9 @@ may widen, never falsely thin). The amendment pass of the two-sided
 approximation compares neighbouring bands, since two closed grid squares
 meet iff their column and row indices each differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
-ball sequence so soundness examples can be exercised directly; they share
-one stage loop (``_StagedEnumeration.advance``) and differ only in the
-per-ball test that decides whether a ball is emitted.
+ball sequence so soundness examples can be exercised directly; each is one
+``Presentation``, whose ``advance`` runs the shared stage loop, built with
+the per-ball test that decides whether a ball is emitted.
 """
 
 from __future__ import annotations
@@ -247,19 +247,21 @@ def canonical_ball(index: int) -> RatBall:
 # --- presentations ---------------------------------------------------------
 
 
-class _StagedEnumeration:
-    """The stage loop shared by the ball presentations: deterministic stages.
+class Presentation:
+    """A ball presentation: deterministic stages over the canonical balls.
 
     Stage s tests the first s canonical balls at precision
-    min(DEFAULT_PRECISION_CAP, base + 4s) with the presentation's per-ball
-    ``_emits``, and emits each ball it accepts the first time it does.
+    min(DEFAULT_PRECISION_CAP, DEFAULT_BASE_PRECISION + 4s) with the per-ball
+    test ``emits(ball, precision, s)``, and emits each ball it accepts the
+    first time it does. ``kind`` is "re" when the emitted balls provably meet
+    the presented set and "co" when their closures provably miss it.
     """
 
-    def __init__(self, base_precision: int = DEFAULT_BASE_PRECISION):
-        self.base_precision = base_precision
+    def __init__(self, kind: str, emits: Callable[[RatBall, int, int], bool]):
+        self.kind = kind
+        self._emits = emits
         self._stage = 0
-        self._emitted: list[RatBall] = []
-        self._emitted_set: set[RatBall] = set()
+        self._emitted: dict[RatBall, None] = {}  # insertion-ordered set
 
     @property
     def progress(self) -> int:
@@ -274,89 +276,56 @@ class _StagedEnumeration:
         fresh: list[RatBall] = []
         for _ in range(stages):
             self._stage += 1
-            precision = min(DEFAULT_PRECISION_CAP, self.base_precision + 4 * self._stage)
+            precision = min(DEFAULT_PRECISION_CAP, DEFAULT_BASE_PRECISION + 4 * self._stage)
             for idx in range(self._stage):
                 ball = canonical_ball(idx)
-                if self._emits(ball, precision) and ball not in self._emitted_set:
-                    self._emitted_set.add(ball)
-                    self._emitted.append(ball)
+                if self._emits(ball, precision, self._stage) and ball not in self._emitted:
+                    self._emitted[ball] = None
                     fresh.append(ball)
         return fresh
 
-    def _emits(self, ball: RatBall, precision: int) -> bool:
-        """Whether ``ball`` is proven at the current stage (``progress``)."""
-        raise NotImplementedError
 
+def re_from_dense_points(stream_factory: Callable[[], Iterator[RatPoint]]) -> Presentation:
+    """r.e. presentation of the closure of a point stream: at stage s a ball
+    is emitted once it contains one of the first s streamed points."""
+    stream = stream_factory()
+    points: list[RatPoint] = []
 
-class DensePointPresentation(_StagedEnumeration):
-    """Sound ball enumerator for the closure of a restartable point stream.
-
-    At stage s, a ball is emitted once it contains one of the first s
-    streamed points, which certifies it meets the closure of the stream's
-    range.
-    """
-
-    kind = "re"
-
-    def __init__(self, stream_factory: Callable[[], Iterator[RatPoint]]):
-        super().__init__()
-        self._factory = stream_factory
-        self._iter: Optional[Iterator[RatPoint]] = None
-        self._points: list[RatPoint] = []
-
-    def _emits(self, ball: RatBall, precision: int) -> bool:
-        if self._iter is None:
-            self._iter = self._factory()
+    def emits(ball: RatBall, precision: int, stage: int) -> bool:
         # streamed points up to the stage number, fewer once the stream ends
-        self._points += itertools.islice(self._iter, self._stage - len(self._points))
-        return any(ball.contains(p) for p in self._points)
+        points.extend(itertools.islice(stream, stage - len(points)))
+        return any(ball.contains(p) for p in points)
+
+    return Presentation("re", emits)
 
 
-def re_from_dense_points(stream_factory: Callable[[], Iterator[RatPoint]]) -> DensePointPresentation:
-    return DensePointPresentation(stream_factory)
+def core_from_curve(curve: BoundCurve) -> Presentation:
+    """co-r.e. presentation of the graph: open rational balls whose closures
+    provably miss it."""
+    decider = GraphBallDecider(curve)
 
-
-class CurveGraphCoPresentation(_StagedEnumeration):
-    """Enumerates open rational balls whose closures provably miss the graph."""
-
-    kind = "co"
-
-    def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__(base_precision)
-        self.decider = GraphBallDecider(curve)
-
-    def _emits(self, ball: RatBall, precision: int) -> bool:
+    def emits(ball: RatBall, precision: int, stage: int) -> bool:
         d_iv, r_iv = ball.delta_interval, ball.r_interval
-        return self.decider.decide(d_iv.lo, d_iv.hi, r_iv.lo, r_iv.hi, precision) is Decision.DISJOINT
+        return decider.decide(d_iv.lo, d_iv.hi, r_iv.lo, r_iv.hi, precision) is Decision.DISJOINT
+
+    return Presentation("co", emits)
 
 
-class CurveGraphRePresentation(_StagedEnumeration):
-    """Enumerates open rational balls that provably meet the graph.
+def re_from_curve(curve: BoundCurve) -> Presentation:
+    """r.e. presentation of the graph: a ball is emitted once some dyadic
+    sample point delta strictly inside it (at stage s, up to 2^min(s, 8) + 1
+    of them) has its curve value proven strictly inside the ball's rate range."""
+    _require_usable(curve)
+    span = curve.span
 
-    A ball is emitted once some dyadic sample point delta strictly inside
-    it (at stage s, up to 2^min(s, 8) + 1 of them) has its curve value
-    proven strictly inside the ball's rate range.
-    """
-
-    kind = "re"
-
-    def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__(base_precision)
-        _require_usable(curve)
-        self.curve = curve
-
-    def _emits(self, ball: RatBall, precision: int) -> bool:
-        span = self.curve.span
+    def emits(ball: RatBall, precision: int, stage: int) -> bool:
         d_iv, r_iv = ball.delta_interval, ball.r_interval
         a = max(d_iv.lo, span[0])
         b = min(d_iv.hi, span[1])
-        if a > b:
-            return False
-        for delta in _sample_points(a, b, d_iv.lo, d_iv.hi, depth=self._stage):
-            value = self.curve.eval(delta, precision)
-            if value.lo > r_iv.lo and value.hi < r_iv.hi:
-                return True
-        return False
+        values = (curve.eval(delta, precision) for delta in _sample_points(a, b, d_iv.lo, d_iv.hi, stage))
+        return a <= b and any(r_iv.lo < v.lo and v.hi < r_iv.hi for v in values)
+
+    return Presentation("re", emits)
 
 
 def _sample_points(a: Fraction, b: Fraction, open_lo: Fraction, open_hi: Fraction,
@@ -373,63 +342,35 @@ def _sample_points(a: Fraction, b: Fraction, open_lo: Fraction, open_hi: Fractio
         yield a + width * Fraction(i, steps)
 
 
-def core_from_curve(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION) -> CurveGraphCoPresentation:
-    return CurveGraphCoPresentation(curve, base_precision)
+def domain_presentations(curve: BoundCurve) -> tuple[Presentation, Presentation]:
+    """(r.e., co-r.e.) pair presenting U = {R <= f(delta)}, both read at the
+    lower-left corner (x0, y0) of a ball's part within the unit square.
 
+    The r.e. side emits a ball when that open part provably meets U
+    (f(x0) > y0); the co-r.e. side emits it when it misses the unit square
+    or its closure provably misses U (f(x0) < y0).
+    """
+    DomainBallDecider(curve)  # the contract checks: continuous, spanning [0, 1]
 
-def re_from_curve(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION) -> CurveGraphRePresentation:
-    return CurveGraphRePresentation(curve, base_precision)
-
-
-class DomainCoPresentation(_StagedEnumeration):
-    """Closed-rectangle provers for the complement side of a monotone domain:
-    a ball is emitted when it misses the unit square or its closure provably
-    misses U (f(x0) < y0 at the clipped lower-left corner)."""
-
-    kind = "co"
-
-    def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__(base_precision)
-        self.decider = DomainBallDecider(curve)
-
-    def _emits(self, ball: RatBall, precision: int) -> bool:
-        d_iv, r_iv = ball.delta_interval, ball.r_interval
-        x0 = max(d_iv.lo, ZERO)
-        y0 = max(r_iv.lo, ZERO)
-        if x0 > min(d_iv.hi, ONE) or y0 > min(r_iv.hi, ONE):
-            return True  # no overlap with the unit square at all
-        fa = self.decider.curve.eval(x0, precision)
-        return DomainBallDecider.closed_verdict(fa, y0) is Decision.DISJOINT
-
-
-class DomainRePresentation(_StagedEnumeration):
-    """Open-rectangle provers for the inside of a monotone domain: a ball is
-    emitted when its open part within the unit square provably meets U
-    (f(x0) > y0 at the clipped lower-left corner)."""
-
-    kind = "re"
-
-    def __init__(self, curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION):
-        super().__init__(base_precision)
-        self.decider = DomainBallDecider(curve)
-
-    def _emits(self, ball: RatBall, precision: int) -> bool:
+    def re_emits(ball: RatBall, precision: int, stage: int) -> bool:
         d_iv, r_iv = ball.delta_interval, ball.r_interval
         x0 = max(d_iv.lo, ZERO)
         x1 = min(d_iv.hi, ONE)
         if x0 > x1 or (x0 == x1 and not d_iv.lo < x0 < d_iv.hi):
             return False
         y0 = max(r_iv.lo, ZERO)
-        if y0 >= r_iv.hi:
-            return False
-        fa = self.decider.curve.eval(x0, precision)
-        return DomainBallDecider.open_verdict(fa, y0) is Decision.INTERSECTS
+        return y0 < r_iv.hi and DomainBallDecider.open_verdict(
+            curve.eval(x0, precision), y0) is Decision.INTERSECTS
 
+    def co_emits(ball: RatBall, precision: int, stage: int) -> bool:
+        d_iv, r_iv = ball.delta_interval, ball.r_interval
+        x0 = max(d_iv.lo, ZERO)
+        y0 = max(r_iv.lo, ZERO)
+        if x0 > min(d_iv.hi, ONE) or y0 > min(r_iv.hi, ONE):
+            return True  # no overlap with the unit square at all
+        return DomainBallDecider.closed_verdict(curve.eval(x0, precision), y0) is Decision.DISJOINT
 
-def domain_presentations(curve: BoundCurve, base_precision: int = DEFAULT_BASE_PRECISION
-                         ) -> tuple[DomainRePresentation, DomainCoPresentation]:
-    """(r.e., co-r.e.) pair presenting U = {R <= f(delta)}."""
-    return DomainRePresentation(curve, base_precision), DomainCoPresentation(curve, base_precision)
+    return Presentation("re", re_emits), Presentation("co", co_emits)
 
 
 # --- N-strips (graph approximation) ----------------------------------------

@@ -54,43 +54,28 @@ def _from_digits(digits, p: int) -> int:
     return value
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient vectors over GF(p) and reduce by the monic modulus."""
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for top in range(len(prod) - 1, e - 1, -1):
-        coeff = prod[top]
-        if coeff:
-            prod[top] = 0
-            for k in range(e):
-                prod[top - e + k] = (prod[top - e + k] - coeff * modulus[k]) % p
-    return prod[:e]
+def _powers_of_x(modulus, p: int) -> list[int]:
+    """x^0, x^1, ... mod the monic modulus, as field elements, up to the
+    walk's first return to 1 (the constant term must be nonzero).
 
-
-def _x_has_full_order(modulus, p: int, q: int) -> bool:
-    """True iff x generates all q-1 nonzero residues mod the monic modulus.
-
-    Full order implies every nonzero residue is a power of x, hence a unit,
-    hence the quotient ring is a field; no separate irreducibility test is
-    needed.
+    x is primitive iff the walk takes q - 1 steps. Full order makes every
+    nonzero residue a power of x, hence a unit, hence the quotient ring a
+    field; no separate irreducibility test is needed.
     """
-    e = len(modulus) - 1
-    one = [1] + [0] * (e - 1)
-    x = [0, 1] + [0] * (e - 2) if e > 1 else None
-    cur = x
-    for step in range(1, q - 1):
+    one = cur = [1] + [0] * (len(modulus) - 2)
+    powers = []
+    while True:
+        powers.append(_from_digits(cur, p))
+        # shift up one degree, then reduce x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+        top = cur[-1]
+        cur = [(c - top * m) % p for c, m in zip([0] + cur[:-1], modulus)]
         if cur == one:
-            return False
-        cur = _poly_mul_mod(cur, x, modulus, p)
-    return cur == one
+            return powers
 
 
-def _least_primitive_polynomial(p: int, e: int, q: int) -> tuple[int, ...]:
-    """Lexicographically least monic primitive polynomial of degree e over GF(p).
+def _least_primitive_polynomial(p: int, e: int) -> tuple[tuple[int, ...], list[int]]:
+    """Lexicographically least monic primitive polynomial of degree e over
+    GF(p), with its powers of x.
 
     Coefficients ascending, constant term first; the leading 1 is included.
     Lexicographic order is over the low-degree coefficient vector.
@@ -99,9 +84,9 @@ def _least_primitive_polynomial(p: int, e: int, q: int) -> tuple[int, ...]:
         coeffs = _digits(tail, p, e)
         if coeffs[0] == 0:
             continue  # constant term 0 means x divides the polynomial
-        modulus = coeffs + [1]
-        if _x_has_full_order(modulus, p, q):
-            return tuple(modulus)
+        powers = _powers_of_x(coeffs + [1], p)
+        if len(powers) == p ** e - 1:
+            return tuple(coeffs + [1]), powers
     raise ContractViolationError(f"no primitive polynomial found for GF({p}^{e})")
 
 
@@ -188,13 +173,7 @@ def GF(q: int) -> FieldSpec:
             exp[i] = exp[i - 1] * g % p
         modulus = (p,)
     else:
-        modulus = _least_primitive_polynomial(p, e, q)
-        x = [0, 1] + [0] * (e - 2)
-        cur = [1] + [0] * (e - 1)
-        exp = []
-        for _ in range(q - 1):
-            exp.append(_from_digits(cur, p))
-            cur = _poly_mul_mod(cur, x, list(modulus), p)
+        modulus, exp = _least_primitive_polynomial(p, e)
     log = [0] * q
     for i, value in enumerate(exp):
         log[value] = i

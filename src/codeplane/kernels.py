@@ -23,8 +23,12 @@ import numpy as np
 #: reported by the benchmark's run context
 BACKEND = "python"
 
-# below this many words, plain-bytes loops beat numpy dispatch overhead
-_SMALL = 8
+# up to this many words, plain-bytes loops beat numpy dispatch overhead.
+# min_pairwise on binary words of the ensemble's small lengths (n = 3-8, 24),
+# best of 7, Python/numpy lane in us (numpy 2.4, CPython 3.11, 2-CPU VM):
+# m = 5: 17-23 / 27-31 for n <= 8, 37 / 30 at n = 24; m = 6: level or numpy
+# (16-35 / 19-31, 56 / 29 at n = 24); m = 8: numpy (31-69 / 19-31)
+_SMALL = 5
 
 # pairs compared per numpy pass
 _BLOCK_PAIRS = 1 << 16

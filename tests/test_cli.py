@@ -267,6 +267,16 @@ def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, caps
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("realize", "--target", "1/2,1/4", "--count", "2", "--max-nodes", "1"),
+    ("realize", "--target", "7/8,3/4", "--count", "1"),
+])
+def test_seed_not_found_is_budget_exit_without_traceback(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "no seed found" in err and "Traceback" not in err
+
+
 # SHA-256 of bounds.csv as written by the repeated-squaring enclosure; any
 # rewrite of the logarithm enclosures has to reproduce these bytes
 BOUNDS_CSV_SHA256 = {

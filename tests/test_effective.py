@@ -14,6 +14,7 @@ from codeplane.bounds import (
     gv_lower_curve,
     hamming_curve,
     synthetic_polyline,
+    upper_bracket_curve,
     vg_bound_curve,
 )
 from codeplane.effective import (
@@ -339,6 +340,13 @@ def test_dense_point_emissions_are_pinned():
     spread = [RatPoint(Fraction((7 * i) % 31, 31), Fraction(i, 31)) for i in range(31)]
     pres = re_from_dense_points(lambda: iter(spread))
     assert _emission_digest(pres, steps=(1,) * 45) == _DENSE_STAGEWISE_SHA256
+
+
+@pytest.mark.parametrize("factory", [core_from_curve, re_from_curve, domain_presentations])
+def test_curve_presentations_reject_discontinuous_curve_at_construction(factory):
+    # the contract check runs when the presentation is built, not at its first stage
+    with pytest.raises(ContractViolationError):
+        factory(upper_bracket_curve(2))
 
 
 def test_polyline_within():

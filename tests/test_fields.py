@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -129,3 +130,38 @@ def test_tables_match_add_and_mul(q):
     assert mul.tolist() == [[field.mul(a, b) for b in range(q)] for a in range(q)]
     assert field.tables is GF(q).tables  # built once per field
     assert not add.flags.writeable and not mul.flags.writeable
+
+
+# modulus and SHA-256 of the comma-joined exp table of every GF(p^e), e > 1,
+# up to order 256, recorded when exp was built by polynomial multiplication
+_EXTENSION_FIELDS = {
+    4: ((1, 1, 1), "8a6ae15122001229edb8866f56e342af12ae8187203c3e3b33931743e7c0c48d"),
+    8: ((1, 1, 0, 1), "532e44873f84897631e3bdf4bc87f13b6efc56c613f250dc56d5291817826247"),
+    9: ((2, 1, 1), "bcc2ac665c778ead1173bcf046052610833f3582e06614ad03d9a57df6f011ec"),
+    16: ((1, 1, 0, 0, 1), "2118825d6501751151897ace59a145fb8eb96b687bbef51fd02806658e21cf8f"),
+    25: ((2, 1, 1), "eccf3f60d3c6c07cb01ef9ebe4423fc1697c1de2a7fc3ddf351c01f8a9d000ca"),
+    27: ((1, 2, 0, 1), "62f2ccfa842b73c3cec2619c24647ea47f8c96fe4d36f11e954cd0b0ef80b4ad"),
+    32: ((1, 0, 1, 0, 0, 1), "1aae48154ea2150d32405e80955df6cf977db73110fb90742bb6c3b591fc78c3"),
+    49: ((3, 1, 1), "aba35872504404e85a4ab327577a1ea01cefd7558cb9366ee0882f1a08544cdf"),
+    64: ((1, 1, 0, 0, 0, 0, 1), "add391b6e7520c4fe4dbd27482de6f4191939141dbb95ab6a759eb6b7804722b"),
+    81: ((2, 1, 0, 0, 1), "3d1b96486dbf892d67c248860df8f72b5d8ba2fee6401cefcff3bcb1bc7fb49f"),
+    121: ((7, 1, 1), "fb6d34b1a2f8993f22b3683a7c8915a5b85610aeeccf0895b7288a3e9666b772"),
+    125: ((2, 3, 0, 1), "f8ce45099bed159401ce5ffa21e75baf526895720d0993b167a6c198f1bb685d"),
+    128: ((1, 1, 0, 0, 0, 0, 0, 1), "cd62bd15b3fdd5adaf777a99ce0ab327f4e489bfc596f509e7ed01dffc049941"),
+    169: ((2, 1, 1), "58d0682df211f3bbd707cb065a6f345bcdab334f2302de9309e44c6b314b3829"),
+    243: ((1, 2, 0, 0, 0, 1), "3972215707772f603b5c8821179ab01865e4d2de1136550a4568b8f92c3cc96e"),
+    256: ((1, 0, 1, 1, 1, 0, 0, 0, 1), "d82bd328e9f64438f7af2febf51b2f15f65e599a849216a812789e5023ca5d59"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_EXTENSION_FIELDS))
+def test_extension_field_tables_are_pinned(q):
+    field = GF(q)
+    modulus, digest = _EXTENSION_FIELDS[q]
+    assert field.modulus == modulus
+    assert hashlib.sha256(",".join(map(str, field.exp)).encode()).hexdigest() == digest
+    x = [0, 1] + [0] * (field.e - 2)
+    assert len(set(field.exp)) == q - 1 and field.exp[0] == 1
+    for a, b in zip(field.exp, field.exp[1:] + field.exp[:1]):  # x^(q-1) = x^0
+        assert _from_digits(_poly_mul_reduce_oracle(_digits(a, field.p, field.e), x,
+                                                    list(modulus), field.p), field.p) == b
