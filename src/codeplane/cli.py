@@ -54,6 +54,10 @@ EXIT_INTERNAL = 4
 #: environment variable overriding the default node budget
 BUDGET_ENV = "CODEPLANE_MAX_NODES"
 
+#: largest ``approx --N``: approx.json lists every square, O(N^2). At the cap (vg, q = 2) it is
+#: 122 MB, written in about 10 s at a peak RSS of 1,066 MB under ``ulimit -v`` 2 GB (2-vCPU x86-64).
+APPROX_MAX_N = 2048
+
 
 class ConfigError(ContractViolationError, argparse.ArgumentTypeError):
     """Bad configuration (exit 2); argparse keeps its message when a
@@ -136,8 +140,44 @@ def _csv(manifest: dict, header: Sequence[str], rows: Sequence[Sequence[str]]) -
     return "\n".join(lines) + "\n"
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _indented(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` for a value whose lines start
+    with ``newline`` (a newline and the indent). json.dumps encodes indented text
+    in pure Python, item by item; a list of [int, int] pairs here is one template."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict and all(type(key) is str for key in value):
+        inner = newline + " "
+        items = (_json_str(key) + ": " + _indented(item, inner) for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if value else "{}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + " "
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value):
+            pair = "[" + inner + " %d," + inner + " %d" + inner + "]"
+            items = [pair % (a, b) for a, b in value]
+        else:
+            items = [_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None or kind is bool:
+        return {None: "null", True: "true", False: "false"}[value]
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    # non-str keys, tuples, NaN, other types: json.dumps, its lines (strings hold no raw \n) indented
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", newline)
+
+
 def _json_text(manifest: dict, payload: dict) -> str:
-    return json.dumps({"manifest": manifest, **payload}, sort_keys=True, indent=1) + "\n"
+    """Every JSON artefact: exactly ``json.dumps(obj, sort_keys=True,
+    indent=1)`` and a newline, for the manifest and payload in one dict."""
+    return _indented({"manifest": manifest, **payload}, "\n") + "\n"
 
 
 def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
@@ -361,6 +401,9 @@ def cmd_strip(args) -> int:
 
 def cmd_approx(args) -> int:
     cfg = _cfg_from_args(args, "approx")
+    if cfg.n_grid > APPROX_MAX_N:
+        raise ConfigError(f"approx --N must be <= {APPROX_MAX_N}, got {cfg.n_grid}: approx.json lists every "
+                          "square, O(N^2) in size; band-only output (ROADMAP item 3) will lift the cap")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
     adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, timeout_ms=cfg.max_millis,
@@ -476,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="two-sided approximation of a monotone domain")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--curve", type=_curve_spec, default="synthetic:diag")
-    p.add_argument("--N", type=int, default=4)
+    p.add_argument("--N", type=int, default=4, help=f"grid resolution, at most {APPROX_MAX_N}")
     p.add_argument("--lenient", action="store_true",
                    help="tolerate non-admissible exceptional sets (degenerate stand-ins)")
     _add_common(p)

@@ -444,7 +444,7 @@ class NStrip:
     def to_json(self) -> dict:
         return {
             "n_grid": self.n_grid,
-            "balls": [list(cell) for cell in self.cells()],
+            "balls": [[i, j] for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)],
             "gamma_plus": vertex_list(self.gamma_plus),
             "gamma_minus": vertex_list(self.gamma_minus),
             "capped": sorted(list(pair) for pair in self.capped),
@@ -597,8 +597,9 @@ class AdmissibleSet:
     def to_json(self) -> dict:
         return {
             "n_grid": self.n_grid,
-            "u_plus": sorted(list(p) for p in self.u_plus),
-            "u_minus": sorted(list(p) for p in self.u_minus),
+            # column by column, rows ascending: sorted, without the cached frozensets
+            "u_plus": [[i, j] for i, (_, b) in enumerate(self.bands) for j in range(b, self.n_grid)],
+            "u_minus": [[i, j] for i, (a, _) in enumerate(self.bands) for j in range(a)],
             "exceptional": [list(p) for p in self.exceptional],
             "initial_undecided": [list(p) for p in self.initial_undecided],
             "admissible": self.admissible,

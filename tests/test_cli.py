@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from codeplane.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from codeplane import cli
+from codeplane.cli import APPROX_MAX_N, BUDGET_ENV, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from codeplane.codes import read_code_text, params
 
 
@@ -413,3 +415,97 @@ def test_large_grid_bytes_are_pinned(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out", "."]) == EXIT_OK
     for name, digest in GRID_SHA256[argv].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of the other commands' JSON artefacts, recorded when every JSON
+# file was written by json.dumps(..., indent=1); the spoil input is _SPOIL_INPUT
+JSON_SHA256 = {
+    ("oracle", "--q", "2", "--n", "7", "--m", "16", "--d", "3"): {
+        "oracle.json": "58fd1ad8961479f91373c68d152e18b6d6e4c1fd0ccdcaaf68b42ae7011d1d12"},
+    ("oracle", "--q", "2", "--n", "7", "--m", "16", "--linear"): {
+        "oracle.json": "78c24764b578cc94372c385958142be5acb351369b6153c68d09ad16c3068dd7"},
+    ("sample", "--q", "2", "--n", "12", "--m", "16", "--trials", "3", "--seed", "123"): {
+        "sample_summary.json": "b8f1baa82e53d5fb7168be875117363a7ac819ccf9e99d2b3da5099b95415f72"},
+    ("spoil", "--input", "in.code.txt", "--op", "puncture", "--count", "1"): {
+        "spoil_trace.json": "b60d72161beb16297adf41d6651b3387ecc20b74a25f57016907d66d00bdc5bb"},
+    ("realize", "--q", "2", "--target", "1/8,1/8", "--count", "2"): {
+        "realize_summary.json": "35aa7210f7a448fd29898fd9fee058e2ea87e6a62da73d823dcd4a33190a0277",
+        "realize_a1.trace.json": "dc6100b71e84eb42f73c1bf9ec65dd9395b00f36edf5c271e034ee87e196fdab"},
+}
+_SPOIL_INPUT = "2 4 3\n0000\n0111\n1011\n"
+
+
+def _run_pinned(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
+    monkeypatch.chdir(tmp_path)  # and the output directory
+    (tmp_path / "in.code.txt").write_text(_SPOIL_INPUT)
+    assert main([*argv, "--out", "."]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_SHA256))
+def test_json_bytes_are_pinned(tmp_path, monkeypatch, argv):
+    _run_pinned(tmp_path, monkeypatch, argv)
+    for name, digest in JSON_SHA256[argv].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *sorted(JSON_SHA256),
+    ("strip", "--curve", "vg", "--q", "2", "--N", "8", "--svg"),
+    ("strip", "--curve", "synthetic:0,1;1/2,1/3;1,0", "--q", "3", "--N", "16"),
+    ("approx", "--curve", "vg", "--q", "2", "--N", "32"),
+    ("approx", "--curve", "synthetic:0,1/2;1,1/2", "--N", "4", "--lenient"),
+])
+def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch, argv):
+    payloads = []
+    write = cli._json_text
+
+    def spy(manifest, payload):
+        payloads.append({"manifest": manifest, **payload})
+        return write(manifest, payload)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    _run_pinned(tmp_path, monkeypatch, argv)
+    assert payloads
+    for obj in payloads:
+        assert write(obj["manifest"], obj) == _dumps(obj)
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22]),
+    st.text(), st.sampled_from(["", "\x00\x1f\n\t\"\\", "caf\u00e9 \u2603 \U0001f600", "\ud800"]),
+    st.lists(st.integers(), min_size=2, max_size=2),
+    st.tuples(st.integers(), st.booleans()).map(list),
+    st.lists(st.integers(), max_size=1),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=5),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        st.dictionaries(st.integers(), inner, max_size=2),
+        st.lists(inner, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4), _JSON_VALUES)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_json_writer_matches_json_dumps(payload, manifest):
+    assert cli._json_text(manifest, payload) == _dumps({"manifest": manifest, **payload})
+
+
+def test_approx_refuses_an_n_above_the_cap_at_once(tmp_path, capsys):
+    start = time.monotonic()
+    assert run(tmp_path, "approx", "--curve", "vg", "--N", str(APPROX_MAX_N + 1)) == EXIT_CONFIG
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"<= {APPROX_MAX_N}" in err and "Traceback" not in err
+    assert not (tmp_path / "approx.json").exists()

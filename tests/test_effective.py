@@ -890,3 +890,21 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
             (want_upper, want_lower, want_corners), n_grid
         assert estimate.upper_polyline() == _reference_values_staircase(want_upper, n_grid), n_grid
         assert estimate.lower_polyline() == _reference_values_staircase(want_lower, n_grid), n_grid
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
+def test_json_square_lists_come_from_the_bands(name):
+    # the JSON lists are the sorted square sets, walked from the column
+    # bands and ranges; an approximation's to_json never fills the cached
+    # O(N^2) frozensets, so it never pays their O(N^2 log N) sort
+    curve = THRESHOLD_CURVES[name]()
+    for n_grid in range(1, 41):
+        strip = build_strip(curve, n_grid)
+        assert strip.to_json()["balls"] == sorted(list(c) for c in strip.ball_set()), n_grid
+        if name == "partial_span":  # a graph but no domain
+            continue
+        adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
+        payload = adm.to_json()
+        assert "u_plus" not in adm.__dict__ and "u_minus" not in adm.__dict__, n_grid
+        assert payload["u_plus"] == sorted(list(p) for p in adm.u_plus), n_grid
+        assert payload["u_minus"] == sorted(list(p) for p in adm.u_minus), n_grid
