@@ -7,7 +7,6 @@ curves, desk-scale search, and pixel approximations of planar closed sets.
 
 __version__ = "0.1.0"
 
-from .codes import Code, CodeParams, code_point, hamming_distance, min_distance, params
 from .geometry import GridBall, RatBall, RatInterval, RatPoint, max_distance
 
 __all__ = [
@@ -24,3 +23,14 @@ __all__ = [
     "min_distance",
     "params",
 ]
+
+# the names from ``codes`` load numpy, so they resolve on first use (PEP 562)
+_FROM_CODES = ("Code", "CodeParams", "code_point", "hamming_distance", "min_distance", "params")
+
+
+def __getattr__(name: str):
+    if name in _FROM_CODES:
+        from . import codes
+
+        return getattr(codes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

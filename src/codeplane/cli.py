@@ -25,14 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from . import effective, search, spoiling
-from .codes import (
-    Code,
-    csv_point_row,
-    params,
-    read_code_text,
-    write_code_text,
-)
+from .budget import DEFAULT_SEED, SearchBudget
 from .errors import (
     BudgetExceededError,
     CodeplaneError,
@@ -102,14 +95,14 @@ class RunConfig:
     n_max: int = 6
     precision: int = 30
     grid_samples: int = 64
-    max_nodes: int = search.SearchBudget().max_nodes
+    max_nodes: int = SearchBudget().max_nodes
     max_millis: Optional[int] = None
-    rng_seed: int = search.DEFAULT_SEED
+    rng_seed: int = DEFAULT_SEED
     out_dir: str = "."
     svg: bool = False
 
-    def budget(self) -> search.SearchBudget:
-        return search.SearchBudget(
+    def budget(self) -> SearchBudget:
+        return SearchBudget(
             max_nodes=self.max_nodes, max_millis=self.max_millis, rng_seed=self.rng_seed
         )
 
@@ -146,7 +139,8 @@ _json_str = json.encoder.encode_basestring_ascii
 def _indented(value, newline: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` for a value whose lines start
     with ``newline`` (a newline and the indent). json.dumps encodes indented text
-    in pure Python, item by item; a list of [int, int] pairs here is one template."""
+    in pure Python, item by item; a list of [int, int] or [str, str] pairs here is
+    one template."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -160,9 +154,11 @@ def _indented(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + " "
+        pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
         if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value):
-            pair = "[" + inner + " %d," + inner + " %d" + inner + "]"
-            items = [pair % (a, b) for a, b in value]
+            items = [pair % (a, b) for a, b in value]  # %s of an int is its repr
+        elif all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str for p in value):
+            items = [pair % (_json_str(a), _json_str(b)) for a, b in value]
         else:
             items = [_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -188,7 +184,7 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
     max_nodes = args.max_nodes
     if max_nodes is None:
         try:
-            max_nodes = int(os.environ.get(BUDGET_ENV, search.SearchBudget().max_nodes))
+            max_nodes = int(os.environ.get(BUDGET_ENV, SearchBudget().max_nodes))
         except ValueError:
             raise ConfigError(f"${BUDGET_ENV} must be an integer, got {os.environ[BUDGET_ENV]!r}") from None
     return RunConfig(
@@ -249,11 +245,13 @@ def _midline(samples: list[tuple[Fraction, RatInterval]]) -> list[RatPoint]:
 
 
 def cmd_enumerate(args) -> int:
+    from . import codes, search
+
     cfg = _cfg_from_args(args, "enumerate")
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
     manifest = _manifest(cfg, {"strategies": list(strategies)})
     cloud = search.enumerate_point_cloud(cfg.q, cfg.n_max, strategies, cfg.budget())
-    rows = [csv_point_row(e.params) + [e.provenance] for e in cloud.entries]
+    rows = [codes.csv_point_row(e.params) + [e.provenance] for e in cloud.entries]
     out = Path(cfg.out_dir)
     header = ["n", "m", "d", "R", "delta", "R_float", "delta_float", "provenance"]
     _write(out / "cloud.csv", _csv(manifest, header, rows))
@@ -267,14 +265,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import codes, search
+
     cfg = _cfg_from_args(args, "sample")
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "trials": args.trials})
     ensemble = search.random_ensemble(cfg.q, args.n, args.m, args.trials, cfg.budget())
     rows = []
     total = Fraction(0)
-    for code, d in ensemble:
-        p = params(code)
-        rows.append(csv_point_row(p) + ["random"])
+    for code, d in ensemble:  # d is the trial's distance: no second O(m^2) pass
+        rows.append(codes.csv_point_row(codes.CodeParams(code.q, code.n, code.m, d)) + ["random"])
         total += Fraction(d, args.n)
     out = Path(cfg.out_dir)
     header = ["n", "m", "d", "R", "delta", "R_float", "delta_float", "provenance"]
@@ -290,6 +289,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import codes, linear, search
+
     cfg = _cfg_from_args(args, "oracle")
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "d": args.d, "linear": args.linear})
     out = Path(cfg.out_dir)
@@ -302,7 +303,7 @@ def cmd_oracle(args) -> int:
             "reason": outcome.reason,
         }
         if outcome.witness is not None:
-            _write(out / "witness.code.txt", write_code_text(outcome.witness))
+            _write(out / "witness.code.txt", codes.write_code_text(outcome.witness))
             payload["witness_file"] = "witness.code.txt"
         _write(out / "oracle.json", _json_text(manifest, payload))
         return EXIT_OK if outcome.status is not search.ExistsStatus.UNKNOWN else EXIT_BUDGET
@@ -314,19 +315,19 @@ def cmd_oracle(args) -> int:
         "nodes": outcome.nodes,
         "reason": outcome.reason,
     }
-    if isinstance(outcome.witness, Code):
-        _write(out / "witness.code.txt", write_code_text(outcome.witness))
+    if isinstance(outcome.witness, codes.Code):
+        _write(out / "witness.code.txt", codes.write_code_text(outcome.witness))
         payload["witness_file"] = "witness.code.txt"
     elif outcome.witness is not None:
-        from .linear import write_generator_text
-
-        _write(out / "witness.gen.txt", write_generator_text(outcome.witness))
+        _write(out / "witness.gen.txt", linear.write_generator_text(outcome.witness))
         payload["witness_file"] = "witness.gen.txt"
     _write(out / "oracle.json", _json_text(manifest, payload))
     return EXIT_OK if outcome.exact else EXIT_BUDGET
 
 
 def cmd_spoil(args) -> int:
+    from . import codes, spoiling
+
     cfg = _cfg_from_args(args, "spoil")
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
@@ -335,8 +336,8 @@ def cmd_spoil(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input file: {exc}") from None
-    code = read_code_text(text)
-    initial = params(code)
+    code = codes.read_code_text(text)
+    initial = codes.params(code)
     step_fn = {
         "lengthen": spoiling._lengthen_step,
         "puncture": spoiling._puncture_step,
@@ -346,14 +347,16 @@ def cmd_spoil(args) -> int:
     for _ in range(args.count):
         code, step = step_fn(code)
         steps.append(step)
-    trace = spoiling.SpoilTrace(initial, tuple(steps), params(code))
+    trace = spoiling.SpoilTrace(initial, tuple(steps), codes.params(code))
     out = Path(cfg.out_dir)
-    _write(out / "spoiled.code.txt", write_code_text(code))
+    _write(out / "spoiled.code.txt", codes.write_code_text(code))
     _write(out / "spoil_trace.json", _json_text(manifest, {"trace": trace.to_json()}))
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
+    from . import codes, spoiling
+
     cfg = _cfg_from_args(args, "realize")
     rate, delta = _parse_point(args.target)
     n = math.lcm(rate.denominator, delta.denominator)
@@ -367,8 +370,8 @@ def cmd_realize(args) -> int:
         code_name = f"realize_a{level}.code.txt"
         seed_name = f"realize_a{level}.seed.txt"
         trace_name = f"realize_a{level}.trace.json"
-        _write(out / code_name, write_code_text(realized.code))
-        _write(out / seed_name, write_code_text(realized.seed))
+        _write(out / code_name, codes.write_code_text(realized.code))
+        _write(out / seed_name, codes.write_code_text(realized.seed))
         _write(out / trace_name, _json_text(manifest, {"trace": realized.trace.to_json()}))
         point = realized.point
         summary.append(
@@ -384,6 +387,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    from . import effective
+
     cfg = _cfg_from_args(args, "strip")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
@@ -400,6 +405,8 @@ def cmd_strip(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from . import effective
+
     cfg = _cfg_from_args(args, "approx")
     if cfg.n_grid > APPROX_MAX_N:
         raise ConfigError(f"approx --N must be <= {APPROX_MAX_N}, got {cfg.n_grid}: approx.json lists every "
@@ -449,7 +456,7 @@ def cmd_approx(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=search.DEFAULT_SEED, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     parser.add_argument("--max-nodes", type=int, default=None,
                         help=f"search node budget (default from ${BUDGET_ENV} or built-in)")
     parser.add_argument("--max-millis", type=int, default=None, help="wall-clock budget")

@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -482,12 +486,16 @@ _JSON_LEAVES = st.one_of(
     st.lists(st.integers(), min_size=2, max_size=2),
     st.tuples(st.integers(), st.booleans()).map(list),
     st.lists(st.integers(), max_size=1),
+    st.lists(st.text(max_size=3), min_size=2, max_size=2),
+    st.tuples(st.text(max_size=3), st.integers()).map(list),
+    st.lists(st.text(max_size=3), max_size=1),
 )
 _JSON_VALUES = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=5),
+        st.lists(st.lists(st.sampled_from(["0", "1/2", "\u00e9\n"]), min_size=2, max_size=2), max_size=5),
         st.dictionaries(st.text(max_size=4), inner, max_size=5),
         st.dictionaries(st.integers(), inner, max_size=2),
         st.lists(inner, max_size=3).map(tuple),
@@ -509,3 +517,55 @@ def test_approx_refuses_an_n_above_the_cap_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"<= {APPROX_MAX_N}" in err and "Traceback" not in err
     assert not (tmp_path / "approx.json").exists()
+
+
+def test_sample_measures_each_trial_once(tmp_path, monkeypatch):
+    from codeplane import kernels, search
+
+    calls = []
+    original = kernels.min_pairwise
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    # codes looks kernels.min_pairwise up at each call; search holds its own binding
+    monkeypatch.setattr(kernels, "min_pairwise", counted)
+    monkeypatch.setattr(search, "min_pairwise", counted)
+    assert run(tmp_path, "sample", "--n", "12", "--m", "40", "--trials", "4") == EXIT_OK
+    assert calls == [40] * 4
+
+
+_NUMPY_FREE = """
+import sys
+from codeplane.cli import main
+
+for argv in (["bounds", "--q", "2", "--grid", "4"], ["strip", "--curve", "vg", "--N", "8"],
+             ["approx", "--curve", "vg", "--N", "8"]):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+assert main(["--help"]) == 0
+loaded = [name for name in ("numpy", "codeplane.search") if name in sys.modules]
+assert not loaded, loaded
+
+import codeplane
+from codeplane import Code
+
+assert Code is codeplane.codes.Code
+for name in codeplane.__all__:
+    getattr(codeplane, name)
+try:
+    codeplane.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("codeplane.nope resolved")
+"""
+
+
+def test_curve_commands_and_help_load_no_numpy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "bounds.csv").exists() and (tmp_path / "approx.json").exists()
