@@ -1,8 +1,7 @@
 """Search budgets: node and wall-clock limits, the RNG seed, and the meter
-that charges them.
-
-The command line reads its defaults from here, so commands that never
-search (``bounds``, ``strip``, ``approx``) do not load numpy.
+that charges them, the library's only clock: every long loop asks a meter
+whether to stop. The command line reads its defaults from here, so commands
+that never search (``bounds``, ``strip``, ``approx``) do not load numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContractViolationError
+from .errors import BudgetExceededError, ContractViolationError
 
 #: documented default RNG seed for every stochastic procedure
 DEFAULT_SEED = 1729
@@ -71,3 +70,10 @@ class _Meter:
         return self.nodes > self.cap or (
             self.deadline is not None and time.monotonic() > self.deadline
         )
+
+    def check(self) -> None:
+        """Raise BudgetExceededError once the budget is exhausted: the stop
+        of loops that have no partial result to return."""
+        if self.exhausted():
+            spent = "node cap" if self.nodes > self.cap else "wall clock"
+            raise BudgetExceededError(f"{spent} exhausted", nodes=self.nodes, cap=self.cap)

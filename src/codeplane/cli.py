@@ -7,8 +7,8 @@ re-running a command with the same configuration and seed produces
 byte-identical CSV/JSON, and SVG identical up to the documented
 generator-version comment.
 
-Exit codes: 0 success, 2 configuration error, 3 budget/timeout with
-partial results, 4 internal contract violation.
+Exit codes: 0 success, 2 configuration error, 3 budget/timeout (only
+``oracle`` writes a partial result), 4 internal contract violation.
 """
 
 from __future__ import annotations
@@ -90,16 +90,16 @@ def _curve_list(text: str) -> list[str]:
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    q: int = 2
-    n_grid: int = 4
-    n_max: int = 6
-    precision: int = 30
-    grid_samples: int = 64
-    max_nodes: int = SearchBudget().max_nodes
-    max_millis: Optional[int] = None
-    rng_seed: int = DEFAULT_SEED
-    out_dir: str = "."
-    svg: bool = False
+    q: int
+    n_grid: int
+    n_max: int
+    precision: int
+    grid_samples: int
+    max_nodes: int
+    max_millis: Optional[int]
+    rng_seed: int
+    out_dir: str
+    svg: bool
 
     def budget(self) -> SearchBudget:
         return SearchBudget(
@@ -392,7 +392,7 @@ def cmd_strip(args) -> int:
     cfg = _cfg_from_args(args, "strip")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
-    strip = effective.build_strip(curve, cfg.n_grid, timeout_ms=cfg.max_millis)
+    strip = effective.build_strip(curve, cfg.n_grid, cfg.budget())
     out = Path(cfg.out_dir)
     _write(out / "strip.json", _json_text(manifest, {"strip": strip.to_json()}))
     if cfg.svg:
@@ -413,7 +413,7 @@ def cmd_approx(args) -> int:
                           "square, O(N^2) in size; band-only output (ROADMAP item 3) will lift the cap")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
-    adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, timeout_ms=cfg.max_millis,
+    adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, budget=cfg.budget(),
                                      strict=not args.lenient)
     estimate = effective.curve_estimate(adm)
     out = Path(cfg.out_dir)

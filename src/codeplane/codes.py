@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import kernels
+from .budget import _Meter
 from .enclosure import log_enclosure
 from .errors import ContractViolationError
 from .geometry import RatInterval, RatPoint
@@ -116,7 +117,7 @@ class Code:
         return b"".join(self.words)
 
 
-def min_distance(code: Code) -> tuple[int, Optional[tuple[Word, Word]]]:
+def min_distance(code: Code, meter: Optional[_Meter] = None) -> tuple[int, Optional[tuple[Word, Word]]]:
     """Exact minimum pairwise distance with one attaining pair.
 
     Singletons return (0, None) by the degenerate convention. The witness
@@ -125,7 +126,7 @@ def min_distance(code: Code) -> tuple[int, Optional[tuple[Word, Word]]]:
     """
     if code.m == 1:
         return 0, None
-    d, i, j = kernels.min_pairwise(code.packed(), code.m, code.n)
+    d, i, j = kernels.min_pairwise(code.packed(), code.m, code.n, meter=meter)
     return int(d), (code.words[i], code.words[j])
 
 
@@ -153,8 +154,8 @@ class CodeParams:
         return (self.n, self.m, self.d)
 
 
-def params(code: Code) -> CodeParams:
-    d, _ = min_distance(code)
+def params(code: Code, meter: Optional[_Meter] = None) -> CodeParams:
+    d, _ = min_distance(code, meter)
     return CodeParams(q=code.q, n=code.n, m=code.m, d=d)
 
 

@@ -48,13 +48,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import BoundCurve
+from .budget import DEFAULT_BUDGET, SearchBudget, _Meter
 from .errors import (
     ContractViolationError,
     InternalContractError,
@@ -175,8 +175,7 @@ def _cut(ranges: list[tuple[int, int]], lo: int, hi: int) -> tuple[list, list]:
 
 
 def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int], tuple[object, bool]],
-                   timeout_ms: Optional[int], base_precision: int, precision_cap: int,
-                   what: str) -> list:
+                   meter: _Meter, base_precision: int, precision_cap: int, what: str) -> list:
     """Walk each column up the precision ladder until its rows are decided.
 
     Every column starts in state ``start``; ``rung(i, state, precision)``
@@ -184,17 +183,16 @@ def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int]
     integer row bounds, and returns the new state and whether rows remain
     pending. Decided rows are never revisited (enclosures at different rungs
     need not be nested), and rows pending at the cap stay pending. Returns
-    every column's final state, column i at index i; on timeout the
-    StabilizationTimeoutError carries the states of the finished columns.
+    every column's final state, column i at index i; once ``meter`` is spent,
+    the StabilizationTimeoutError carries the states of the finished columns.
     """
     if n_grid < 1:
         raise ContractViolationError("grid resolution must be >= 1")
-    deadline = time.monotonic() + timeout_ms / 1000.0 if timeout_ms is not None else None
     columns: list = []
     for i in range(n_grid):
         state, precision = start, base_precision
         while True:
-            if deadline is not None and time.monotonic() > deadline:
+            if meter.exhausted():
                 raise StabilizationTimeoutError(f"{what} timed out", partial=columns)
             state, pending = rung(i, state, precision)
             if not pending or precision >= precision_cap:
@@ -467,7 +465,7 @@ def _staircase(first: int, heights: Iterable[Fraction], n_grid: int) -> tuple[Ra
 def build_strip(
     curve: BoundCurve,
     n_grid: int,
-    timeout_ms: Optional[int] = None,
+    budget: SearchBudget = DEFAULT_BUDGET,
     base_precision: int = DEFAULT_BASE_PRECISION,
     precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> NStrip:
@@ -476,7 +474,7 @@ def build_strip(
 
     Squares undecided at the precision cap stay in the strip (conservative)
     and are reported in ``capped``. Raises StabilizationTimeoutError with the
-    columns decided so far when the wall clock runs out first.
+    columns decided so far when ``budget``'s wall clock runs out first.
     """
     decider = GraphBallDecider(curve)
 
@@ -492,7 +490,7 @@ def build_strip(
         sure, pending = _cut(maybe, _ceil_times(fb.hi, n_grid) - 1, _floor_times(fa.lo, n_grid))
         return (members + sure, pending), bool(pending)
 
-    columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, timeout_ms, base_precision,
+    columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, _Meter(budget), base_precision,
                              precision_cap, "strip construction")
     capped = tuple((i, j) for i, (_, pending) in enumerate(columns)
                    for lo, hi in pending for j in range(lo, hi + 1))
@@ -615,7 +613,7 @@ def _check_admissible(bands: Sequence[tuple[int, int]]) -> bool:
 def two_sided_approx(
     curve: BoundCurve,
     n_grid: int,
-    timeout_ms: Optional[int] = None,
+    budget: SearchBudget = DEFAULT_BUDGET,
     base_precision: int = DEFAULT_BASE_PRECISION,
     precision_cap: int = DEFAULT_PRECISION_CAP,
     strict: bool = True,
@@ -641,7 +639,7 @@ def two_sided_approx(
         a, b = min(max(lo, a), b), min(max(hi, a), b)
         return (a, b), a < b and fa.lo < fa.hi
 
-    initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, timeout_ms, base_precision,
+    initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, _Meter(budget), base_precision,
                                    precision_cap, "two-sided approximation"))
 
     # amendment pass against the *initial* sides; two closed grid squares meet

@@ -10,10 +10,11 @@ down to its low bit and the surviving bits are counted with
 ``np.bitwise_count``; binary word values already are width-1 rows.
 ``min_pairwise`` and ``greedy_sieve`` (a greedy scan, a block of scanned
 words at a time) work on packed rows, and ``far_bitsets`` gives the clique
-search's distance->=d graph as one bitset per row. ``hamming`` compares two
-words symbol by symbol. ``all_at_least`` (one candidate against a word set,
-one numpy lane) has no library caller; it stays as an entry point that the
-benchmark's tracer binds.
+search's distance->=d graph as one bitset per row; given a meter, the first
+two check it before each block. ``hamming`` compares two words symbol by
+symbol. ``all_at_least`` (one candidate against a word set, one numpy lane)
+has no library caller; it stays as an entry point that the benchmark's
+tracer binds.
 """
 
 from __future__ import annotations
@@ -87,14 +88,16 @@ def _distances(x, y, width):
     return dists
 
 
-def _blocks(x, y, width):
+def _blocks(x, y, width, meter=None):
     """Distances to y of row blocks of x, about _BLOCK_PAIRS pairs per block."""
     step = max(1, _BLOCK_PAIRS // max(1, len(y)))
     for lo in range(0, len(x), step):
+        if meter is not None:
+            meter.check()
         yield _distances(x[lo:lo + step], y, width)
 
 
-def min_pairwise(buf, m, n):
+def min_pairwise(buf, m, n, meter=None):
     """Minimum pairwise distance over m words; returns (d, i, j).
 
     (i, j) is the first attaining pair in row-major scan order (i < j).
@@ -116,6 +119,8 @@ def min_pairwise(buf, m, n):
     best, bi, bj = n + 1, -1, -1
     i0 = 0
     while i0 < m - 1:
+        if meter is not None:
+            meter.check()
         # rows i0..i1-1 against rows i0+1..m-1; pairs with j <= i are masked
         span = m - i0 - 1
         i1 = min(m - 1, i0 + max(1, _BLOCK_PAIRS // span))
@@ -131,7 +136,7 @@ def min_pairwise(buf, m, n):
     return best, bi, bj
 
 
-def greedy_sieve(chunks, q, d, limit=None):
+def greedy_sieve(chunks, q, d, limit=None, meter=None):
     """Rows a greedy scan keeps, in scan order, as one uint8 matrix.
 
     ``chunks`` yields uint8 matrices of q-ary words, one word per row, in
@@ -149,11 +154,11 @@ def greedy_sieve(chunks, q, d, limit=None):
         packed, width = pack_rows(rows, q - 1)
         if kept is not None:
             far = np.concatenate([(dists >= d).all(axis=1)
-                                  for dists in _blocks(packed, kept, width)])
+                                  for dists in _blocks(packed, kept, width, meter)])
             rows, packed = rows[far], packed[far]
         if not len(rows):
             continue
-        apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width)])
+        apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width, meter)])
         room = None if limit is None else limit - count
         picks = []
         alive = np.ones(len(rows), dtype=bool)

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .budget import DEFAULT_BUDGET, SearchBudget
 from .codes import Code, CodeParams, code_point, floor_log_q, min_distance, params
 from .errors import (
     BudgetExceededError,
@@ -347,7 +348,7 @@ def realize_point(
     q: int,
     count: int,
     seed_source: Optional[SeedSource] = None,
-    budget=None,
+    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> list[RealizedCode]:
     """Construct ``count`` distinct codes all mapping to the point (k/n, d/n).
 
@@ -396,10 +397,8 @@ def realize_point(
             steps.append(step)
         code = _reduce_distance(code, dist, steps)
         code = _reduce_floor(code, floor_t, steps)
-        d_now, _ = min_distance(code)
-        if d_now > dist:
-            # shorten may have raised the distance; walk it back down
-            code = _reduce_distance(code, dist, steps)
+        # shorten may have raised the distance: walk it back down (a no-op at the target)
+        code = _reduce_distance(code, dist, steps)
         final = params(code)
         if (
             final.n != length
@@ -415,12 +414,11 @@ def realize_point(
     return outputs
 
 
-def _default_seed_source(q: int, budget) -> SeedSource:
+def _default_seed_source(q: int, budget: SearchBudget) -> SeedSource:
     def source(q_: int, length: int, floor_t: int, dist: int) -> Optional[Code]:
         from . import search  # deferred: search builds on spoiling
 
-        effective = budget if budget is not None else search.DEFAULT_BUDGET
-        code = search.greedy_code(q_, length, dist, budget=effective, target_m=q_ ** floor_t)
+        code = search.greedy_code(q_, length, dist, budget=budget, target_m=q_ ** floor_t)
         if code.m >= q_ ** floor_t:
             return code
         return None

@@ -519,15 +519,29 @@ def test_approx_refuses_an_n_above_the_cap_at_once(tmp_path, capsys):
     assert not (tmp_path / "approx.json").exists()
 
 
+@pytest.mark.parametrize("argv, output", [
+    (("sample", "--q", "2", "--n", "40", "--m", "65536", "--trials", "1"), "sample.csv"),
+    (("enumerate", "--q", "2", "--nmax", "22", "--strategy", "greedy"), "cloud.csv"),
+])
+def test_max_millis_stops_distance_blocks_and_greedy_scans(tmp_path, capsys, argv, output):
+    # each runs for seconds when uncut: 2^31 word pairs in min_pairwise, and
+    # greedy scans of up to 2,000,000 words (the node cap) per distance
+    start = time.monotonic()
+    assert run(tmp_path, *argv, "--max-millis", "300") == EXIT_BUDGET
+    assert time.monotonic() - start < 2.0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
 def test_sample_measures_each_trial_once(tmp_path, monkeypatch):
     from codeplane import kernels, search
 
     calls = []
     original = kernels.min_pairwise
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1])
-        return original(*args)
+        return original(*args, **kwargs)
 
     # codes looks kernels.min_pairwise up at each call; search holds its own binding
     monkeypatch.setattr(kernels, "min_pairwise", counted)

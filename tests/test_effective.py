@@ -35,6 +35,7 @@ from codeplane.effective import (
     two_sided_approx,
 )
 from codeplane import effective
+from codeplane.budget import SearchBudget
 from codeplane.errors import ContractViolationError, InternalContractError
 from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_rational
 
@@ -371,7 +372,7 @@ def test_build_strip_timeout():
             return vg_bound_curve(2).eval(delta, precision)
 
     with pytest.raises(StabilizationTimeoutError) as err:
-        build_strip(SlowCurve(), 16, timeout_ms=10)
+        build_strip(SlowCurve(), 16, SearchBudget(max_millis=10))
     assert err.value.partial is not None
 
 
@@ -379,7 +380,7 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
     from codeplane.errors import StabilizationTimeoutError
 
     now = [0.0]
-    monkeypatch.setattr(effective.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
 
     class LateCurve:
         """The diagonal, whose evaluations right of 1/2 take a second each."""
@@ -393,7 +394,7 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
             return DIAG.eval(delta, precision)
 
     with pytest.raises(StabilizationTimeoutError) as err:
-        build_strip(LateCurve(), 16, timeout_ms=500)
+        build_strip(LateCurve(), 16, SearchBudget(max_millis=500))
     # column 8 (from 1/2 to 9/16) finishes late; column 9 never starts
     columns = err.value.partial
     assert len(columns) == 9

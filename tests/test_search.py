@@ -315,6 +315,29 @@ def test_budget_dataclass_validation():
     assert SearchBudget().rng_seed == DEFAULT_SEED
 
 
+def test_one_meter_stops_every_long_loop(monkeypatch):
+    from codeplane.bounds import vg_bound_curve
+    from codeplane.effective import build_strip, two_sided_approx
+    from codeplane.errors import BudgetExceededError, StabilizationTimeoutError
+
+    # a clock that moves a second per reading spends a 1 ms budget at the
+    # first check of every metered loop
+    clock = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+    budget = SearchBudget(max_millis=1)
+    for grid in (build_strip, two_sided_approx):
+        with pytest.raises(StabilizationTimeoutError) as err:
+            grid(vg_bound_curve(2), 8, budget)
+        assert err.value.partial == []
+    # draw rounds, the full space's distance blocks, greedy blocks (d > 1),
+    # greedy chunks (d = 1) and the cloud's scans
+    for call in (lambda: random_ensemble(2, 12, 40, 1, budget), lambda: random_ensemble(2, 3, 8, 1, budget),
+                 lambda: greedy_code(2, 8, 3, budget), lambda: greedy_code(2, 8, 1, budget),
+                 lambda: enumerate_point_cloud(2, 4, ("greedy",), budget)):
+        with pytest.raises(BudgetExceededError):
+            call()
+
+
 # --- differential references: the searches before the bitset and numpy rewrite
 
 
@@ -929,7 +952,7 @@ def test_greedy_cloud_sieves_every_distance_from_one_order(monkeypatch, q, n_max
     # past 2**16 words the order is an affine walk, restarted for every d
     budget = SearchBudget(max_nodes=500 if n_max > 16 else 2_000_000, rng_seed=9)
     seen = []
-    monkeypatch.setattr(search, "params", lambda code: seen.append(code.words) or params(code))
+    monkeypatch.setattr(search, "params", lambda code, meter: seen.append(code.words) or params(code, meter))
     cloud = enumerate_point_cloud(q, n_max, ("greedy",), budget)
     expected = [_reference_greedy(q, n, d, budget)[0] for n in range(1, n_max + 1)
                 for d in range(1, n + 1)]

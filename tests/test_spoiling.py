@@ -245,6 +245,28 @@ def test_realize_point_rejects_boundary_targets():
         realize_point((1, 8, 8), q=2, count=1)
 
 
+def test_realize_measures_each_distance_walk_once(monkeypatch):
+    from codeplane import kernels
+    from codeplane.search import greedy_code
+
+    calls = []
+    original = kernels.min_pairwise
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "min_pairwise", counted)
+    # whole greedy codes as seeds: the floor walk shortens them, and at level 1
+    # that raises the distance, so the second distance walk punctures
+    outputs = realize_point((1, 8, 2), q=2, count=2, seed_source=lambda q, n, t, d: greedy_code(q, n, d))
+    kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
+    assert kinds[0].index(PUNCTURE) > kinds[0].index(SHORTEN)
+    # per level: the seed, the code entering each of the two distance walks,
+    # each punctured code and the final code; no measurement before the second walk
+    assert len(calls) == sum(4 + k.count(PUNCTURE) for k in kinds)
+
+
 def test_realize_point_seed_not_found():
     def refuse(q, length, floor_t, dist):
         return None
