@@ -34,7 +34,7 @@ from .errors import (
     SeedNotFoundError,
     StabilizationTimeoutError,
 )
-from .geometry import RatInterval, RatPoint, format_rational, vertex_list
+from .geometry import RatInterval, RatPoint, format_rational
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -101,6 +101,7 @@ class RunConfig:
     out_dir: str
     svg: bool
 
+    @functools.cached_property
     def budget(self) -> SearchBudget:
         return SearchBudget(
             max_nodes=self.max_nodes, max_millis=self.max_millis, rng_seed=self.rng_seed
@@ -187,7 +188,7 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
             max_nodes = int(os.environ.get(BUDGET_ENV, SearchBudget().max_nodes))
         except ValueError:
             raise ConfigError(f"${BUDGET_ENV} must be an integer, got {os.environ[BUDGET_ENV]!r}") from None
-    return RunConfig(
+    cfg = RunConfig(
         command=command,
         q=getattr(args, "q", 2),
         n_grid=getattr(args, "N", 4),
@@ -200,6 +201,8 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
         out_dir=args.out,
         svg=args.svg,
     )
+    cfg.budget  # one budget per run: a zero or negative flag exits 2 before any command writes a file
+    return cfg
 
 
 # --- subcommand implementations -------------------------------------------
@@ -250,7 +253,7 @@ def cmd_enumerate(args) -> int:
     cfg = _cfg_from_args(args, "enumerate")
     strategies = tuple(s.strip() for s in args.strategy.split(",") if s.strip())
     manifest = _manifest(cfg, {"strategies": list(strategies)})
-    cloud = search.enumerate_point_cloud(cfg.q, cfg.n_max, strategies, cfg.budget())
+    cloud = search.enumerate_point_cloud(cfg.q, cfg.n_max, strategies, cfg.budget)
     rows = [codes.csv_point_row(e.params) + [e.provenance] for e in cloud.entries]
     out = Path(cfg.out_dir)
     header = ["n", "m", "d", "R", "delta", "R_float", "delta_float", "provenance"]
@@ -269,7 +272,7 @@ def cmd_sample(args) -> int:
 
     cfg = _cfg_from_args(args, "sample")
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "trials": args.trials})
-    ensemble = search.random_ensemble(cfg.q, args.n, args.m, args.trials, cfg.budget())
+    ensemble = search.random_ensemble(cfg.q, args.n, args.m, args.trials, cfg.budget)
     rows = []
     total = Fraction(0)
     for code, d in ensemble:  # d is the trial's distance: no second O(m^2) pass
@@ -295,7 +298,7 @@ def cmd_oracle(args) -> int:
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "d": args.d, "linear": args.linear})
     out = Path(cfg.out_dir)
     if args.d is not None:
-        outcome = search.exists_code(cfg.q, args.n, args.m, args.d, cfg.budget())
+        outcome = search.exists_code(cfg.q, args.n, args.m, args.d, cfg.budget)
         payload = {
             "query": "exists",
             "status": outcome.status.value,
@@ -307,7 +310,7 @@ def cmd_oracle(args) -> int:
             payload["witness_file"] = "witness.code.txt"
         _write(out / "oracle.json", _json_text(manifest, payload))
         return EXIT_OK if outcome.status is not search.ExistsStatus.UNKNOWN else EXIT_BUDGET
-    outcome = search.best_min_distance(cfg.q, args.n, args.m, cfg.budget(), linear=args.linear)
+    outcome = search.best_min_distance(cfg.q, args.n, args.m, cfg.budget, linear=args.linear)
     payload = {
         "query": "best_min_distance",
         "status": outcome.status.value,
@@ -363,7 +366,7 @@ def cmd_realize(args) -> int:
     k = int(rate * n)
     d = int(delta * n)
     manifest = _manifest(cfg, {"target": args.target, "count": args.count, "k": k, "n": n, "d": d})
-    outputs = spoiling.realize_point((k, n, d), cfg.q, args.count, budget=cfg.budget())
+    outputs = spoiling.realize_point((k, n, d), cfg.q, args.count, budget=cfg.budget)
     out = Path(cfg.out_dir)
     summary = []
     for level, realized in enumerate(outputs, start=1):
@@ -392,7 +395,7 @@ def cmd_strip(args) -> int:
     cfg = _cfg_from_args(args, "strip")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
-    strip = effective.build_strip(curve, cfg.n_grid, cfg.budget())
+    strip = effective.build_strip(curve, cfg.n_grid, cfg.budget)
     out = Path(cfg.out_dir)
     _write(out / "strip.json", _json_text(manifest, {"strip": strip.to_json()}))
     if cfg.svg:
@@ -413,33 +416,14 @@ def cmd_approx(args) -> int:
                           "square, O(N^2) in size; band-only output (ROADMAP item 3) will lift the cap")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
-    adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, budget=cfg.budget(),
+    adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, budget=cfg.budget,
                                      strict=not args.lenient)
     estimate = effective.curve_estimate(adm)
     out = Path(cfg.out_dir)
-    estimate_json = {
-        "upper_staircase": vertex_list(estimate.upper_polyline()),
-        "lower_staircase": vertex_list(estimate.lower_polyline()),
-        "corner_points": vertex_list(estimate.corner_points),
-        "error_bound": format_rational(estimate.error_bound),
-    }
     _write(out / "approx.json",
-           _json_text(manifest, {"admissible_set": adm.to_json(), "estimate": estimate_json}))
-    rows = []
-    for i, x in enumerate(estimate.abscissae()):
-        rows.append(
-            [
-                format_rational(x),
-                format_rational(estimate.lower_values[i]),
-                format_rational(estimate.upper_values[i]),
-                f"{float(estimate.lower_values[i]):.12g}",
-                f"{float(estimate.upper_values[i]):.12g}",
-            ]
-        )
-    _write(
-        out / "approx.csv",
-        _csv(manifest, ["delta", "lower", "upper", "lower_float", "upper_float"], rows),
-    )
+           _json_text(manifest, {"admissible_set": adm.to_json(), "estimate": estimate.to_json()}))
+    _write(out / "approx.csv",
+           _csv(manifest, ["delta", "lower", "upper", "lower_float", "upper_float"], estimate.csv_rows()))
     if cfg.svg:
         canvas = PlaneSvg(title="two-sided approximation")
         canvas.add_cells("u_minus", adm.u_minus, cfg.n_grid, color="#74a86040")

@@ -25,18 +25,20 @@ Every verdict on a square depends only on its own column's enclosures (f at
 the column's two clipped ends for the graph, f(i/N) for the domain), so
 "wait until stabilization" is realized column by column: each column walks
 the precision ladder (base, doubling, clipped to the cap), evaluating the
-curve once per column end per rung, until all of its rows are decided.
-Each verdict is monotone in the row index j, so a column is kept as rows
-alone and each rung cuts them at integer row bounds (exact floors and
-ceilings of N times an endpoint): a strip column is its member and pending
-row ranges, a domain column its band (a, b) of undecided rows. No Fraction
-verdict is taken in the grid loops; the deciders serve the presentations.
-Cells, staircases and end segments are derived from the column ranges and
-bands, so no N x N table and no per-square object is built. A square still
-undecided at the cap is treated as meeting the set (conservative: strips
-may widen, never falsely thin). The amendment pass of the two-sided
-approximation compares neighbouring bands, since two closed grid squares
-meet iff their column and row indices each differ by at most one.
+curve once per column end per rung, until all of its rows are decided. Each
+verdict is monotone in the row index j, so a column is kept as rows alone
+and each rung cuts them at integer row bounds (exact floors and ceilings of
+N times an endpoint): a strip column is its member and pending row ranges,
+a domain column its band (a, b) of undecided rows. No Fraction verdict is
+taken in the grid loops; the deciders serve the presentations. Cells and
+staircases come from the column ranges and bands, with no N x N table and
+no per-square object. A staircase stays integer N-grid vertices (i, j), the
+point (j/N, i/N), up to its written text and floats; Fraction appears only
+in the library views. A square still undecided at the cap is treated as
+meeting the set (conservative: strips may widen, never falsely thin). The
+amendment pass of the two-sided approximation compares neighbouring bands,
+since two closed grid squares meet iff their column and row indices each
+differ by at most one.
 Presentations over general rational balls enumerate a canonical dovetailed
 ball sequence so soundness examples can be exercised directly; each is one
 ``Presentation``, whose ``advance`` runs the shared stage loop, built with
@@ -60,7 +62,7 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, vertex_list
+from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint
 from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
 ZERO = Fraction(0)
@@ -394,13 +396,6 @@ class NStrip:
         """The strip's squares (i, j), sorted."""
         return [(i, j) for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)]
 
-    def ball_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.cells())
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(i for i, _, _ in self.column_ranges)
-
     def column_range(self, i: int) -> Optional[tuple[int, int]]:
         k = i - self.column_ranges[0][0]
         if 0 <= k < len(self.column_ranges) and self.column_ranges[k][0] == i:
@@ -408,16 +403,18 @@ class NStrip:
         return None
 
     @cached_property
+    def staircases(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """The upper and lower boundary staircases in N-grid vertices: the top and bottom edges of the columns."""
+        return (_staircase((i, hi + 1) for i, _, hi in self.column_ranges),
+                _staircase((i, lo) for i, lo, _ in self.column_ranges))
+
+    @cached_property
     def gamma_plus(self) -> tuple[RatPoint, ...]:
-        """Upper boundary staircase: the top edges of the columns."""
-        return _staircase(self.column_ranges[0][0],
-                          (Fraction(hi + 1, self.n_grid) for _, _, hi in self.column_ranges), self.n_grid)
+        return _grid_points(self.staircases[0], self.n_grid)
 
     @cached_property
     def gamma_minus(self) -> tuple[RatPoint, ...]:
-        """Lower boundary staircase: the bottom edges of the columns."""
-        return _staircase(self.column_ranges[0][0],
-                          (Fraction(lo, self.n_grid) for _, lo, _ in self.column_ranges), self.n_grid)
+        return _grid_points(self.staircases[1], self.n_grid)
 
     @property
     def end_segments(self) -> tuple[tuple[RatPoint, RatPoint], tuple[RatPoint, RatPoint]]:
@@ -427,12 +424,7 @@ class NStrip:
     @property
     def end_segments_degenerate(self) -> tuple[bool, bool]:
         """Flags end columns that collapse to a single square."""
-        first = self.column_ranges[0]
-        last = self.column_ranges[-1]
-        return (first[1] == first[2], last[1] == last[2])
-
-    def max_column_height(self) -> Fraction:
-        return max(Fraction(hi - lo + 1, self.n_grid) for _, lo, hi in self.column_ranges)
+        return tuple(lo == hi for _, lo, hi in (self.column_ranges[0], self.column_ranges[-1]))
 
     def boundary_within(self, dist: Fraction) -> bool:
         """Exact check: each boundary staircase within max-metric ``dist`` of the other."""
@@ -443,23 +435,38 @@ class NStrip:
         return {
             "n_grid": self.n_grid,
             "balls": [[i, j] for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)],
-            "gamma_plus": vertex_list(self.gamma_plus),
-            "gamma_minus": vertex_list(self.gamma_minus),
+            "gamma_plus": _vertex_text(self.staircases[0], self.n_grid),
+            "gamma_minus": _vertex_text(self.staircases[1], self.n_grid),
             "capped": sorted(list(pair) for pair in self.capped),
             "end_segments_degenerate": list(self.end_segments_degenerate),
         }
 
 
-def _staircase(first: int, heights: Iterable[Fraction], n_grid: int) -> tuple[RatPoint, ...]:
-    """Polyline across the columns first, first + 1, ... at the given
-    heights: a horizontal edge over each column, joined to the next by a
-    vertical step where the heights differ."""
-    verts: list[RatPoint] = []
-    for i, y in enumerate(heights, start=first):
-        if not verts or verts[-1].r != y:
-            verts.append(RatPoint(y, Fraction(i, n_grid)))
-        verts.append(RatPoint(y, Fraction(i + 1, n_grid)))
+def _staircase(levels: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """N-grid vertices (i, j), the point (j/N, i/N), of the polyline at row j over each
+    consecutive column i of ``levels``, with a vertical step where the rows differ."""
+    verts: list[tuple[int, int]] = []
+    for i, j in levels:
+        if not verts or verts[-1][1] != j:
+            verts.append((i, j))
+        verts.append((i + 1, j))
     return tuple(verts)
+
+
+def _grid_points(vertices: Iterable[tuple[int, int]], n_grid: int) -> tuple[RatPoint, ...]:
+    """N-grid vertices (i, j) as the exact points (R, delta) = (j/N, i/N)."""
+    return tuple(RatPoint(Fraction(j, n_grid), Fraction(i, n_grid)) for i, j in vertices)
+
+
+def _vertex_text(vertices: Iterable[tuple[int, int]], n_grid: int) -> list[list[str]]:
+    """N-grid vertices (i, j) as [[delta, R], ...] text in lowest terms."""
+    return [[format_ratio(i, n_grid), format_ratio(j, n_grid)] for i, j in vertices]
+
+
+def format_ratio(k: int, n: int) -> str:
+    """``format_rational(Fraction(k, n))`` for n >= 1, with one gcd and no Fraction."""
+    g = math.gcd(k, n)
+    return str(k // g) if g == n else f"{k // g}/{n // g}"
 
 
 def build_strip(
@@ -668,19 +675,27 @@ def two_sided_approx(
 class CurveEstimate:
     """Per-column two-sided staircase estimate of the bounding curve.
 
-    ``upper_values[i]`` is the bottom edge of the lowest square of U+ or X
-    in column i (default 1), ``lower_values[i]`` the top edge of the highest
-    square of U- (default 0); both are a/N for the column's final band
-    (a, b), so the two staircases coincide. They are within 1/N of the true
-    curve at the column's left abscissa, and each exceptional square
-    contributes its lower-left corner as a point estimate sitting exactly on
-    the curve for exact stand-ins.
+    ``rows[i]`` is the a of column i's final band (a, b): the bottom edge of
+    the lowest square of U+ or X (default 1) and the top edge of the highest
+    square of U- (default 0) are both a/N, so the two staircases coincide.
+    They are within 1/N of the true curve at the column's left abscissa, and
+    each exceptional square's lower-left corner is a point estimate sitting
+    exactly on the curve for exact stand-ins.
     """
 
     n_grid: int
-    upper_values: tuple[Fraction, ...]
-    lower_values: tuple[Fraction, ...]
-    corner_points: tuple[RatPoint, ...]
+    rows: tuple[int, ...]
+    exceptional: tuple[tuple[int, int], ...]
+
+    @property
+    def upper_values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.n_grid) for a in self.rows)
+
+    lower_values = upper_values  # the staircases coincide
+
+    @property
+    def corner_points(self) -> tuple[RatPoint, ...]:
+        return _grid_points(self.exceptional, self.n_grid)
 
     @property
     def error_bound(self) -> Fraction:
@@ -690,17 +705,24 @@ class CurveEstimate:
         return tuple(Fraction(i, self.n_grid) for i in range(self.n_grid))
 
     def upper_polyline(self) -> tuple[RatPoint, ...]:
-        return _staircase(0, self.upper_values, self.n_grid)
+        return _grid_points(_staircase(enumerate(self.rows)), self.n_grid)
 
-    def lower_polyline(self) -> tuple[RatPoint, ...]:
-        return _staircase(0, self.lower_values, self.n_grid)
+    lower_polyline = upper_polyline
+
+    def to_json(self) -> dict:
+        staircase = _vertex_text(_staircase(enumerate(self.rows)), self.n_grid)
+        return {"upper_staircase": staircase, "lower_staircase": staircase,
+                "corner_points": _vertex_text(self.exceptional, self.n_grid),
+                "error_bound": format_ratio(1, self.n_grid)}
+
+    def csv_rows(self) -> list[list[str]]:
+        """Per column: delta, lower, upper, lower_float, upper_float (k / N is float(Fraction(k, N)))."""
+        values = [(format_ratio(a, self.n_grid), f"{a / self.n_grid:.12g}") for a in self.rows]
+        return [[format_ratio(i, self.n_grid), text, text, approx, approx] for i, (text, approx) in enumerate(values)]
 
 
 def curve_estimate(adm: AdmissibleSet) -> CurveEstimate:
-    n = adm.n_grid
-    values = tuple(Fraction(a, n) for a, _ in adm.bands)
-    corners = tuple(RatPoint(Fraction(j, n), Fraction(i, n)) for i, j in adm.exceptional)
-    return CurveEstimate(n_grid=n, upper_values=values, lower_values=values, corner_points=corners)
+    return CurveEstimate(n_grid=adm.n_grid, rows=tuple(a for a, _ in adm.bands), exceptional=adm.exceptional)
 
 
 # --- exact polyline proximity ------------------------------------------------

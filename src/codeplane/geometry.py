@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import ContractViolationError
 
@@ -38,11 +38,6 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def vertex_list(points: Iterable[RatPoint]) -> list[list[str]]:
-    """Serialize points as [[delta, R], ...] with ``format_rational`` coordinates."""
-    return [[format_rational(p.delta), format_rational(p.r)] for p in points]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import RatPoint
@@ -29,7 +28,7 @@ class PlaneSvg:
         self.title = title
         self._layers: list[tuple[str, list[str]]] = []
 
-    def _map(self, delta: Fraction, r: Fraction) -> tuple[float, float]:
+    def _map(self, delta: float, r: float) -> tuple[float, float]:
         x = _MARGIN + float(delta) * _SIZE
         y = _MARGIN + (1.0 - float(r)) * _SIZE
         return x, y
@@ -67,7 +66,7 @@ class PlaneSvg:
         items = self.layer(layer)
         side = _SIZE / n_grid
         for i, j in sorted(cells):
-            x, y = self._map(Fraction(i, n_grid), Fraction(j + 1, n_grid))
+            x, y = self._map(i / n_grid, (j + 1) / n_grid)  # k / N is float(Fraction(k, N))
             items.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(side)}" height="{_fmt(side)}" '
                 f'fill="{color}" stroke="#567"/>'
@@ -87,7 +86,7 @@ class PlaneSvg:
         )
         if self.title:
             lines.append(f"<title>{self.title}</title>")
-        x0, y0 = self._map(Fraction(0), Fraction(1))
+        x0, y0 = self._map(0, 1)
         lines.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_SIZE}" height="{_SIZE}" '
             'fill="white" stroke="#222"/>'

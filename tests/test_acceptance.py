@@ -150,7 +150,7 @@ def test_criterion_5_strip_machinery():
         strip = build_strip(diag, n_grid)
         assert strip.boundary_within(Fraction(2, n_grid))
         if n_grid == 4:
-            assert strip.ball_set() == {
+            assert set(strip.cells()) == {
                 (i, j) for i in range(4) for j in range(4) if i + j in (2, 3, 4)
             }
         points = [

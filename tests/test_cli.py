@@ -273,6 +273,30 @@ def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, caps
     assert "Traceback" not in capsys.readouterr().err
 
 
+_EVERY_COMMAND = [
+    ("bounds", "--grid", "4"),
+    ("enumerate", "--nmax", "3"),
+    ("sample", "--n", "4", "--m", "3", "--trials", "1"),
+    ("oracle", "--n", "4", "--m", "2", "--d", "2"),
+    ("spoil", "--input", "in.txt", "--op", "lengthen"),
+    ("realize", "--target", "1/8,1/8", "--count", "1"),
+    ("strip", "--N", "4"),
+    ("approx", "--N", "4"),
+]
+
+
+@pytest.mark.parametrize("budget", [("--max-nodes", "0"), ("--max-millis", "0"), ("--max-millis", "-1")], ids=" ".join)
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_every_command_refuses_a_bad_budget_before_writing(tmp_path, monkeypatch, capsys, argv, budget):
+    assert {a[0] for a in _EVERY_COMMAND} == set(cli._parser()._subparsers._group_actions[0].choices)
+    (tmp_path / "in.txt").write_text("2 3 2\n000\n111\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, *budget, "--out", "out"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("realize", "--target", "1/2,1/4", "--count", "2", "--max-nodes", "1"),
     ("realize", "--target", "7/8,3/4", "--count", "1"),
@@ -409,6 +433,11 @@ GRID_SHA256 = {
     ("approx", "--curve", "vg", "--N", "256"): {
         "approx.json": "a2b79af215bf059a88f8b90df01c38dcd23e83462afd34cbba27cd15b9336458",
         "approx.csv": "99cfed8432f6031036bbff9c2346acc63d0f720533591088ee2962c32ce5155b"},
+    # the figures, recorded before the staircases and cells were written from integer indices
+    ("strip", "--curve", "vg", "--q", "2", "--N", "64", "--svg"): {
+        "strip.svg": "5ebd03c49988ba0d95e45924ec0be8fa722cfdde7a187653522dc9bc6ab82d3b"},
+    ("approx", "--curve", "vg", "--q", "2", "--N", "64", "--svg"): {
+        "approx.svg": "9ec28ca71384f2236bd4ae705aa7e087c22638699c5693f1bf107749c5342609"},
 }
 
 

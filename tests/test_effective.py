@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codeplane.bounds import (
     BoundCurve,
@@ -29,6 +30,7 @@ from codeplane.effective import (
     core_from_curve,
     curve_estimate,
     domain_presentations,
+    format_ratio,
     polyline_within,
     re_from_curve,
     re_from_dense_points,
@@ -38,6 +40,7 @@ from codeplane import effective
 from codeplane.budget import SearchBudget
 from codeplane.errors import ContractViolationError, InternalContractError
 from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_rational
+from codeplane.svg import PlaneSvg
 
 
 DIAG = diagonal_curve()
@@ -68,17 +71,17 @@ def test_graph_decider_interval_curve():
 
 def test_build_strip_diagonal_n4():
     strip = build_strip(DIAG, 4)
-    assert strip.ball_set() == {
+    assert set(strip.cells()) == {
         (i, j) for i in range(4) for j in range(4) if i + j in (2, 3, 4)
     }
-    assert len(strip.ball_set()) == 10
+    assert len(strip.cells()) == 10
     assert strip.boundary_within(Fraction(2, 4))
     assert not strip.boundary_within(Fraction(1, 4))
 
 
 def test_build_strip_constant_half_n2():
     strip = build_strip(constant_curve(Fraction(1, 2)), 2)
-    assert strip.ball_set() == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert set(strip.cells()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("n_grid", [4, 16, 64])
@@ -95,7 +98,7 @@ def test_build_strip_vg_valid_but_wider_than_2_over_n():
     # so the 2/N bound cannot hold there; the strip itself is still valid
     strip = build_strip(vg_bound_curve(2), 16)
     assert strip.column_range(0) == (5, 8)
-    assert strip.max_column_height() == Fraction(4, 16)
+    assert max(hi - lo + 1 for _, lo, hi in strip.column_ranges) == 4  # the tallest column
     assert not strip.boundary_within(Fraction(2, 16))
     assert strip.boundary_within(Fraction(4, 16))
     assert not strip.capped
@@ -106,7 +109,7 @@ def test_strip_partial_span_polyline():
     strip = build_strip(curve, 4)
     # the graph endpoints (1/4, 1) and (3/4, 0) touch the corner squares of
     # the neighboring columns, and touching counts under the closed convention
-    assert strip.columns == (0, 1, 2, 3)
+    assert [i for i, _, _ in strip.column_ranges] == [0, 1, 2, 3]
     assert strip.column_range(0) == (3, 3)
     assert strip.column_range(3) == (0, 0)
     # single-square end columns are the degenerate-end case, and flagged
@@ -434,7 +437,7 @@ def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
         squares = [GridBall(n_grid, i, j) for i in range(n_grid) for j in range(n_grid)]
         on_graph = {(b.i, b.j): _first_verdict(lambda p: _decide_ball(graph, b, p), *ladder) for b in squares}
         strip = build_strip(curve, n_grid, base_precision=ladder[0], precision_cap=ladder[1])
-        assert strip.ball_set() == {c for c, v in on_graph.items() if v is not Decision.DISJOINT}
+        assert set(strip.cells()) == {c for c, v in on_graph.items() if v is not Decision.DISJOINT}
         assert strip.capped == tuple(sorted(c for c, v in on_graph.items() if v is Decision.UNKNOWN))
 
         u_plus = {(b.i, b.j) for b in squares
@@ -901,7 +904,7 @@ def test_json_square_lists_come_from_the_bands(name):
     curve = THRESHOLD_CURVES[name]()
     for n_grid in range(1, 41):
         strip = build_strip(curve, n_grid)
-        assert strip.to_json()["balls"] == sorted(list(c) for c in strip.ball_set()), n_grid
+        assert strip.to_json()["balls"] == sorted(list(c) for c in strip.cells()), n_grid
         if name == "partial_span":  # a graph but no domain
             continue
         adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
@@ -909,3 +912,55 @@ def test_json_square_lists_come_from_the_bands(name):
         assert "u_plus" not in adm.__dict__ and "u_minus" not in adm.__dict__, n_grid
         assert payload["u_plus"] == sorted(list(p) for p in adm.u_plus), n_grid
         assert payload["u_minus"] == sorted(list(p) for p in adm.u_minus), n_grid
+
+
+@st.composite
+def _ratios(draw):
+    """(k, N) with 0 <= k <= N <= 2^62, often sharing a factor g."""
+    g = draw(st.integers(1, 2 ** 20))
+    n = g * draw(st.integers(1, 2 ** 62 // g))
+    return g * draw(st.integers(0, n // g)), n
+
+
+@given(_ratios())
+@settings(derandomize=True, max_examples=400)
+def test_grid_text_is_the_lowest_terms_text_of_the_fraction(ratio):
+    k, n = ratio
+    assert format_ratio(k, n) == format_rational(Fraction(k, n))
+    assert k / n == float(Fraction(k, n))  # the float columns
+
+
+def _fractions_built(monkeypatch, action) -> int:
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        action()
+    finally:
+        monkeypatch.undo()
+    return len(built)
+
+
+@pytest.mark.parametrize("curve", [vg_bound_curve(2), DIAG], ids=["vg", "diag"])
+def test_grid_writers_build_no_fraction_after_the_sweep(monkeypatch, curve):
+    # staircases, estimates and cells go from integer N-grid vertices to text
+    # and floats; only the library views build Fractions
+    strip, adm = build_strip(curve, 64), two_sided_approx(curve, n_grid=64)
+
+    def write():
+        strip.to_json()
+        estimate = curve_estimate(adm)
+        estimate.to_json()
+        estimate.csv_rows()
+        canvas = PlaneSvg()
+        canvas.add_cells("strip", strip.cells(), 64)
+        canvas.add_cells("exceptional", adm.exceptional, 64)
+        canvas.render()
+
+    assert _fractions_built(monkeypatch, write) == 0
+    assert _fractions_built(monkeypatch, lambda: curve_estimate(adm).upper_values) == 64

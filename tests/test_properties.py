@@ -49,7 +49,7 @@ def strictly_decreasing_polylines(draw):
 @settings(max_examples=60, deadline=None)
 def test_strip_matches_exact_membership(curve, n_grid):
     strip = build_strip(curve, n_grid)
-    members = strip.ball_set()
+    members = set(strip.cells())
     for i in range(n_grid):
         x0 = Fraction(i, n_grid)
         x1 = Fraction(i + 1, n_grid)
