@@ -23,10 +23,15 @@ exercise the pixel algorithms where ground truth is computable.
 own span; curves whose classical domain ends at 1 - 1/q continue with
 exact zero, keeping them monotone and total, which is what the grid
 algorithms need.
+
+Curves evaluate on integer pairs, with no ``Fraction`` between: a/b in
+lowest terms in, both enclosure ends out as (numerator, denominator) pairs.
+``BoundCurve.eval`` is the ``RatInterval`` view of that path.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -38,22 +43,28 @@ from .geometry import RatInterval, RatPoint, as_rational
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: enclosure ends (lower, upper), each an integer (numerator, denominator) pair with a positive denominator
+Ends = tuple[Pair, Pair]
+
+
+def _interval(ends: Ends) -> RatInterval:
+    (lo_n, lo_d), (hi_n, hi_d) = ends
+    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
 
 def entropy(q: int, delta: Fraction, precision: int) -> RatInterval:
     """Enclosure of H_q(delta), width <= 2**-precision; exact at the three
     algebraically exact sample points 0, 1 (for q = 2), and (q-1)/q."""
-    if as_rational(delta) == 1:
+    delta = as_rational(delta)
+    if delta == 1:
         return log_enclosure(Fraction(q - 1), q, precision)  # exactly 0 for q = 2
-    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, delta, precision)
-    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+    return _interval(_entropy_pairs(q, delta.numerator, delta.denominator, precision))
 
 
-def _entropy_pairs(q: int, delta: Fraction, precision: int) -> tuple[Pair, Pair]:
-    """Ends of ``entropy(q, delta, precision)`` as ``log_pairs`` gives them; delta in [0, 1)."""
+def _entropy_pairs(q: int, a: int, b: int, precision: int) -> Ends:
+    """Ends of ``entropy(q, a/b, precision)`` as ``log_pairs`` gives them; a/b in [0, 1), lowest terms."""
     if q < 2:
         raise ContractViolationError("alphabet size must be >= 2")
-    delta = as_rational(delta)
-    a, b = delta.numerator, delta.denominator
     if not 0 <= a < b:
         raise ContractViolationError("entropy argument must lie in [0, 1]")
     if a == 0:
@@ -83,10 +94,10 @@ def _alpha(q: int, bits: int) -> tuple[Pair, Pair]:
     return log_pairs(q - 1, 1, q, bits)
 
 
-def _one_minus_entropy(q: int, delta: Fraction, precision: int, halves: int = 0) -> RatInterval:
-    """(1 - H_q(delta)) / 2**halves, H to width 2**-precision, for delta in [0, 1)."""
-    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, delta, precision)
-    return RatInterval(Fraction(hi_d - hi_n, hi_d << halves), Fraction(lo_d - lo_n, lo_d << halves))
+def _one_minus_entropy(q: int, a: int, b: int, precision: int, halves: int = 0) -> Ends:
+    """Ends of (1 - H_q(a/b)) / 2**halves, H to width 2**-precision, for a/b in [0, 1), lowest terms."""
+    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, a, b, precision)
+    return (hi_d - hi_n, hi_d << halves), (lo_d - lo_n, lo_d << halves)
 
 
 def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
@@ -97,25 +108,28 @@ def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
     delta = as_rational(delta)
     if not 0 <= delta <= Fraction(q - 1, q):
         raise ContractViolationError(f"delta outside [0, 1 - 1/{q}]")
-    return _one_minus_entropy(q, delta, precision + 1, halves=1)
+    return _interval(_one_minus_entropy(q, delta.numerator, delta.denominator, precision + 1, halves=1))
 
 
 class BoundCurve:
     """Monotone non-increasing curve on [0, 1] with two-sided evaluation.
 
-    ``span`` is the closed delta interval the curve is defined on, all of
-    [0, 1] unless a polyline passes its own; the grid deciders clip to it.
-    ``continuous`` gates use by the grid deciders, whose correctness needs
-    the intermediate value property.
+    ``evaluator(a, b, precision)`` gives the enclosure ends at a/b (lowest
+    terms, in [0, 1]) as integer pairs; ``from_intervals`` adapts one giving
+    a ``RatInterval`` at a ``Fraction``. ``span`` is the closed delta interval
+    the curve is defined on, all of [0, 1] unless a polyline passes its own;
+    the grid deciders clip to it. ``continuous`` gates use by the grid
+    deciders, whose correctness needs the intermediate value property.
 
-    Evaluations are memoized; entries are value-deterministic, so concurrent
-    readers see identical results regardless of interleaving.
+    Evaluations are memoized under the reduced (a, b, precision); entries are
+    value-deterministic, so concurrent readers see identical results
+    regardless of interleaving.
     """
 
     def __init__(
         self,
         name: str,
-        evaluator: Callable[[Fraction, int], RatInterval],
+        evaluator: Callable[[int, int, int], Ends],
         span: tuple[Fraction, Fraction] = (ZERO, ONE),
         continuous: bool = True,
     ):
@@ -123,77 +137,76 @@ class BoundCurve:
         self._evaluator = evaluator
         self.span = span
         self.continuous = continuous
-        self._memo: dict[tuple[Fraction, int], RatInterval] = {}
+        self._memo: dict[tuple[int, int, int], Ends] = {}
+
+    @classmethod
+    def from_intervals(cls, name: str, evaluator: Callable[[Fraction, int], RatInterval],
+                       span: tuple[Fraction, Fraction] = (ZERO, ONE), continuous: bool = True) -> "BoundCurve":
+        """Curve from an evaluator giving a ``RatInterval`` at a ``Fraction`` delta."""
+        def ends(a: int, b: int, precision: int) -> Ends:
+            value = evaluator(Fraction(a, b), precision)
+            return (value.lo.numerator, value.lo.denominator), (value.hi.numerator, value.hi.denominator)
+
+        return cls(name, ends, span, continuous)
+
+    def eval_pairs(self, num: int, den: int, precision: int) -> Ends:
+        """Enclosure ends at num/den, for den >= 1, as integer pairs."""
+        g = math.gcd(num, den)
+        key = (num // g, den // g, precision)
+        hit = self._memo.get(key)
+        if hit is None:
+            if not 0 <= num <= den:
+                raise ContractViolationError("curves evaluate on [0, 1]")
+            hit = self._memo[key] = self._evaluator(*key)
+        return hit
 
     def eval(self, delta: Fraction, precision: int) -> RatInterval:
         delta = as_rational(delta)
-        if not 0 <= delta <= 1:
-            raise ContractViolationError("curves evaluate on [0, 1]")
-        key = (delta, precision)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._evaluator(delta, precision)
-            self._memo[key] = hit
-        return hit
+        return _interval(self.eval_pairs(delta.numerator, delta.denominator, precision))
 
     def __repr__(self):
         return f"BoundCurve({self.name!r})"
 
 
+def _zero_from_edge(name: str, q: int, inside: Callable[[int, int, int], Ends], continuous: bool = True) -> BoundCurve:
+    """Curve that is ``inside`` below 1 - 1/q and exactly zero from there on: a q >= (q - 1) b."""
+    def evaluate(a: int, b: int, precision: int) -> Ends:
+        return ((0, 1), (0, 1)) if a * q >= (q - 1) * b else inside(a, b, precision)
+
+    return BoundCurve(name, evaluate, continuous=continuous)
+
+
 def vg_bound_curve(q: int) -> BoundCurve:
     """Total form of the random-coding curve: zero beyond 1 - 1/q."""
-    edge = Fraction(q - 1, q)
-
-    def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        if delta >= edge:
-            return RatInterval.point(ZERO)
-        return vg_curve(q, delta, precision)
-
-    return BoundCurve(f"vg_q{q}", evaluate)
+    return _zero_from_edge(f"vg_q{q}", q, lambda a, b, p: _one_minus_entropy(q, a, b, p + 1, halves=1))
 
 
 def gv_lower_curve(q: int) -> BoundCurve:
     """Classical sphere-covering lower bracket 1 - H_q(delta), zero beyond 1 - 1/q."""
-    edge = Fraction(q - 1, q)
-
-    def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        if delta >= edge:
-            return RatInterval.point(ZERO)
-        return _one_minus_entropy(q, delta, precision + 1)
-
-    return BoundCurve(f"gv_lower_q{q}", evaluate)
+    return _zero_from_edge(f"gv_lower_q{q}", q, lambda a, b, p: _one_minus_entropy(q, a, b, p + 1))
 
 
 def hamming_curve(q: int) -> BoundCurve:
-    """Sphere-packing upper curve 1 - H_q(delta / 2)."""
+    """Sphere-packing upper curve 1 - H_q(delta / 2); a/b in lowest terms halves to a lowest-terms pair."""
+    return BoundCurve(f"hamming_q{q}", lambda a, b, p: _one_minus_entropy(
+        q, *((a // 2, b) if a % 2 == 0 else (a, 2 * b)), p + 1))
 
-    def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        return _one_minus_entropy(q, delta / 2, precision + 1)
 
-    return BoundCurve(f"hamming_q{q}", evaluate)
+def _line(a: int, b: int, precision: int) -> Ends:
+    """The exact value 1 - a/b."""
+    return (b - a, b), (b - a, b)
 
 
 def singleton_curve() -> BoundCurve:
     """The exact line R = 1 - delta."""
-
-    def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        return RatInterval.point(ONE - delta)
-
-    return BoundCurve("singleton", evaluate)
+    return BoundCurve("singleton", _line)
 
 
 def upper_bracket_curve(q: int) -> BoundCurve:
     """Pointwise min of the line 1 - delta and the mandatory zero region
     delta >= 1 - 1/q. Exact but discontinuous at the zero edge, so it is for
     tables and plots, not for the grid deciders."""
-    edge = Fraction(q - 1, q)
-
-    def evaluate(delta: Fraction, precision: int) -> RatInterval:
-        if delta >= edge:
-            return RatInterval.point(ZERO)
-        return RatInterval.point(ONE - delta)
-
-    return BoundCurve(f"singleton_zero_q{q}", evaluate, continuous=False)
+    return _zero_from_edge(f"singleton_zero_q{q}", q, _line, continuous=False)
 
 
 def bracket_curves(q: int) -> tuple[BoundCurve, BoundCurve]:
@@ -219,25 +232,28 @@ class PolylineCurve(BoundCurve):
             if b.r > a.r:
                 raise ContractViolationError("vertex rates must be non-increasing")
         self.vertices = tuple(vertices)
-        span = (vertices[0].delta, vertices[-1].delta)
-
-        def evaluate(delta: Fraction, precision: int) -> RatInterval:
-            return RatInterval.point(self.value_exact(delta))
-
+        # vertex coordinates as integers over one common denominator
+        self._den = math.lcm(*(c.denominator for v in vertices for c in (v.delta, v.r)))
+        self._xs = [v.delta.numerator * (self._den // v.delta.denominator) for v in vertices]
+        self._ys = [v.r.numerator * (self._den // v.r.denominator) for v in vertices]
         name = "polyline:" + ";".join(f"{v.delta},{v.r}" for v in self.vertices)
-        super().__init__(name, evaluate, span=span)
+        super().__init__(name, self._value, span=(vertices[0].delta, vertices[-1].delta))
+
+    def _value(self, a: int, b: int, precision: int) -> Ends:
+        """The value at a/b, interpolated by integer cross-multiplication, as a zero-width enclosure."""
+        xs, ys, den = self._xs, self._ys, self._den
+        if not xs[0] * b <= a * den <= xs[-1] * b:
+            lo, hi = self.span
+            raise ContractViolationError(f"delta {Fraction(a, b)} outside polyline span [{lo}, {hi}]")
+        k = next(k for k in range(1, len(xs)) if a * den <= xs[k] * b)
+        run = xs[k] - xs[k - 1]
+        # (y0 + (a/b - x0/D) / (run/D) * (y1 - y0)) / D over the common denominator D
+        value = (ys[k - 1] * b * run + (a * den - xs[k - 1] * b) * (ys[k] - ys[k - 1]), den * b * run)
+        return value, value
 
     def value_exact(self, delta: Fraction) -> Fraction:
         delta = as_rational(delta)
-        lo, hi = self.span
-        if not lo <= delta <= hi:
-            raise ContractViolationError(f"delta {delta} outside polyline span [{lo}, {hi}]")
-        verts = self.vertices
-        for a, b in zip(verts, verts[1:]):
-            if delta <= b.delta:
-                t = (delta - a.delta) / (b.delta - a.delta)
-                return a.r + t * (b.r - a.r)
-        raise ContractViolationError("unreachable: delta inside span")
+        return Fraction(*self._value(delta.numerator, delta.denominator, 0)[0])
 
 
 def synthetic_polyline(vertices: Sequence[RatPoint]) -> PolylineCurve:

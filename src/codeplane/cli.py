@@ -34,7 +34,7 @@ from .errors import (
     SeedNotFoundError,
     StabilizationTimeoutError,
 )
-from .geometry import RatInterval, RatPoint, format_rational
+from .geometry import format_ratio, format_rational
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -217,11 +217,11 @@ def cmd_bounds(args) -> int:
         raise ConfigError("need at least two sample points")
     sampled = [(name, _curve_samples(curve, cfg.q, cfg.grid_samples, cfg.precision))
                for name, curve in curves]
+    # n / d is float(Fraction(n, d)): int true division is correctly rounded
     rows = [
-        [format_rational(delta), name, f"{float(value.lo):.12g}", f"{float(value.hi):.12g}",
-         str(cfg.precision)]
+        [format_ratio(*delta), name, f"{lo[0] / lo[1]:.12g}", f"{hi[0] / hi[1]:.12g}", str(cfg.precision)]
         for name, samples in sampled
-        for delta, value in samples
+        for delta, (lo, hi) in samples
     ]
     out = Path(cfg.out_dir)
     _write(out / "bounds.csv", _csv(manifest, ["delta", "curve", "lo_float", "hi_float", "precision_bits"], rows))
@@ -235,16 +235,22 @@ def cmd_bounds(args) -> int:
 
 
 def _curve_samples(curve: bounds_mod.BoundCurve, q: int, samples: int,
-                   precision: int) -> list[tuple[Fraction, RatInterval]]:
-    """(delta, enclosure of the curve) at ``samples`` evenly spaced deltas of [0, (q-1)/q]."""
-    edge = Fraction(q - 1, q)
-    deltas = (edge * Fraction(idx, samples - 1) for idx in range(samples))
-    return [(delta, curve.eval(delta, precision)) for delta in deltas]
+                   precision: int) -> list[tuple[bounds_mod.Pair, bounds_mod.Ends]]:
+    """(delta, enclosure ends of the curve) as integer pairs at ``samples`` evenly
+    spaced deltas k (q - 1) / (q (samples - 1)) of [0, (q-1)/q]."""
+    den = q * (samples - 1)
+    return [((k * (q - 1), den), curve.eval_pairs(k * (q - 1), den, precision)) for k in range(samples)]
 
 
-def _midline(samples: list[tuple[Fraction, RatInterval]]) -> list[RatPoint]:
-    """The polyline through the midpoints of sampled enclosures."""
-    return [RatPoint((value.lo + value.hi) / 2, delta) for delta, value in samples]
+def _midline(samples: list[tuple[bounds_mod.Pair, bounds_mod.Ends]]) -> list[tuple[float, float]]:
+    """(delta, R) floats of the polyline through the midpoints of sampled enclosures."""
+    return [(d_n / d_d, (lo_n * hi_d + hi_n * lo_d) / (2 * lo_d * hi_d))
+            for (d_n, d_d), ((lo_n, lo_d), (hi_n, hi_d)) in samples]
+
+
+def _grid_floats(vertices: Sequence[tuple[int, int]], n_grid: int) -> list[tuple[float, float]]:
+    """N-grid vertices (i, j) as (delta, R) floats (i / N, j / N); k / N is float(Fraction(k, N))."""
+    return [(i / n_grid, j / n_grid) for i, j in vertices]
 
 
 def cmd_enumerate(args) -> int:
@@ -401,8 +407,8 @@ def cmd_strip(args) -> int:
     if cfg.svg:
         canvas = PlaneSvg(title="N-strip")
         canvas.add_cells("strip", strip.cells(), cfg.n_grid)
-        canvas.add_polyline("gamma_plus", strip.gamma_plus, color="#b03030")
-        canvas.add_polyline("gamma_minus", strip.gamma_minus, color="#1f4e9c")
+        canvas.add_polyline("gamma_plus", _grid_floats(strip.staircases[0], cfg.n_grid), color="#b03030")
+        canvas.add_polyline("gamma_minus", _grid_floats(strip.staircases[1], cfg.n_grid), color="#1f4e9c")
         _write(out / "strip.svg", canvas.render(_manifest_comment(manifest)))
     return EXIT_OK
 
@@ -429,8 +435,9 @@ def cmd_approx(args) -> int:
         canvas.add_cells("u_minus", adm.u_minus, cfg.n_grid, color="#74a86040")
         canvas.add_cells("u_plus", adm.u_plus, cfg.n_grid, color="#a8747440")
         canvas.add_cells("exceptional", adm.exceptional, cfg.n_grid, color="#d4c04a80")
-        canvas.add_polyline("upper", estimate.upper_polyline(), color="#b03030")
-        canvas.add_polyline("lower", estimate.lower_polyline(), color="#1f4e9c")
+        staircase = _grid_floats(effective._staircase(enumerate(estimate.rows)), cfg.n_grid)
+        canvas.add_polyline("upper", staircase, color="#b03030")
+        canvas.add_polyline("lower", staircase, color="#1f4e9c")  # the staircases coincide
         _write(out / "approx.svg", canvas.render(_manifest_comment(manifest)))
     return EXIT_OK
 

@@ -29,8 +29,10 @@ curve once per column end per rung, until all of its rows are decided. Each
 verdict is monotone in the row index j, so a column is kept as rows alone
 and each rung cuts them at integer row bounds (exact floors and ceilings of
 N times an endpoint): a strip column is its member and pending row ranges,
-a domain column its band (a, b) of undecided rows. No Fraction verdict is
-taken in the grid loops; the deciders serve the presentations. Cells and
+a domain column its band (a, b) of undecided rows. A column end is the
+integer pair (i, N), clipped to the curve span by cross-multiplication, and
+the curve answers it with integer pairs (``BoundCurve.eval_pairs``), so the
+grid loops build no Fraction; the deciders serve the presentations. Cells and
 staircases come from the column ranges and bands, with no N x N table and
 no per-square object. A staircase stays integer N-grid vertices (i, j), the
 point (j/N, i/N), up to its written text and floats; Fraction appears only
@@ -55,14 +57,14 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bounds import BoundCurve
+from .bounds import BoundCurve, Pair
 from .budget import DEFAULT_BUDGET, SearchBudget, _Meter
 from .errors import (
     ContractViolationError,
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint
+from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, format_ratio
 from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
 ZERO = Fraction(0)
@@ -94,23 +96,12 @@ class GraphBallDecider:
 
     def decide(self, d_lo: Fraction, d_hi: Fraction, r_lo: Fraction, r_hi: Fraction,
                precision: int) -> Decision:
-        return self.verdict(self.ends(d_lo, d_hi, precision), r_lo, r_hi)
-
-    def ends(self, d_lo: Fraction, d_hi: Fraction, precision: int) -> Optional[tuple[RatInterval, RatInterval]]:
-        """Enclosures of f at [d_lo, d_hi] clipped to the curve span; None if they miss."""
-        span = self.curve.span
-        a = max(d_lo, span[0])
-        b = min(d_hi, span[1])
+        """Closed rectangle vs graph: intersects iff f(a) >= r_lo and f(b) <= r_hi,
+        [a, b] the delta range [d_lo, d_hi] clipped to the curve span."""
+        a, b = max(d_lo, self.curve.span[0]), min(d_hi, self.curve.span[1])
         if a > b:
-            return None
-        return self.curve.eval(a, precision), self.curve.eval(b, precision)
-
-    @staticmethod
-    def verdict(ends: Optional[tuple[RatInterval, RatInterval]], r_lo: Fraction, r_hi: Fraction) -> Decision:
-        """Closed rectangle vs graph: intersects iff f(a) >= r_lo and f(b) <= r_hi."""
-        if ends is None:
             return Decision.DISJOINT
-        fa, fb = ends
+        fa, fb = self.curve.eval(a, precision), self.curve.eval(b, precision)
         if fa.lo >= r_lo and fb.hi <= r_hi:
             return Decision.INTERSECTS
         if fa.hi < r_lo or fb.lo > r_hi:
@@ -156,14 +147,14 @@ class DomainBallDecider:
         return Decision.UNKNOWN
 
 
-def _floor_times(x: Fraction, n: int) -> int:
-    """Exact floor(n * x)."""
-    return (x.numerator * n) // x.denominator
+def _floor_times(x: Pair, n: int) -> int:
+    """Exact floor(n * x) of x = (numerator, denominator), denominator positive."""
+    return (x[0] * n) // x[1]
 
 
-def _ceil_times(x: Fraction, n: int) -> int:
-    """Exact ceil(n * x)."""
-    return -((-x.numerator * n) // x.denominator)
+def _ceil_times(x: Pair, n: int) -> int:
+    """Exact ceil(n * x) of x = (numerator, denominator), denominator positive."""
+    return -((-x[0] * n) // x[1])
 
 
 def _cut(ranges: list[tuple[int, int]], lo: int, hi: int) -> tuple[list, list]:
@@ -463,12 +454,6 @@ def _vertex_text(vertices: Iterable[tuple[int, int]], n_grid: int) -> list[list[
     return [[format_ratio(i, n_grid), format_ratio(j, n_grid)] for i, j in vertices]
 
 
-def format_ratio(k: int, n: int) -> str:
-    """``format_rational(Fraction(k, n))`` for n >= 1, with one gcd and no Fraction."""
-    g = math.gcd(k, n)
-    return str(k // g) if g == n else f"{k // g}/{n // g}"
-
-
 def build_strip(
     curve: BoundCurve,
     n_grid: int,
@@ -483,18 +468,21 @@ def build_strip(
     and are reported in ``capped``. Raises StabilizationTimeoutError with the
     columns decided so far when ``budget``'s wall clock runs out first.
     """
-    decider = GraphBallDecider(curve)
+    _require_usable(curve)
+    (s0, s0_d), (s1, s1_d) = ((x.numerator, x.denominator) for x in curve.span)
 
     def rung(i: int, column, precision: int):
         members, pending = column
-        ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
-        if ends is None:
+        # the column's delta range [i/N, (i+1)/N] clipped to the span [s0, s1]
+        a = (i, n_grid) if i * s0_d >= s0 * n_grid else (s0, s0_d)
+        b = (i + 1, n_grid) if (i + 1) * s1_d <= s1 * n_grid else (s1, s1_d)
+        if a[0] * b[1] > b[0] * a[1]:
             return ([], []), False
-        fa, fb = ends
+        (fa_lo, fa_hi), (fb_lo, fb_hi) = curve.eval_pairs(*a, precision), curve.eval_pairs(*b, precision)
         # row j meets the graph iff f(a) >= j/N and f(b) <= (j+1)/N: keep the
         # rows where both may hold, and decide those where both surely hold
-        maybe, _ = _cut(pending, _ceil_times(fb.lo, n_grid) - 1, _floor_times(fa.hi, n_grid))
-        sure, pending = _cut(maybe, _ceil_times(fb.hi, n_grid) - 1, _floor_times(fa.lo, n_grid))
+        maybe, _ = _cut(pending, _ceil_times(fb_lo, n_grid) - 1, _floor_times(fa_hi, n_grid))
+        sure, pending = _cut(maybe, _ceil_times(fb_hi, n_grid) - 1, _floor_times(fa_lo, n_grid))
         return (members + sure, pending), bool(pending)
 
     columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, _Meter(budget), base_precision,
@@ -549,8 +537,9 @@ def classify_points(points: Sequence[RatPoint], strip: NStrip) -> PointPartition
             raise ContractViolationError(f"point {p} outside the unit square")
         rows = p.r * n
         verdicts = set()
+        delta = (p.delta.numerator, p.delta.denominator)
         # columns {ceil(N delta) - 1, floor(N delta)} within [0, N): two on a grid line
-        for c in range(max(_ceil_times(p.delta, n) - 1, 0), min(_floor_times(p.delta, n), n - 1) + 1):
+        for c in range(max(_ceil_times(delta, n) - 1, 0), min(_floor_times(delta, n), n - 1) + 1):
             rng = strip.column_range(c)
             if rng is None:
                 raise ContractViolationError(f"strip has no squares in column {c}; cannot classify")
@@ -638,13 +627,13 @@ def two_sided_approx(
 
     def rung(i: int, band: tuple[int, int], precision: int):
         a, b = band
-        fa = curve.eval(Fraction(i, n_grid), precision)
+        f_lo, f_hi = curve.eval_pairs(i, n_grid, precision)
         # rows j < N f.lo are U- (the open square meets U), rows j > N f.hi
         # are U+ (the closed square misses it); a point enclosure on a grid
         # line decides its row as neither, which leaves it in the band
-        lo, hi = _ceil_times(fa.lo, n_grid), _floor_times(fa.hi, n_grid) + 1
+        lo, hi = _ceil_times(f_lo, n_grid), _floor_times(f_hi, n_grid) + 1
         a, b = min(max(lo, a), b), min(max(hi, a), b)
-        return (a, b), a < b and fa.lo < fa.hi
+        return (a, b), a < b and f_lo[0] * f_hi[1] < f_hi[0] * f_lo[1]
 
     initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, _Meter(budget), base_precision,
                                    precision_cap, "two-sided approximation"))

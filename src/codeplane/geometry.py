@@ -13,6 +13,7 @@ and no grid square is extended past it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -38,6 +39,12 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_ratio(k: int, n: int) -> str:
+    """``format_rational(Fraction(k, n))`` for n >= 1, with one gcd and no Fraction."""
+    g = math.gcd(k, n)
+    return str(k // g) if g == n else f"{k // g}/{n // g}"
 
 
 @dataclass(frozen=True)

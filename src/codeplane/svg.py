@@ -50,12 +50,13 @@ class PlaneSvg:
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{color}"/>'
             )
 
-    def add_polyline(self, layer: str, vertices: Sequence[RatPoint], color: str = "#b03030",
+    def add_polyline(self, layer: str, vertices: Sequence[tuple[float, float]], color: str = "#b03030",
                      width: float = 1.5):
+        """Polyline through (delta, R) vertices."""
         if len(vertices) < 2:
             return
         pts = " ".join(
-            "{},{}".format(*map(_fmt, self._map(v.delta, v.r))) for v in vertices
+            "{},{}".format(*map(_fmt, self._map(delta, r))) for delta, r in vertices
         )
         self.layer(layer).append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'

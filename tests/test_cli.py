@@ -409,7 +409,7 @@ def _argv(draw):
 
 
 @given(_argv())
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_any_argv_exits_within_the_contract(tmp_path_factory, argv):
     work = tmp_path_factory.mktemp("argv")
     for name, text in _CODE_FILES.items():

@@ -8,12 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codeplane import bounds
 from codeplane.bounds import (
     BoundCurve,
+    PolylineCurve,
     constant_curve,
     diagonal_curve,
     gv_lower_curve,
     hamming_curve,
+    named_curve,
     synthetic_polyline,
     upper_bracket_curve,
     vg_bound_curve,
@@ -30,7 +33,6 @@ from codeplane.effective import (
     core_from_curve,
     curve_estimate,
     domain_presentations,
-    format_ratio,
     polyline_within,
     re_from_curve,
     re_from_dense_points,
@@ -39,7 +41,7 @@ from codeplane.effective import (
 from codeplane import effective
 from codeplane.budget import SearchBudget
 from codeplane.errors import ContractViolationError, InternalContractError
-from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_rational
+from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_ratio, format_rational
 from codeplane.svg import PlaneSvg
 
 
@@ -370,9 +372,9 @@ def test_build_strip_timeout():
         continuous = True
         span = (Fraction(0), Fraction(1))
 
-        def eval(self, delta, precision):
+        def eval_pairs(self, num, den, precision):
             time.sleep(0.002)
-            return vg_bound_curve(2).eval(delta, precision)
+            return vg_bound_curve(2).eval_pairs(num, den, precision)
 
     with pytest.raises(StabilizationTimeoutError) as err:
         build_strip(SlowCurve(), 16, SearchBudget(max_millis=10))
@@ -391,10 +393,10 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
         continuous = True
         span = (Fraction(0), Fraction(1))
 
-        def eval(self, delta, precision):
-            if delta > Fraction(1, 2):
+        def eval_pairs(self, num, den, precision):
+            if 2 * num > den:
                 now[0] += 1.0
-            return DIAG.eval(delta, precision)
+            return DIAG.eval_pairs(num, den, precision)
 
     with pytest.raises(StabilizationTimeoutError) as err:
         build_strip(LateCurve(), 16, SearchBudget(max_millis=500))
@@ -461,11 +463,18 @@ def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
 
 
 def test_row_thresholds_are_exact_floors_and_ceilings():
-    values = [Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3, 7, 64)]
+    # (numerator, denominator) pairs as curves give them: unreduced, with
+    # negative numerators (the lower end of 1 - H can fall below 0), integral
+    # values, and the wide ends of deep enclosures
+    pairs = [(k * g, d * g) for k in range(-9, 10) for d in (1, 2, 3, 7, 64) for g in (1, 2, 6)]
+    pairs += [(-(2 ** 80) - 1, 3 * 2 ** 70), (2 ** 90 + 7, 5 * 2 ** 88), (-(3 ** 50), 3 ** 50)]
+    near_edge = gv_lower_curve(2).eval_pairs(99, 200, 1)
+    assert near_edge[0][0] < 0  # the lower end of 1 - H falls below 0 next to the zero edge
+    pairs += [*near_edge, *gv_lower_curve(2).eval_pairs(1, 3, 64)]
     for n_grid in (1, 3, 16, 48):
-        for x in values:
-            assert effective._floor_times(x, n_grid) == math.floor(x * n_grid)
-            assert effective._ceil_times(x, n_grid) == math.ceil(x * n_grid)
+        for x in pairs:
+            assert effective._floor_times(x, n_grid) == math.floor(Fraction(*x) * n_grid)
+            assert effective._ceil_times(x, n_grid) == math.ceil(Fraction(*x) * n_grid)
 
 
 def test_assemble_strip_joins_adjacent_row_ranges_and_rejects_gaps():
@@ -639,12 +648,34 @@ def _reference_assemble_strip(n_grid, members, capped):
                            capped=capped)
 
 
+def _reference_ends(curve, d_lo, d_hi, precision):
+    """Enclosures of f at [d_lo, d_hi] clipped to the curve span; None if they miss."""
+    span = curve.span
+    a = max(d_lo, span[0])
+    b = min(d_hi, span[1])
+    if a > b:
+        return None
+    return curve.eval(a, precision), curve.eval(b, precision)
+
+
+def _reference_verdict(ends, r_lo, r_hi):
+    """Closed rectangle vs graph: intersects iff f(a) >= r_lo and f(b) <= r_hi."""
+    if ends is None:
+        return Decision.DISJOINT
+    fa, fb = ends
+    if fa.lo >= r_lo and fb.hi <= r_hi:
+        return Decision.INTERSECTS
+    if fa.hi < r_lo or fb.lo > r_hi:
+        return Decision.DISJOINT
+    return Decision.UNKNOWN
+
+
 def _reference_strip(curve, n_grid, base_precision, precision_cap):
-    decider = GraphBallDecider(curve)
+    GraphBallDecider(curve)  # the contract check: continuous
 
     def column_verdicts(i, precision):
-        ends = decider.ends(Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
-        return lambda j: (decider.verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),)
+        ends = _reference_ends(curve, Fraction(i, n_grid), Fraction(i + 1, n_grid), precision)
+        return lambda j: (_reference_verdict(ends, Fraction(j, n_grid), Fraction(j + 1, n_grid)),)
 
     cells = _reference_sweep_columns(n_grid, column_verdicts, base_precision, precision_cap)
     capped = tuple(sorted(key for key, (dec,) in cells.items() if dec is Decision.UNKNOWN))
@@ -772,21 +803,27 @@ def _polyline(*points):
     return synthetic_polyline([RatPoint.of(r, delta) for delta, r in points])
 
 
-def _blurred(polyline):
-    """Interval stand-in for an exact curve spanning [0, 1].
-
-    Its enclosures are a few 2^-(p+3) wide around the polyline's values.
-    Their ends lie on N-grid lines wherever the value does, for N a multiple
-    of 2^(p+3). They are not nested from one precision to the next.
-    """
+def _blur(value_at):
+    """Fraction evaluator of enclosures a few 2^-(p+3) wide around ``value_at(delta)``."""
     def evaluate(delta, precision):
-        value = polyline.value_exact(delta)
+        value = value_at(delta)
         w = Fraction(1, 2 ** (precision + 3))
         if precision % 2:
             return RatInterval(value - w, value + 2 * w)
         return RatInterval(value - 3 * w, value + w)
 
-    return BoundCurve("blurred " + polyline.name, evaluate)
+    return evaluate
+
+
+def _blurred(polyline):
+    """Interval stand-in for an exact curve spanning [0, 1], built from a
+    Fraction evaluator through ``BoundCurve.from_intervals``.
+
+    Its enclosures are a few 2^-(p+3) wide around the polyline's values.
+    Their ends lie on N-grid lines wherever the value does, for N a multiple
+    of 2^(p+3). They are not nested from one precision to the next.
+    """
+    return BoundCurve.from_intervals("blurred " + polyline.name, _blur(polyline.value_exact))
 
 
 _F = Fraction
@@ -816,7 +853,7 @@ THRESHOLD_GRIDS = (*range(1, 17), 31, 32, 48)
 
 
 class _RecordingCurve:
-    """A curve that logs the (delta, precision) of every evaluation."""
+    """A curve that logs the (delta, precision) of every evaluation, on either path."""
 
     def __init__(self, curve):
         self.curve, self.name, self.continuous, self.span = curve, curve.name, curve.continuous, curve.span
@@ -825,6 +862,10 @@ class _RecordingCurve:
     def eval(self, delta, precision):
         self.evals.append((delta, precision))
         return self.curve.eval(delta, precision)
+
+    def eval_pairs(self, num, den, precision):
+        self.evals.append((Fraction(num, den), precision))
+        return self.curve.eval_pairs(num, den, precision)
 
     def taken(self):
         evals, self.evals = self.evals, []
@@ -894,6 +935,111 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
             (want_upper, want_lower, want_corners), n_grid
         assert estimate.upper_polyline() == _reference_values_staircase(want_upper, n_grid), n_grid
         assert estimate.lower_polyline() == _reference_values_staircase(want_lower, n_grid), n_grid
+
+
+# --- the Fraction evaluation path that the pair path replaced ---------------
+# Copies of the curve closures, of (1 - H) / 2**halves and of the polyline
+# interpolation as they evaluated a Fraction delta into a RatInterval; the
+# integer pair ends must equal them as rationals.
+
+def _reference_one_minus_entropy(q, delta, precision, halves=0):
+    (lo_n, lo_d), (hi_n, hi_d) = bounds._entropy_pairs(q, delta.numerator, delta.denominator, precision)
+    return RatInterval(Fraction(hi_d - hi_n, hi_d << halves), Fraction(lo_d - lo_n, lo_d << halves))
+
+
+def _reference_builtin(kind, q):
+    edge = Fraction(q - 1, q)
+    zero = RatInterval.point(Fraction(0))
+    return {
+        "vg": lambda delta, p: zero if delta >= edge else _reference_one_minus_entropy(q, delta, p + 1, halves=1),
+        "gv_lower": lambda delta, p: zero if delta >= edge else _reference_one_minus_entropy(q, delta, p + 1),
+        "hamming": lambda delta, p: _reference_one_minus_entropy(q, delta / 2, p + 1),
+        "singleton": lambda delta, p: RatInterval.point(1 - delta),
+        "singleton_zero": lambda delta, p: zero if delta >= edge else RatInterval.point(1 - delta),
+    }[kind]
+
+
+def _reference_value_exact(vertices, delta):
+    lo, hi = vertices[0].delta, vertices[-1].delta
+    if not lo <= delta <= hi:
+        raise ContractViolationError(f"delta {delta} outside polyline span [{lo}, {hi}]")
+    for a, b in zip(vertices, vertices[1:]):
+        if delta <= b.delta:
+            t = (delta - a.delta) / (b.delta - a.delta)
+            return a.r + t * (b.r - a.r)
+
+
+def _reference_evaluator(name):
+    """The Fraction evaluator of THRESHOLD_CURVES[name] as it was."""
+    if name.startswith("blurred_"):
+        vertices = THRESHOLD_CURVES[name[len("blurred_"):]]().vertices
+        return _blur(lambda delta: _reference_value_exact(vertices, delta))
+    curve = THRESHOLD_CURVES[name]()
+    if isinstance(curve, PolylineCurve):
+        return lambda delta, precision: RatInterval.point(_reference_value_exact(curve.vertices, delta))
+    kind, q = curve.name.rsplit("_q", 1)
+    return _reference_builtin(kind, int(q))
+
+
+def _pair_interval(ends):
+    (lo_n, lo_d), (hi_n, hi_d) = ends
+    return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
+def test_pair_ends_equal_the_fraction_path_on_the_sweep_matrix(name):
+    # every (delta, precision) that the strip and approx sweeps ask for, over
+    # the grids and ladders of the threshold matrix
+    curve = _RecordingCurve(THRESHOLD_CURVES[name]())
+    for base, cap in [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)]:
+        for n_grid in THRESHOLD_GRIDS:
+            _outcome(lambda: build_strip(curve, n_grid, base_precision=base, precision_cap=cap))
+            if name != "partial_span":
+                two_sided_approx(curve, n_grid=n_grid, base_precision=base, precision_cap=cap, strict=False)
+    asked = set(curve.taken())
+    assert len(asked) > 100
+    reference, fresh = _reference_evaluator(name), THRESHOLD_CURVES[name]()
+    for delta, precision in sorted(asked):
+        want = reference(delta, precision)
+        assert _pair_interval(fresh.eval_pairs(delta.numerator, delta.denominator, precision)) == want
+        assert fresh.eval(delta, precision) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16])
+def test_pair_ends_equal_the_fraction_path_on_the_tables(q):
+    # every curve that bounds tabulates, at the tables workload's precisions
+    # and grids, through the sampler that writes bounds.csv
+    from codeplane.cli import _curve_samples
+
+    for kind in ("vg", "gv_lower", "hamming", "singleton", "singleton_zero"):
+        reference = _reference_builtin(kind, q)
+        for precision in (64, 128, 256, 512):
+            curve = named_curve(kind, q)
+            for samples in range(5, 10):
+                got = _curve_samples(curve, q, samples, precision)
+                deltas = [Fraction(q - 1, q) * Fraction(k, samples - 1) for k in range(samples)]
+                assert [Fraction(*delta) for delta, _ in got] == deltas
+                assert [_pair_interval(ends) for _, ends in got] == [reference(d, precision) for d in deltas]
+
+
+@pytest.mark.parametrize("name", ["vg_q2", "hamming_q3", "partial_span"])
+def test_sweeps_build_no_fraction(monkeypatch, name):
+    # grid arguments, span clipping, curve evaluations and row cuts all stay in integers
+    curve = THRESHOLD_CURVES[name]()
+    assert _fractions_built(monkeypatch, lambda: build_strip(curve, 64)) == 0
+    if name != "partial_span":
+        assert _fractions_built(monkeypatch, lambda: two_sided_approx(curve, n_grid=64, strict=False)) == 0
+
+
+def test_bounds_table_fraction_count_does_not_grow_with_the_grid(monkeypatch, tmp_path):
+    from codeplane.cli import main
+
+    def table(grid):
+        argv = ["bounds", "--q", "3", "--curves", "vg,gv_lower,hamming", "--grid", str(grid),
+                "--precision", "64", "--out", str(tmp_path / str(grid))]
+        return lambda: main(argv)
+
+    assert _fractions_built(monkeypatch, table(5)) == _fractions_built(monkeypatch, table(65))
 
 
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
