@@ -48,10 +48,15 @@ def word_from_text(text: str, q: int) -> Word:
     return word
 
 
+# symbol s -> its character, as a bytes.translate table; a symbol past the
+# last character is refused before any translation
+_SYMBOL_TABLE = SYMBOL_CHARS.encode().ljust(256, b"?")
+
+
 def word_to_text(word: Word) -> str:
-    if any(s >= len(SYMBOL_CHARS) for s in word):
+    if word and max(word) >= len(SYMBOL_CHARS):
         raise ContractViolationError("text form supports alphabets up to 36 symbols")
-    return "".join(SYMBOL_CHARS[s] for s in word)
+    return word.translate(_SYMBOL_TABLE).decode("ascii")
 
 
 def check_alphabet(q: int) -> None:
@@ -238,8 +243,8 @@ def decode_triple(index: int, q: int) -> tuple[int, int, int]:
 
 
 def write_code_text(code: Code) -> str:
-    lines = [f"{code.q} {code.n} {code.m}"]
-    lines.extend(word_to_text(w) for w in code.words)
+    text, n = word_to_text(code.packed()), code.n  # one symbol check, one translation
+    lines = [f"{code.q} {n} {code.m}", *(text[i:i + n] for i in range(0, len(text), n))]
     return "\n".join(lines) + "\n"
 
 

@@ -430,18 +430,14 @@ def _best_linear(q: int, n: int, k: int, budget: SearchBudget) -> OracleOutcome:
         meter.nodes += hi - lo
         if meter.exhausted():
             return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
-        tails = np.arange(lo, hi, dtype=np.int64)
-        found = _best_tail(_tail_rows(tails, q, k, tail_cols), tails, q, n, ops, best_d)
+        rows, tails = _sorted_tails(np.arange(lo, hi, dtype=np.int64), q, k, tail_cols)
+        found = _best_tail(rows, tails, q, n, ops, best_d) if len(tails) else None
         if found is not None:
             best_d, best_tail = found
-    if q == 2:
-        tail = [(best_tail >> (r * tail_cols + tail_cols - 1 - b)) & 1
-                for r in range(k) for b in range(tail_cols)]
-    else:
-        tail = _word_rows([best_tail], q, k * tail_cols)[0].tolist()
-    rows = tuple(
-        tuple(1 if c == r else 0 for c in range(k)) + tuple(tail[r * tail_cols:(r + 1) * tail_cols])
-        for r in range(k)
+    tail = _word_rows([best_tail], q, k * tail_cols)[0].reshape(k, tail_cols).tolist()
+    rows = tuple(  # the index holds binary rows last to first
+        tuple(1 if c == r else 0 for c in range(k)) + tuple(row)
+        for r, row in enumerate(tail[::-1] if q == 2 else tail)
     )
     witness = LinearCode(GeneratorMatrix(field, rows))
     return OracleOutcome(OracleStatus.EXACT, best_d, witness, meter.nodes)
@@ -463,6 +459,40 @@ def _tail_rows(tails, q: int, k: int, tail_cols: int) -> list:
         return [(tails >> (r * tail_cols)) & mask for r in range(k)]
     digits = _word_rows(tails, q, k * tail_cols)
     return [digits[:, r * tail_cols:(r + 1) * tail_cols] for r in range(k)]
+
+
+def _sorted_tails(tails, q: int, k: int, tail_cols: int) -> tuple[list, np.ndarray]:
+    """The rows (as ``_tail_rows``) and indices of the ``tails`` whose rows and
+    columns are nondecreasing in index order (rows from the most significant,
+    binary row k-1 or q-ary row 0). Permuting rows or columns keeps every
+    weight, so the lowest-index best tail, least in its orbit, is among them."""
+    width = q ** tail_cols
+    if q == 2:
+        # the first row read has sorted columns only if it is 0..01..1, v & (v + 1) == 0
+        top = 1 << (k - 1) * tail_cols
+        probe = tails + top
+        probe &= tails
+        tails = tails[probe < top]
+    groups = _tail_rows(tails, q, k, tail_cols) if q == 2 else [tails // width ** j % width for j in range(k)]
+    keep = np.ones(len(tails), dtype=bool)
+    for low, high in zip(groups, groups[1:]):
+        keep &= high <= low
+    tails = tails[keep]
+    rows = _tail_rows(tails, q, k, tail_cols)
+    # each column against the next, down the rows in reading order, as (differ,
+    # greater) per row: the first difference decides; binary row << 1 aligns the next
+    if q == 2:
+        undecided = np.full_like(tails, width - 2)
+        compares = ((row ^ (row << 1), row) for row in reversed(rows))
+    else:
+        undecided = np.ones((len(tails), tail_cols - 1), dtype=bool)
+        compares = ((row[:, :-1] != row[:, 1:], row[:, :-1] > row[:, 1:]) for row in rows)
+    bad = np.zeros_like(undecided)
+    for differ, greater in compares:
+        bad |= undecided & differ & greater
+        undecided &= ~differ
+    keep = bad == 0 if q == 2 else ~bad.any(axis=1)
+    return [row[keep] for row in rows], tails[keep]
 
 
 def _best_tail(rows, tails, q: int, n: int, ops, best_d: int) -> Optional[tuple[int, int]]:
@@ -884,24 +914,26 @@ def _cloud_seeded(q, n_max, budget, add):
     if q == 2 and n_max >= 8:
         seeds.append(to_code(seed_family("extended_hamming_8_4")))
 
-    frontier = [c for c in seeds if c.n <= n_max]
+    frontier: list[tuple[Code, Optional[CodeParams]]] = [(c, None) for c in seeds if c.n <= n_max]
     visited: set[tuple[int, int, int]] = set()
     expansions = 0
     while frontier and expansions < _CLOSURE_CAP:
-        code = frontier.pop()
-        p = params(code)
+        code, p = frontier.pop()
+        p = p or params(code)
         key = p.triple()
         if key in visited:
             continue
         visited.add(key)
         add(p, "seeded-family")
         expansions += 1
-        if code.n < n_max:
-            frontier.append(spoiling.lengthen(code))
-        if code.n > 1 and p.d >= 2:
-            frontier.append(spoiling.puncture(code))
+        # lengthen and puncture children have their triples by law: build only unvisited ones
+        grown, cut = (p.n + 1, p.m, p.d), (p.n - 1, p.m, p.d - 1)
+        if code.n < n_max and grown not in visited:
+            frontier.append((spoiling.lengthen(code), CodeParams(q, *grown)))
+        if code.n > 1 and p.d >= 2 and cut not in visited:
+            frontier.append((spoiling.puncture(code), CodeParams(q, *cut)))
         if code.n > 1 and p.m > q:
-            frontier.append(spoiling.shorten(code))
+            frontier.append((spoiling.shorten(code), None))
 
 
 # --- finite-range multiplicity --------------------------------------------

@@ -249,10 +249,12 @@ def reduce_distance_exact(code: Code, d_target: int) -> Code:
     return _reduce_distance(code, d_target, [])
 
 
-def _reduce_distance(code: Code, d_target: int, steps: list[SpoilStep]) -> Code:
+def _reduce_distance(code: Code, d_target: int, steps: list[SpoilStep], d: Optional[int] = None) -> Code:
+    # d: the code's distance where the caller knows it
     if d_target < 1:
         raise ContractViolationError("distance target must be >= 1")
-    d, _ = min_distance(code)
+    if d is None:
+        d, _ = min_distance(code)
     if d < d_target:
         raise ContractViolationError(f"current distance {d} already below target {d_target}")
     while d > d_target:
@@ -395,10 +397,11 @@ def realize_point(
         while code.n < length:
             code, step = _lengthen_step(code)
             steps.append(step)
-        code = _reduce_distance(code, dist, steps)
+        code = _reduce_distance(code, dist, steps, seed_params.d)  # lengthening kept d
+        walked = len(steps)
         code = _reduce_floor(code, floor_t, steps)
-        # shorten may have raised the distance: walk it back down (a no-op at the target)
-        code = _reduce_distance(code, dist, steps)
+        if len(steps) > walked:  # shortening may have raised the distance
+            code = _reduce_distance(code, dist, steps)
         final = params(code)
         if (
             final.n != length

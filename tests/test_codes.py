@@ -18,6 +18,7 @@ from codeplane.codes import (
     params,
     rate_real,
     read_code_text,
+    SYMBOL_CHARS,
     word_from_text,
     word_to_text,
     write_code_text,
@@ -160,6 +161,41 @@ def test_word_text_roundtrip_and_range():
     with pytest.raises(ContractViolationError):
         word_from_text("02", 2)
 
+
+
+def _joined_word_text(word):
+    if any(s >= len(SYMBOL_CHARS) for s in word):
+        raise ContractViolationError("text form supports alphabets up to 36 symbols")
+    return "".join(SYMBOL_CHARS[s] for s in word)
+
+
+def _joined_code_text(code):
+    """The code text as one symbol join per word."""
+    lines = [f"{code.q} {code.n} {code.m}"]
+    lines.extend(_joined_word_text(word) for word in code.words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 16, 36, 40])
+def test_code_text_matches_the_symbol_join(q):
+    rng = random.Random(q)
+    # symbols below 36 write for any q, judged on the symbols alone
+    for n, m in ((1, 1), (1, min(q, 36)), (5, 7), (12, 300)):
+        words = {bytes(rng.randrange(min(q, 36)) for _ in range(n)) for _ in range(m)}
+        code = Code.from_words(q, words)
+        text = write_code_text(code)
+        assert text == _joined_code_text(code)
+        assert [word_to_text(word) for word in code.words] == text.splitlines()[1:]
+        assert read_code_text(text) == code
+    if q > 36:
+        for top in (36, q - 1):
+            code = Code.from_words(q, [bytes([0, 1]), bytes([top, 2])])
+            with pytest.raises(ContractViolationError, match="up to 36 symbols"):
+                _joined_code_text(code)
+            with pytest.raises(ContractViolationError, match="up to 36 symbols"):
+                write_code_text(code)
+            with pytest.raises(ContractViolationError, match="up to 36 symbols"):
+                word_to_text(bytes([top, 2]))
 
 def test_csv_point_row_serializes_exact_rationals():
     row = csv_point_row(CodeParams(q=2, n=7, m=16, d=3))

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from codeplane import kernels, search
+from codeplane import kernels, search, spoiling
 from codeplane.codes import Code, CodeParams, min_distance, params, write_code_text
 from codeplane.errors import ContractViolationError
 from codeplane.geometry import RatPoint
@@ -190,6 +190,58 @@ def test_point_cloud_deduplicates_by_triple():
     with pytest.raises(ContractViolationError):
         enumerate_point_cloud(2, 4, strategies=("nonesuch",))
 
+
+
+def _reference_cloud_seeded(q, n_max, budget, add):
+    """The seeded-family closure that measures every child it pops."""
+    seeds = []
+    for n in range(1, n_max + 1):
+        seeds.append(to_code(seed_family("repetition", n=n, q=q)))
+        if n >= 2 and q ** (n - 1) <= 4096:
+            seeds.append(to_code(seed_family("parity", n=n, q=q)))
+    if q == 2 and n_max >= 7:
+        seeds.append(to_code(seed_family("hamming_7_4")))
+    if q == 2 and n_max >= 8:
+        seeds.append(to_code(seed_family("extended_hamming_8_4")))
+    frontier = [c for c in seeds if c.n <= n_max]
+    visited = set()
+    expansions = 0
+    while frontier and expansions < search._CLOSURE_CAP:
+        code = frontier.pop()
+        p = params(code)
+        if p.triple() in visited:
+            continue
+        visited.add(p.triple())
+        add(p, "seeded-family")
+        expansions += 1
+        if code.n < n_max:
+            frontier.append(spoiling.lengthen(code))
+        if code.n > 1 and p.d >= 2:
+            frontier.append(spoiling.puncture(code))
+        if code.n > 1 and p.m > q:
+            frontier.append(spoiling.shorten(code))
+
+
+@pytest.mark.parametrize("q,n_max", [(q, n_max) for q in (2, 3) for n_max in range(1, 9)])
+def test_seeded_closure_takes_lengthen_and_puncture_triples_from_their_laws(monkeypatch, q, n_max):
+    built = []
+    for name in ("lengthen", "puncture"):
+        def recorded(code, _move=getattr(spoiling, name), _name=name):
+            child = _move(code)
+            built.append((_name, code, child))
+            return child
+
+        monkeypatch.setattr(spoiling, name, recorded)
+    added = []
+    search._cloud_seeded(q, n_max, SearchBudget(), lambda p, tag: added.append((p, tag)))
+    monkeypatch.undo()
+    expected = []
+    _reference_cloud_seeded(q, n_max, SearchBudget(), lambda p, tag: expected.append((p, tag)))
+    assert added == expected
+    for name, code, child in built:
+        p = params(code)
+        law = (p.n + 1, p.m, p.d) if name == "lengthen" else (p.n - 1, p.m, p.d - 1)
+        assert params(child).triple() == law
 
 def test_multiplicity_examples():
     report = multiplicity_in_range(RatPoint.of(0, 0), 2, 6)
@@ -792,6 +844,90 @@ def test_binary_tail_rows_are_the_qary_rows_reversed():
             bits = np.stack([(row >> (tail_cols - 1 - c)) & 1 for c in range(tail_cols)], axis=1)
             assert np.array_equal(bits, qary_row)
 
+
+
+def _reference_chunked_best_linear(q, n, k, budget) -> OracleOutcome:
+    """The chunked scan that hands every tail to ``_best_tail``: the same
+    chunks, node charges, budget refusals and witness as ``search._best_linear``."""
+    if not 1 <= k <= n:
+        raise ContractViolationError("need 1 <= k <= n")
+    field = GF(q)
+    if k == n:
+        gen = GeneratorMatrix(field, tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n)))
+        return OracleOutcome(OracleStatus.EXACT, 1, LinearCode(gen), 0)
+    tail_cols = n - k
+    if q > 2 and q ** (k * tail_cols) > search._SPACE_CAP:
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, 0, reason="space too large")
+    total = q ** (k * tail_cols)
+    meter = search._Meter(budget)
+    if total > meter.cap:
+        return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.cap + 1, reason="budget")
+    if q == 2:
+        ops = (np.bitwise_xor, lambda c, part: part, np.bitwise_count)
+    else:
+        add, mul = field.tables
+        ops = (lambda a, b: add[a, b], lambda c, part: mul[c][part], lambda word: np.count_nonzero(word, axis=1))
+    messages = sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in range(1, min(k, tail_cols) + 1))
+    chunk = max(1, min(search._TAIL_CHUNK, search._CHUNK_WORK // messages))
+    best_d, best_tail = 0, None
+    for lo in range(0, total, chunk):
+        hi = min(total, lo + chunk)
+        meter.nodes += hi - lo
+        if meter.exhausted():
+            return OracleOutcome(OracleStatus.UNKNOWN, None, None, meter.nodes, reason="budget")
+        tails = np.arange(lo, hi, dtype=np.int64)
+        found = search._best_tail(search._tail_rows(tails, q, k, tail_cols), tails, q, n, ops, best_d)
+        if found is not None:
+            best_d, best_tail = found
+    if q == 2:
+        tail = [(best_tail >> (r * tail_cols + tail_cols - 1 - b)) & 1 for r in range(k) for b in range(tail_cols)]
+    else:
+        tail = search._word_rows([best_tail], q, k * tail_cols)[0].tolist()
+    rows = tuple(
+        tuple(1 if c == r else 0 for c in range(k)) + tuple(tail[r * tail_cols:(r + 1) * tail_cols])
+        for r in range(k)
+    )
+    return OracleOutcome(OracleStatus.EXACT, best_d, LinearCode(GeneratorMatrix(field, rows)), meter.nodes)
+
+
+def _full_scan_cases():
+    """Every binary (n, k) with k(n-k) <= 18, and every q-ary one in
+    q = 3, 4, 5 with at most 3^9 tails."""
+    for q in (2, 3, 4, 5):
+        for n in range(1, 20):
+            for k in range(1, n + 1):
+                if (q == 2 and k * (n - k) <= 18) or (q > 2 and q ** (k * (n - k)) <= 3 ** 9):
+                    yield q, n, k
+
+
+@pytest.mark.parametrize("q,n,k", list(_full_scan_cases()))
+def test_best_linear_matches_the_chunked_full_scan(q, n, k):
+    # the sorted tails alone give the same d, witness, nodes and reason,
+    # within the default budget and under 1,000 nodes
+    for budget in (SearchBudget(), SearchBudget(max_nodes=1_000)):
+        new = _linear_fingerprint(search._best_linear(q, n, k, budget))
+        assert new == _linear_fingerprint(_reference_chunked_best_linear(q, n, k, budget))
+
+
+# nodes still count every tail; digests recorded with the full scan
+_PINNED_RAISED_LINEAR = {(10, 4): "45612fc746faf34b", (10, 5): "a46d190bee0fd88c"}
+
+
+@pytest.mark.parametrize("n,k,walked", [(8, 4, 650), (9, 4, 2_942), (10, 4, 11_819), (10, 5, 24_520)])
+def test_best_linear_walks_only_sorted_tails(monkeypatch, n, k, walked):
+    handed = []
+    original = search._best_tail
+
+    def counted(rows, tails, *args):
+        handed.append(len(tails))
+        return original(rows, tails, *args)
+
+    monkeypatch.setattr(search, "_best_tail", counted)
+    out = search._best_linear(2, n, k, SearchBudget(max_nodes=1 << 26))
+    assert sum(handed) == walked
+    assert out.exact and out.d == 4 and out.nodes == 1 << (k * (n - k))
+    if (n, k) in _PINNED_RAISED_LINEAR:
+        assert _digest(_linear_fingerprint(out)) == _PINNED_RAISED_LINEAR[n, k]
 
 def test_deep_clique_search_needs_no_recursion():
     # 1,023 words deep: the recursive search raised RecursionError here

@@ -262,9 +262,17 @@ def test_realize_measures_each_distance_walk_once(monkeypatch):
     outputs = realize_point((1, 8, 2), q=2, count=2, seed_source=lambda q, n, t, d: greedy_code(q, n, d))
     kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
     assert kinds[0].index(PUNCTURE) > kinds[0].index(SHORTEN)
-    # per level: the seed, the code entering each of the two distance walks,
-    # each punctured code and the final code; no measurement before the second walk
-    assert len(calls) == sum(4 + k.count(PUNCTURE) for k in kinds)
+    # per level: the seed, each punctured code, the code entering the second
+    # distance walk if the floor walk shortened, and the final code; the
+    # lengthened seed keeps the seed's distance and is not measured again
+    assert len(calls) == sum(2 + k.count(PUNCTURE) + (SHORTEN in k) for k in kinds)
+    # greedy seeds of q**(ak) words: the floor walk takes no step, so the
+    # second distance walk measures nothing
+    calls.clear()
+    outputs = realize_point((1, 4, 2), q=2, count=2)
+    kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
+    assert not any(SHORTEN in k for k in kinds) and any(PUNCTURE in k for k in kinds)
+    assert len(calls) == sum(2 + k.count(PUNCTURE) for k in kinds)
 
 
 def test_realize_point_seed_not_found():
