@@ -209,12 +209,6 @@ def upper_bracket_curve(q: int) -> BoundCurve:
     return _zero_from_edge(f"singleton_zero_q{q}", q, _line, continuous=False)
 
 
-def bracket_curves(q: int) -> tuple[BoundCurve, BoundCurve]:
-    """(lower, upper) bracket pair: lower <= upper pointwise, both with the
-    documented boundary behavior (1 at delta = 0, 0 from 1 - 1/q on)."""
-    return gv_lower_curve(q), upper_bracket_curve(q)
-
-
 class PolylineCurve(BoundCurve):
     """Piecewise-linear non-increasing curve with exact rational evaluation.
 
@@ -256,11 +250,6 @@ class PolylineCurve(BoundCurve):
         return Fraction(*self._value(delta.numerator, delta.denominator, 0)[0])
 
 
-def synthetic_polyline(vertices: Sequence[RatPoint]) -> PolylineCurve:
-    """Exactly decidable test curve through the given vertices."""
-    return PolylineCurve(vertices)
-
-
 def diagonal_curve() -> PolylineCurve:
     """The line from (delta=0, R=1) to (delta=1, R=0)."""
     return PolylineCurve([RatPoint.of(1, 0), RatPoint.of(0, 1)])
@@ -298,5 +287,5 @@ def named_curve(name: str, q: int) -> BoundCurve:
             raise ContractViolationError(
                 f"bad synthetic curve {name!r}; expected synthetic:d,r;d,r;..."
             ) from None
-        return synthetic_polyline(vertices)
+        return PolylineCurve(vertices)
     raise ContractViolationError(f"unknown curve name {name!r}")

@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from .budget import DEFAULT_SEED, SearchBudget
+from .budget import DEFAULT_BUDGET, DEFAULT_SEED, SearchBudget
 from .errors import (
     BudgetExceededError,
     CodeplaneError,
@@ -43,9 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-#: environment variable overriding the default node budget
-BUDGET_ENV = "CODEPLANE_MAX_NODES"
 
 #: largest ``approx --N``: approx.json lists every square, O(N^2). At the cap (vg, q = 2) it is
 #: 122 MB, written in about 10 s at a peak RSS of 1,066 MB under ``ulimit -v`` 2 GB (2-vCPU x86-64).
@@ -182,12 +178,6 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
         raise ConfigError("alphabet size must be >= 2")
     if args.precision < 1:
         raise ConfigError(f"--precision must be >= 1, got {args.precision}")
-    max_nodes = args.max_nodes
-    if max_nodes is None:
-        try:
-            max_nodes = int(os.environ.get(BUDGET_ENV, SearchBudget().max_nodes))
-        except ValueError:
-            raise ConfigError(f"${BUDGET_ENV} must be an integer, got {os.environ[BUDGET_ENV]!r}") from None
     cfg = RunConfig(
         command=command,
         q=getattr(args, "q", 2),
@@ -195,7 +185,7 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
         n_max=getattr(args, "nmax", 6),
         precision=args.precision,
         grid_samples=getattr(args, "grid", 64),
-        max_nodes=max_nodes,
+        max_nodes=args.max_nodes,
         max_millis=args.max_millis,
         rng_seed=args.seed,
         out_dir=args.out,
@@ -448,8 +438,8 @@ def cmd_approx(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
-    parser.add_argument("--max-nodes", type=int, default=None,
-                        help=f"search node budget (default from ${BUDGET_ENV} or built-in)")
+    parser.add_argument("--max-nodes", type=int, default=DEFAULT_BUDGET.max_nodes,
+                        help="search node budget (default %(default)s)")
     parser.add_argument("--max-millis", type=int, default=None, help="wall-clock budget")
     parser.add_argument("--precision", type=int, default=30, help="enclosure precision bits")
     parser.add_argument("--svg", action="store_true", help="also emit SVG figures")

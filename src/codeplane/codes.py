@@ -185,12 +185,12 @@ def floor_log_q(m: int, q: int) -> int:
 
 def code_point(p: CodeParams) -> RatPoint:
     """Exact plane point (floor(log_q m)/n, d/n); always lands in the unit square."""
-    r = Fraction(floor_log_q(p.m, p.q), p.n)
-    delta = Fraction(p.d, p.n)
-    point = RatPoint(r, delta)
-    if not point.in_unit_square():
+    t = floor_log_q(p.m, p.q)
+    # t/n and d/n lie in [0, 1] iff t and d lie in [0, n], since n >= 1
+    if not (0 <= t <= p.n and 0 <= p.d <= p.n):
+        point = RatPoint(Fraction(t, p.n), Fraction(p.d, p.n))
         raise ContractViolationError(f"code point {point} escaped the unit square")
-    return point
+    return RatPoint(Fraction(t, p.n), Fraction(p.d, p.n))
 
 
 def rate_real(p: CodeParams, precision: int) -> RatInterval:

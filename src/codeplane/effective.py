@@ -168,8 +168,9 @@ def _cut(ranges: list[tuple[int, int]], lo: int, hi: int) -> tuple[list, list]:
 
 
 def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int], tuple[object, bool]],
-                   meter: _Meter, base_precision: int, precision_cap: int, what: str) -> list:
-    """Walk each column up the precision ladder until its rows are decided.
+                   meter: _Meter, what: str) -> list:
+    """Walk each column up the precision ladder, from ``DEFAULT_BASE_PRECISION``
+    bits doubling to ``DEFAULT_PRECISION_CAP``, until its rows are decided.
 
     Every column starts in state ``start``; ``rung(i, state, precision)``
     evaluates the curve for column i once, cuts the rows still pending at
@@ -183,14 +184,14 @@ def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int]
         raise ContractViolationError("grid resolution must be >= 1")
     columns: list = []
     for i in range(n_grid):
-        state, precision = start, base_precision
+        state, precision = start, DEFAULT_BASE_PRECISION
         while True:
             if meter.exhausted():
                 raise StabilizationTimeoutError(f"{what} timed out", partial=columns)
             state, pending = rung(i, state, precision)
-            if not pending or precision >= precision_cap:
+            if not pending or precision >= DEFAULT_PRECISION_CAP:
                 break
-            precision = min(precision_cap, precision * 2)
+            precision = min(DEFAULT_PRECISION_CAP, precision * 2)
         columns.append(state)
     return columns
 
@@ -376,7 +377,7 @@ class NStrip:
     squares kept conservatively because they were still undecided at the
     precision cap. Everything else is derived from the column ranges: the
     cells, the upper and lower boundary staircases ``gamma_plus`` and
-    ``gamma_minus``, and the end segments.
+    ``gamma_minus``, and the end-column flags.
     """
 
     n_grid: int
@@ -406,11 +407,6 @@ class NStrip:
     @cached_property
     def gamma_minus(self) -> tuple[RatPoint, ...]:
         return _grid_points(self.staircases[1], self.n_grid)
-
-    @property
-    def end_segments(self) -> tuple[tuple[RatPoint, RatPoint], tuple[RatPoint, RatPoint]]:
-        """The two vertical boundary segments at the strip ends."""
-        return (self.gamma_minus[0], self.gamma_plus[0]), (self.gamma_minus[-1], self.gamma_plus[-1])
 
     @property
     def end_segments_degenerate(self) -> tuple[bool, bool]:
@@ -458,8 +454,6 @@ def build_strip(
     curve: BoundCurve,
     n_grid: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    base_precision: int = DEFAULT_BASE_PRECISION,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
 ) -> NStrip:
     """Grid squares not provably disjoint from the curve's graph, once every
     column's precision ladder settles, together with the boundary staircases.
@@ -485,8 +479,7 @@ def build_strip(
         sure, pending = _cut(maybe, _ceil_times(fb_hi, n_grid) - 1, _floor_times(fa_lo, n_grid))
         return (members + sure, pending), bool(pending)
 
-    columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, _Meter(budget), base_precision,
-                             precision_cap, "strip construction")
+    columns = _sweep_columns(n_grid, ([], [(0, n_grid - 1)]), rung, _Meter(budget), "strip construction")
     capped = tuple((i, j) for i, (_, pending) in enumerate(columns)
                    for lo, hi in pending for j in range(lo, hi + 1))
     members = {i: sorted(sure + pending) for i, (sure, pending) in enumerate(columns) if sure or pending}
@@ -610,8 +603,6 @@ def two_sided_approx(
     curve: BoundCurve,
     n_grid: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    base_precision: int = DEFAULT_BASE_PRECISION,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
     strict: bool = True,
 ) -> AdmissibleSet:
     """Decide the N-grid against U = {R <= f(delta)} until every column's
@@ -635,8 +626,7 @@ def two_sided_approx(
         a, b = min(max(lo, a), b), min(max(hi, a), b)
         return (a, b), a < b and f_lo[0] * f_hi[1] < f_hi[0] * f_lo[1]
 
-    initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, _Meter(budget), base_precision,
-                                   precision_cap, "two-sided approximation"))
+    initial = tuple(_sweep_columns(n_grid, (0, n_grid), rung, _Meter(budget), "two-sided approximation"))
 
     # amendment pass against the *initial* sides; two closed grid squares meet
     # iff their indices differ by at most one on both axes, so an undecided

@@ -144,15 +144,11 @@ class RatBall:
         return RatInterval(self.center.delta - self.radius, self.center.delta + self.radius)
 
     def contains(self, p: RatPoint) -> bool:
-        return ball_contains(self, p)
-
-
-def ball_contains(ball: RatBall, p: RatPoint) -> bool:
-    """Membership test; strict inequality for open balls, non-strict for closed."""
-    d = max_distance(ball.center, p)
-    if ball.kind is BallKind.OPEN:
-        return d < ball.radius
-    return d <= ball.radius
+        """Membership test; strict inequality for open balls, non-strict for closed."""
+        d = max_distance(self.center, p)
+        if self.kind is BallKind.OPEN:
+            return d < self.radius
+        return d <= self.radius
 
 
 def balls_closures_intersect(a: RatBall, b: RatBall) -> bool:

@@ -146,9 +146,9 @@ class LinearCode:
         for shift in _span(rows[:lead], add, mul):
             yield add[shift, tail]
 
-    def codewords(self, cap: int = DEFAULT_WORDS_CAP):
-        """Yield all q^k codewords as bytes, message order."""
-        for block in self.codeword_blocks(cap):
+    def codewords(self):
+        """Yield all q^k codewords as bytes, message order, up to ``DEFAULT_WORDS_CAP`` words."""
+        for block in self.codeword_blocks(DEFAULT_WORDS_CAP):
             data = block.tobytes()
             yield from (data[i:i + self.n] for i in range(0, len(data), self.n))
 
@@ -156,20 +156,20 @@ class LinearCode:
         return CodeParams(q=self.q, n=self.n, m=self.m, d=self.d)
 
 
-def min_weight(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Exact minimum nonzero-codeword weight by full enumeration."""
-    if code.m > cap:
+def min_weight(code: LinearCode) -> int:
+    """Exact minimum nonzero-codeword weight by full enumeration of at most ``DEFAULT_ENUM_CAP`` words."""
+    if code.m > DEFAULT_ENUM_CAP:
         raise BudgetExceededError(
-            f"q^k = {code.m} exceeds enumeration cap", nodes=code.m, cap=cap
+            f"q^k = {code.m} exceeds enumeration cap", nodes=code.m, cap=DEFAULT_ENUM_CAP
         )
     # the generator has full rank, so only the zero message gives a zero word
-    weights = (np.count_nonzero(block, axis=1) for block in code.codeword_blocks(cap))
+    weights = (np.count_nonzero(block, axis=1) for block in code.codeword_blocks(DEFAULT_ENUM_CAP))
     return min(int(w[w > 0].min(initial=code.n + 1)) for w in weights)
 
 
-def to_code(code: LinearCode, cap: int = DEFAULT_WORDS_CAP) -> Code:
+def to_code(code: LinearCode) -> Code:
     """Explicit word-set view; parameters match (n, q^k, d) exactly."""
-    return Code.from_words(code.q, code.codewords(cap=cap))
+    return Code.from_words(code.q, code.codewords())
 
 
 # --- seed families -------------------------------------------------------

@@ -25,7 +25,6 @@ final parameters exactly from the initial code.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -85,9 +84,6 @@ class SpoilTrace:
             "final": _params_json(self.final),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     @classmethod
     def from_json(cls, payload: dict) -> "SpoilTrace":
         return cls(
@@ -95,10 +91,6 @@ class SpoilTrace:
             steps=tuple(SpoilStep.from_json(s) for s in payload["steps"]),
             final=_params_from_json(payload["final"]),
         )
-
-    @classmethod
-    def loads(cls, text: str) -> "SpoilTrace":
-        return cls.from_json(json.loads(text))
 
 
 def _params_json(p: CodeParams) -> dict:

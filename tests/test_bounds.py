@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from codeplane import bounds
 from codeplane.bounds import (
     PolylineCurve,
-    bracket_curves,
     constant_curve,
     diagonal_curve,
     entropy,
@@ -15,7 +14,6 @@ from codeplane.bounds import (
     hamming_curve,
     named_curve,
     singleton_curve,
-    synthetic_polyline,
     upper_bracket_curve,
     vg_bound_curve,
     vg_curve,
@@ -227,7 +225,7 @@ def test_vg_monotone_on_grid():
 
 def test_bracket_curves_order_and_endpoints():
     for q in (2, 3, 4):
-        lower, upper = bracket_curves(q)
+        lower, upper = gv_lower_curve(q), upper_bracket_curve(q)
         assert lower.eval(Fraction(0), 20).lo == 1
         assert upper.eval(Fraction(0), 20).lo == 1
         edge = Fraction(q - 1, q)
@@ -241,7 +239,7 @@ def test_bracket_curves_order_and_endpoints():
 
 
 def test_bracket_at_quarter():
-    lower, upper = bracket_curves(2)
+    lower, upper = gv_lower_curve(2), upper_bracket_curve(2)
     up = upper.eval(Fraction(1, 4), 30)
     assert up.is_point and up.lo == Fraction(3, 4)
     lo = lower.eval(Fraction(1, 4), 30)
@@ -275,11 +273,11 @@ def test_polyline_exact_values_and_validation():
     const = constant_curve(Fraction(1, 2))
     assert const.value_exact(Fraction(7, 8)) == Fraction(1, 2)
     with pytest.raises(ContractViolationError):
-        synthetic_polyline([RatPoint.of(1, 0)])
+        PolylineCurve([RatPoint.of(1, 0)])
     with pytest.raises(ContractViolationError):
-        synthetic_polyline([RatPoint.of(0, 0), RatPoint.of(1, 1)])
+        PolylineCurve([RatPoint.of(0, 0), RatPoint.of(1, 1)])
     with pytest.raises(ContractViolationError):
-        synthetic_polyline([RatPoint.of(1, 0), RatPoint.of(1, 0)])
+        PolylineCurve([RatPoint.of(1, 0), RatPoint.of(1, 0)])
 
 
 def _segment_square_oracle(i, j, n):

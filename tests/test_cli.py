@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from codeplane import cli
-from codeplane.cli import APPROX_MAX_N, BUDGET_ENV, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from codeplane.cli import APPROX_MAX_N, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from codeplane.codes import read_code_text, params
 
 
@@ -214,13 +214,6 @@ def test_one_parser_serves_back_to_back_commands(tmp_path, monkeypatch, capsys):
     assert len(shared[1]) >= 12
 
 
-def test_budget_env_var_sets_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("CODEPLANE_MAX_NODES", "777")
-    assert run(tmp_path, "strip", "--curve", "synthetic:diag", "--N", "2") == EXIT_OK
-    payload = json.loads((tmp_path / "strip.json").read_text())
-    assert payload["manifest"]["config"]["max_nodes"] == 777
-
-
 def test_approx_non_admissible_input_is_internal_error(tmp_path):
     from codeplane.cli import EXIT_INTERNAL
 
@@ -249,7 +242,7 @@ def test_manifest_echoes_config(tmp_path):
     (("strip", "--curve", "synthetic:1/2"), {}),
     (("approx", "--curve", "synthetic:a,b;1,0"), {}),
     (("spoil", "--input", "/nonexistent/code.txt", "--op", "lengthen"), {}),
-    (("strip",), {"CODEPLANE_MAX_NODES": "abc"}),
+    (("strip", "--max-nodes", "abc"), {}),
     (("strip", "--N", "0"), {}),
     (("approx", "--N", "0"), {}),
     (("sample", "--q", "257", "--n", "2", "--m", "2", "--trials", "1"), {}),
@@ -323,8 +316,7 @@ BOUNDS_CSV_SHA256 = {
 
 @pytest.mark.parametrize("q, precision", sorted(BOUNDS_CSV_SHA256))
 def test_bounds_csv_bytes_are_pinned(tmp_path, monkeypatch, q, precision):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
-    monkeypatch.chdir(tmp_path)  # and the output directory
+    monkeypatch.chdir(tmp_path)  # the manifest echoes the output directory
     assert main(["bounds", "--q", str(q), "--curves", "vg,gv_lower,hamming", "--grid", "9",
                  "--precision", str(precision), "--out", "."]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
@@ -350,7 +342,6 @@ SAMPLED_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("argv", sorted(SAMPLED_OUTPUT_SHA256))
 def test_curve_sample_outputs_are_pinned(tmp_path, monkeypatch, argv):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "."]) == EXIT_OK
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -443,8 +434,7 @@ GRID_SHA256 = {
 
 @pytest.mark.parametrize("argv", sorted(GRID_SHA256))
 def test_large_grid_bytes_are_pinned(tmp_path, monkeypatch, argv):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
-    monkeypatch.chdir(tmp_path)  # and the output directory
+    monkeypatch.chdir(tmp_path)  # the manifest echoes the output directory
     assert main([*argv, "--out", "."]) == EXIT_OK
     for name, digest in GRID_SHA256[argv].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -469,8 +459,7 @@ _SPOIL_INPUT = "2 4 3\n0000\n0111\n1011\n"
 
 
 def _run_pinned(tmp_path, monkeypatch, argv):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)  # the manifest echoes the node budget
-    monkeypatch.chdir(tmp_path)  # and the output directory
+    monkeypatch.chdir(tmp_path)  # the manifest echoes the output directory
     (tmp_path / "in.code.txt").write_text(_SPOIL_INPUT)
     assert main([*argv, "--out", "."]) == EXIT_OK
 

@@ -17,7 +17,6 @@ from codeplane.bounds import (
     gv_lower_curve,
     hamming_curve,
     named_curve,
-    synthetic_polyline,
     upper_bracket_curve,
     vg_bound_curve,
 )
@@ -90,9 +89,8 @@ def test_build_strip_constant_half_n2():
 def test_build_strip_diagonal_widths(n_grid):
     strip = build_strip(DIAG, n_grid)
     assert strip.boundary_within(Fraction(2, n_grid))
-    left, right = strip.end_segments
-    assert left[0].delta == left[1].delta == 0
-    assert right[0].delta == right[1].delta == 1
+    assert strip.gamma_minus[0].delta == strip.gamma_plus[0].delta == 0
+    assert strip.gamma_minus[-1].delta == strip.gamma_plus[-1].delta == 1
 
 
 def test_build_strip_vg_valid_but_wider_than_2_over_n():
@@ -107,7 +105,7 @@ def test_build_strip_vg_valid_but_wider_than_2_over_n():
 
 
 def test_strip_partial_span_polyline():
-    curve = synthetic_polyline([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))])
+    curve = PolylineCurve([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))])
     strip = build_strip(curve, 4)
     # the graph endpoints (1/4, 1) and (3/4, 0) touch the corner squares of
     # the neighboring columns, and touching counts under the closed convention
@@ -205,7 +203,7 @@ def test_two_sided_vg_n32():
 
 
 def test_domain_decider_requires_full_span():
-    partial = synthetic_polyline([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))])
+    partial = PolylineCurve([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))])
     with pytest.raises(ContractViolationError):
         DomainBallDecider(partial)
 
@@ -290,7 +288,7 @@ def test_domain_presentations_sound():
 _PRESENTATION_CURVES = {
     "diag": diagonal_curve,
     "vg2": lambda: vg_bound_curve(2),
-    "partial": lambda: synthetic_polyline([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))]),
+    "partial": lambda: PolylineCurve([RatPoint.of(1, Fraction(1, 4)), RatPoint.of(0, Fraction(3, 4))]),
     "third": lambda: constant_curve(Fraction(1, 3)),
 }
 _PRESENTATION_SHA256 = {
@@ -418,6 +416,12 @@ def _first_verdict(decide, base, cap):
         precision = min(cap, 2 * precision)
 
 
+def _set_ladder(monkeypatch, base, cap):
+    """Run the grid sweeps on the precision ladder from ``base`` bits up to ``cap``."""
+    monkeypatch.setattr(effective, "DEFAULT_BASE_PRECISION", base)
+    monkeypatch.setattr(effective, "DEFAULT_PRECISION_CAP", cap)
+
+
 DIFFERENTIAL_CURVES = {
     "diag": lambda q: DIAG,
     "vg": vg_bound_curve,
@@ -432,13 +436,14 @@ DIFFERENTIAL_CURVES = {
 @pytest.mark.parametrize("ladder", [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)])
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CURVES))
-def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
+def test_grid_algorithms_match_per_cell_brute_force(monkeypatch, name, q, ladder):
+    _set_ladder(monkeypatch, *ladder)
     curve = DIFFERENTIAL_CURVES[name](q)
     graph, domain = GraphBallDecider(curve), DomainBallDecider(curve)
     for n_grid in range(1, 13):
         squares = [GridBall(n_grid, i, j) for i in range(n_grid) for j in range(n_grid)]
         on_graph = {(b.i, b.j): _first_verdict(lambda p: _decide_ball(graph, b, p), *ladder) for b in squares}
-        strip = build_strip(curve, n_grid, base_precision=ladder[0], precision_cap=ladder[1])
+        strip = build_strip(curve, n_grid)
         assert set(strip.cells()) == {c for c, v in on_graph.items() if v is not Decision.DISJOINT}
         assert strip.capped == tuple(sorted(c for c, v in on_graph.items() if v is Decision.UNKNOWN))
 
@@ -454,8 +459,7 @@ def test_grid_algorithms_match_per_cell_brute_force(name, q, ladder):
 
         to_plus = {c for c in undecided if not meets(c, u_minus)}
         to_minus = {c for c in undecided if c not in to_plus and not meets(c, u_plus)}
-        adm = two_sided_approx(curve, n_grid=n_grid, base_precision=ladder[0],
-                               precision_cap=ladder[1], strict=False)
+        adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
         assert adm.initial_undecided == tuple(undecided)
         assert adm.u_plus == u_plus | to_plus
         assert adm.u_minus == u_minus | to_minus
@@ -800,7 +804,7 @@ def _outcome(build):
 
 def _polyline(*points):
     """Polyline through (delta, R) vertices."""
-    return synthetic_polyline([RatPoint.of(r, delta) for delta, r in points])
+    return PolylineCurve([RatPoint.of(r, delta) for delta, r in points])
 
 
 def _blur(value_at):
@@ -890,10 +894,11 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
     monkeypatch.setattr(effective, "_assemble_strip", spy)
     curve = _RecordingCurve(THRESHOLD_CURVES[name]())
     base, cap = ladder
+    _set_ladder(monkeypatch, base, cap)
     for n_grid in THRESHOLD_GRIDS:
         want_cells, want = _reference_strip(curve, n_grid, base, cap)
         want_evals = curve.taken()
-        got = _outcome(lambda: build_strip(curve, n_grid, base_precision=base, precision_cap=cap))
+        got = _outcome(lambda: build_strip(curve, n_grid))
         assert curve.taken() == want_evals, n_grid
         # members are the rows not DISJOINT, capped the rows still UNKNOWN
         assert (assembled.pop() if assembled else (set(), ())) == (
@@ -904,7 +909,8 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
         else:
             assert got.to_json() == want.to_json(), n_grid
             assert got.capped == want.capped, n_grid
-            assert got.end_segments == want.end_segments, n_grid
+            assert ((got.gamma_minus[0], got.gamma_plus[0]),
+                    (got.gamma_minus[-1], got.gamma_plus[-1])) == want.end_segments, n_grid
             columns = range(-1, n_grid + 1)
             assert [got.column_range(c) for c in columns] == [want.column_range(c) for c in columns], n_grid
             # both classifications read only N and the column ranges: probe each strip once
@@ -917,8 +923,7 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
             continue
         want_cells, want = _reference_approx(curve, n_grid, base, cap)
         want_evals = curve.taken()
-        got = two_sided_approx(curve, n_grid=n_grid, base_precision=base, precision_cap=cap,
-                               strict=False)
+        got = two_sided_approx(curve, n_grid=n_grid, strict=False)
         assert curve.taken() == want_evals, n_grid
         # the initial band of a column: U- below its open-INTERSECTS rows, U+ from its first closed-DISJOINT row
         rows = [[want_cells[i, j] for j in range(n_grid)] for i in range(n_grid)]
@@ -987,15 +992,16 @@ def _pair_interval(ends):
 
 
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
-def test_pair_ends_equal_the_fraction_path_on_the_sweep_matrix(name):
+def test_pair_ends_equal_the_fraction_path_on_the_sweep_matrix(monkeypatch, name):
     # every (delta, precision) that the strip and approx sweeps ask for, over
     # the grids and ladders of the threshold matrix
     curve = _RecordingCurve(THRESHOLD_CURVES[name]())
     for base, cap in [(DEFAULT_BASE_PRECISION, DEFAULT_PRECISION_CAP), (1, 2), (1, 3)]:
+        _set_ladder(monkeypatch, base, cap)
         for n_grid in THRESHOLD_GRIDS:
-            _outcome(lambda: build_strip(curve, n_grid, base_precision=base, precision_cap=cap))
+            _outcome(lambda: build_strip(curve, n_grid))
             if name != "partial_span":
-                two_sided_approx(curve, n_grid=n_grid, base_precision=base, precision_cap=cap, strict=False)
+                two_sided_approx(curve, n_grid=n_grid, strict=False)
     asked = set(curve.taken())
     assert len(asked) > 100
     reference, fresh = _reference_evaluator(name), THRESHOLD_CURVES[name]()

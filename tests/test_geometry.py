@@ -10,7 +10,6 @@ from codeplane.geometry import (
     RatBall,
     RatInterval,
     RatPoint,
-    ball_contains,
     balls_closures_intersect,
     format_rational,
     max_distance,
@@ -38,10 +37,9 @@ def test_ball_contains_open_vs_closed():
     closed = RatBall(RatPoint.of("1/2", "1/2"), Fraction(1, 2), BallKind.CLOSED)
     opened = RatBall(RatPoint.of("1/2", "1/2"), Fraction(1, 2), BallKind.OPEN)
     corner = RatPoint.of(0, 0)
-    assert ball_contains(closed, corner)
-    assert not ball_contains(opened, corner)
-    assert ball_contains(RatBall(RatPoint.of(0, 0), Fraction(1), BallKind.OPEN),
-                         RatPoint.of("1/3", "1/3"))
+    assert closed.contains(corner)
+    assert not opened.contains(corner)
+    assert RatBall(RatPoint.of(0, 0), Fraction(1), BallKind.OPEN).contains(RatPoint.of("1/3", "1/3"))
 
 
 def test_closure_intersection_edge_touch_counts():

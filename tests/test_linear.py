@@ -97,15 +97,16 @@ def test_generator_full_rank_enforced():
         GeneratorMatrix(field, ((1, 2, 0),))  # entry outside field
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     rows = tuple(
         tuple(1 if c == r else 0 for c in range(30)) for r in range(30)
     )
     big = LinearCode(GeneratorMatrix(GF(2), rows))
     with pytest.raises(BudgetExceededError):
         min_weight(big)
+    monkeypatch.setattr(linear, "DEFAULT_WORDS_CAP", 1 << 10)
     with pytest.raises(BudgetExceededError):
-        to_code(big, cap=1 << 10)
+        to_code(big)
 
 
 def test_generator_text_roundtrip():
@@ -289,12 +290,13 @@ def test_rank_matches_reference_on_singular_matrices(q):
         assert linear._rank(field, rows) == _reference_rank(field, rows)
 
 
-def test_engine_keeps_the_budget_caps():
+def test_engine_keeps_the_budget_caps(monkeypatch):
     code = seed_family("parity", n=22, q=2)  # 2^21 words, distance 2
     words = code.codewords()  # a generator: the cap applies on the first word
     with pytest.raises(BudgetExceededError):
         next(words)
+    monkeypatch.setattr(linear, "DEFAULT_ENUM_CAP", 1 << 20)
     with pytest.raises(BudgetExceededError):
-        min_weight(code, cap=1 << 20)
+        min_weight(code)
     with pytest.raises(BudgetExceededError):
         puncture(code)  # its witness scan keeps the word enumeration cap

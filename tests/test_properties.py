@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from codeplane.bounds import synthetic_polyline
+from codeplane.bounds import PolylineCurve
 from codeplane.codes import code_point, params
 from codeplane.effective import build_strip, classify_points, curve_estimate, two_sided_approx
 from codeplane.geometry import RatPoint
@@ -42,7 +42,7 @@ def strictly_decreasing_polylines(draw):
         )
     )
     rates = sorted(rates, reverse=True)
-    return synthetic_polyline([RatPoint(r, d) for r, d in zip(rates, deltas)])
+    return PolylineCurve([RatPoint(r, d) for r, d in zip(rates, deltas)])
 
 
 @given(strictly_decreasing_polylines(), st.sampled_from([2, 3, 4, 8]))

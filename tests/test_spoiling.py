@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codeplane.codes import Code, code_point, floor_log_q, min_distance, params
+from codeplane.cli import main
+from codeplane.codes import Code, code_point, floor_log_q, min_distance, params, read_code_text, write_code_text
 from codeplane.errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -311,12 +313,23 @@ def test_spoiled_outputs_never_beat_the_search_oracle():
             assert out.d <= oracle_cache[key]
 
 
-def test_trace_json_roundtrip():
-    outputs = realize_point((1, 4, 1), q=2, count=2)
-    for rc in outputs:
-        again = SpoilTrace.loads(rc.trace.dumps())
-        assert again == rc.trace
-        replay_trace(again, rc.seed)
+def test_written_traces_replay_to_the_written_codes(tmp_path):
+    # each trace file nests its trace under "trace" beside the manifest; replayed
+    # on the written seed (realize) or on the input file (spoil), it gives the
+    # written code byte for byte
+    (tmp_path / "in.code.txt").write_text("2 5 4\n00000\n00111\n11100\n11011\n")
+    assert main(["realize", "--target", "1/4,1/4", "--count", "2", "--out", str(tmp_path)]) == 0
+    assert main(["spoil", "--input", str(tmp_path / "in.code.txt"), "--op", "puncture", "--count", "2",
+                 "--out", str(tmp_path)]) == 0
+    runs = [(f"realize_a{a}.trace.json", f"realize_a{a}.seed.txt", f"realize_a{a}.code.txt") for a in (1, 2)]
+    runs.append(("spoil_trace.json", "in.code.txt", "spoiled.code.txt"))
+    steps = 0
+    for trace_name, seed_name, code_name in runs:
+        trace = SpoilTrace.from_json(json.loads((tmp_path / trace_name).read_text())["trace"])
+        seed = read_code_text((tmp_path / seed_name).read_text())
+        assert write_code_text(replay_trace(trace, seed)) == (tmp_path / code_name).read_text(), trace_name
+        steps += len(trace.steps)
+    assert steps > 2  # the spoil trace's two punctures and at least one realize step
 
 
 def test_replay_rejects_wrong_code():
