@@ -33,7 +33,7 @@ from .errors import (
     SeedNotFoundError,
     StabilizationTimeoutError,
 )
-from .geometry import format_ratio, format_rational
+from .geometry import format_ratio
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -256,7 +256,8 @@ def cmd_enumerate(args) -> int:
     _write(out / "cloud.csv", _csv(manifest, header, rows))
     if cfg.svg:
         canvas = PlaneSvg(title="code points")
-        canvas.add_points("cloud", [e.point for e in cloud.entries])
+        params = [e.params for e in cloud.entries]
+        canvas.add_points("cloud", [(p.d / p.n, codes.floor_log_q(p.m, p.q) / p.n) for p in params])
         vg = bounds_mod.vg_bound_curve(cfg.q)
         canvas.add_polyline("curve_vg", _midline(_curve_samples(vg, cfg.q, 65, cfg.precision)))
         _write(out / "cloud.svg", canvas.render(_manifest_comment(manifest)))
@@ -269,19 +270,16 @@ def cmd_sample(args) -> int:
     cfg = _cfg_from_args(args, "sample")
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "trials": args.trials})
     ensemble = search.random_ensemble(cfg.q, args.n, args.m, args.trials, cfg.budget)
-    rows = []
-    total = Fraction(0)
-    for code, d in ensemble:  # d is the trial's distance: no second O(m^2) pass
-        rows.append(codes.csv_point_row(codes.CodeParams(code.q, code.n, code.m, d)) + ["random"])
-        total += Fraction(d, args.n)
+    # d is each trial's distance: no second O(m^2) pass
+    rows = [codes.csv_point_row(codes.CodeParams(code.q, code.n, code.m, d)) + ["random"] for code, d in ensemble]
+    total, count = sum(d for _, d in ensemble), args.n * args.trials  # mean delta = total / count
     out = Path(cfg.out_dir)
     header = ["n", "m", "d", "R", "delta", "R_float", "delta_float", "provenance"]
     _write(out / "sample.csv", _csv(manifest, header, rows))
-    mean = total / len(ensemble)
     summary = {
         "trials": args.trials,
-        "mean_delta": format_rational(mean),
-        "mean_delta_float": float(mean),
+        "mean_delta": format_ratio(total, count),
+        "mean_delta_float": total / count,
     }
     _write(out / "sample_summary.json", _json_text(manifest, summary))
     return EXIT_OK
@@ -372,12 +370,12 @@ def cmd_realize(args) -> int:
         _write(out / code_name, codes.write_code_text(realized.code))
         _write(out / seed_name, codes.write_code_text(realized.seed))
         _write(out / trace_name, _json_text(manifest, {"trace": realized.trace.to_json()}))
-        point = realized.point
+        p = realized.params
         summary.append(
             {
                 "level": level,
-                "params": list(realized.params.triple()),
-                "point": [format_rational(point.r), format_rational(point.delta)],
+                "params": list(p.triple()),
+                "point": [format_ratio(codes.floor_log_q(p.m, p.q), p.n), format_ratio(p.d, p.n)],
                 "files": [code_name, seed_name, trace_name],
             }
         )

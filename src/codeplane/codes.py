@@ -28,7 +28,7 @@ from . import kernels
 from .budget import _Meter
 from .enclosure import log_enclosure
 from .errors import ContractViolationError
-from .geometry import RatInterval, RatPoint
+from .geometry import RatInterval, RatPoint, format_ratio
 
 Word = bytes
 
@@ -184,13 +184,8 @@ def floor_log_q(m: int, q: int) -> int:
 
 
 def code_point(p: CodeParams) -> RatPoint:
-    """Exact plane point (floor(log_q m)/n, d/n); always lands in the unit square."""
-    t = floor_log_q(p.m, p.q)
-    # t/n and d/n lie in [0, 1] iff t and d lie in [0, n], since n >= 1
-    if not (0 <= t <= p.n and 0 <= p.d <= p.n):
-        point = RatPoint(Fraction(t, p.n), Fraction(p.d, p.n))
-        raise ContractViolationError(f"code point {point} escaped the unit square")
-    return RatPoint(Fraction(t, p.n), Fraction(p.d, p.n))
+    """Exact plane point (floor(log_q m)/n, d/n); ``CodeParams`` keeps it in the unit square."""
+    return RatPoint(Fraction(floor_log_q(p.m, p.q), p.n), Fraction(p.d, p.n))
 
 
 def rate_real(p: CodeParams, precision: int) -> RatInterval:
@@ -267,15 +262,11 @@ def read_code_text(text: str) -> Code:
 
 
 def csv_point_row(p: CodeParams) -> list[str]:
-    """Row for the point-cloud CSV schema: n, m, d, R, delta, R_float, delta_float."""
-    point = code_point(p)
-    r_str, delta_str = point.as_strings()
-    return [
-        str(p.n),
-        str(p.m),
-        str(p.d),
-        r_str,
-        delta_str,
-        f"{float(point.r):.12g}",
-        f"{float(point.delta):.12g}",
-    ]
+    """Row for the point-cloud CSV schema: n, m, d, R, delta, R_float, delta_float.
+
+    Written from the integers (floor(log_q m), d, n): k / n is float(Fraction(k, n)),
+    since int true division is correctly rounded.
+    """
+    t = floor_log_q(p.m, p.q)
+    return [str(p.n), str(p.m), str(p.d), format_ratio(t, p.n), format_ratio(p.d, p.n),
+            f"{t / p.n:.12g}", f"{p.d / p.n:.12g}"]

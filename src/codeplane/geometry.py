@@ -109,9 +109,6 @@ class RatPoint:
     def in_unit_square(self) -> bool:
         return 0 <= self.r <= 1 and 0 <= self.delta <= 1
 
-    def as_strings(self) -> tuple[str, str]:
-        return (format_rational(self.r), format_rational(self.delta))
-
 
 def max_distance(a: RatPoint, b: RatPoint) -> Fraction:
     """Chebyshev distance max(|r1-r2|, |delta1-delta2|), computed exactly."""

@@ -800,8 +800,11 @@ STRATEGIES = ("exhaustive", "exhaustive-linear", "greedy", "random", "seeded-fam
 @dataclass(frozen=True)
 class PointCloudEntry:
     params: CodeParams
-    point: RatPoint
     provenance: str
+
+    @property
+    def point(self) -> RatPoint:
+        return code_point(self.params)
 
 
 @dataclass(frozen=True)
@@ -837,7 +840,7 @@ def enumerate_point_cloud(
     def add(p: CodeParams, provenance: str):
         key = p.triple()
         if key not in collected:
-            collected[key] = PointCloudEntry(p, code_point(p), provenance)
+            collected[key] = PointCloudEntry(p, provenance)
 
     for name in strategies:
         if name == "exhaustive":

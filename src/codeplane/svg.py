@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import RatPoint
-
 GENERATOR_VERSION = "codeplane-svg-1"
 
 _SIZE = 640
@@ -41,11 +39,12 @@ class PlaneSvg:
         self._layers.append((name, items))
         return items
 
-    def add_points(self, layer: str, points: Iterable[RatPoint], color: str = "#1f4e9c",
+    def add_points(self, layer: str, points: Iterable[tuple[float, float]], color: str = "#1f4e9c",
                    radius: float = 2.0):
+        """Dots at (delta, R) points, drawn in (delta, R) order."""
         items = self.layer(layer)
-        for p in sorted(points, key=lambda q: (q.delta, q.r)):
-            x, y = self._map(p.delta, p.r)
+        for delta, r in sorted(points):
+            x, y = self._map(delta, r)
             items.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" fill="{color}"/>'
             )

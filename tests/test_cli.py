@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from codeplane import cli
 from codeplane.cli import APPROX_MAX_N, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from codeplane.codes import read_code_text, params
+from codeplane.errors import CodeplaneError
 
 
 def run(tmp_path, *argv):
@@ -236,34 +237,46 @@ def test_manifest_echoes_config(tmp_path):
     assert manifest["args"]["curve"] == "synthetic:diag"
 
 
-@pytest.mark.parametrize("argv, env", [
-    (("realize", "--target", "1/8"), {}),
-    (("realize", "--target", "a,b"), {}),
-    (("strip", "--curve", "synthetic:1/2"), {}),
-    (("approx", "--curve", "synthetic:a,b;1,0"), {}),
-    (("spoil", "--input", "/nonexistent/code.txt", "--op", "lengthen"), {}),
-    (("strip", "--max-nodes", "abc"), {}),
-    (("strip", "--N", "0"), {}),
-    (("approx", "--N", "0"), {}),
-    (("sample", "--q", "257", "--n", "2", "--m", "2", "--trials", "1"), {}),
-    (("enumerate", "--q", "300", "--nmax", "2", "--strategy", "greedy"), {}),
-    (("oracle", "--q", "300", "--n", "2", "--m", "3"), {}),
-    (("realize", "--q", "300", "--target", "1/8,1/8"), {}),
-    (("bounds", "--precision", "-5"), {}),
-    (("bounds", "--precision", "0"), {}),
-    (("sample", "--n", "4", "--m", "3", "--trials", "0"), {}),
-    (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "-1"), {}),
-    (("spoil", "--input", "in.txt", "--op", "puncture", "--count", "0"), {}),
-    (("oracle", "--n", "-1", "--m", "1"), {}),
-    (("bounds", "--curves", "vg,nope"), {}),
-])
-def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, capsys, argv, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+_BAD_INPUTS = [
+    ("realize", "--target", "1/8"),
+    ("realize", "--target", "a,b"),
+    ("strip", "--curve", "synthetic:1/2"),
+    ("approx", "--curve", "synthetic:a,b;1,0"),
+    ("spoil", "--input", "/nonexistent/code.txt", "--op", "lengthen"),
+    ("strip", "--max-nodes", "abc"),
+    ("strip", "--N", "0"),
+    ("approx", "--N", "0"),
+    ("sample", "--q", "257", "--n", "2", "--m", "2", "--trials", "1"),
+    ("enumerate", "--q", "300", "--nmax", "2", "--strategy", "greedy"),
+    ("oracle", "--q", "300", "--n", "2", "--m", "3"),
+    ("realize", "--q", "300", "--target", "1/8,1/8"),
+    ("bounds", "--precision", "-5"),
+    ("bounds", "--precision", "0"),
+    ("sample", "--n", "4", "--m", "3", "--trials", "0"),
+    ("spoil", "--input", "in.txt", "--op", "puncture", "--count", "-1"),
+    ("spoil", "--input", "in.txt", "--op", "puncture", "--count", "0"),
+    ("oracle", "--n", "-1", "--m", "1"),
+    ("bounds", "--curves", "vg,nope"),
+]
+
+
+# the case ids keep their established argvN-envN form, so each case's results stay comparable across runs
+@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=[f"argv{i}-env{i}" for i in range(len(_BAD_INPUTS))])
+def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "in.txt").write_text("2 3 2\n000\n111\n")
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, *argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_bare_library_error_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    def fail(args, command):
+        raise CodeplaneError("no more specific class")
+
+    monkeypatch.setattr(cli, "_cfg_from_args", fail)
+    assert run(tmp_path, "strip", "--N", "4") == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: no more specific class") and "Traceback" not in err
 
 
 _EVERY_COMMAND = [

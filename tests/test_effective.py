@@ -1048,6 +1048,27 @@ def test_bounds_table_fraction_count_does_not_grow_with_the_grid(monkeypatch, tm
     assert _fractions_built(monkeypatch, table(5)) == _fractions_built(monkeypatch, table(65))
 
 
+def test_ensemble_writers_fraction_count_is_zero(monkeypatch, tmp_path):
+    # code points go from the integers (floor(log_q m), d, n) to text and
+    # floats; only parsing realize's --target builds Fractions
+    from codeplane import search, spoiling  # noqa: F401 - their module constants are built here, on import
+    from codeplane.cli import main
+
+    (tmp_path / "in.code.txt").write_text("2 5 4\n00000\n00111\n11100\n11011\n")
+
+    def command(*argv):
+        return lambda: main([*argv, "--out", str(tmp_path / "out")])
+
+    for q in ("2", "4"):
+        assert _fractions_built(monkeypatch, command("sample", "--q", q, "--n", "8", "--m", "16", "--trials", "3")) == 0
+    strategies = "exhaustive,exhaustive-linear,greedy,random,seeded-family"
+    assert _fractions_built(monkeypatch, command("enumerate", "--nmax", "8", "--strategy", strategies, "--svg")) == 0
+    for op in ("lengthen", "puncture", "shorten"):
+        assert _fractions_built(monkeypatch, command("spoil", "--input", str(tmp_path / "in.code.txt"), "--op", op)) == 0
+    realize = [command("realize", "--target", "1/4,1/4", "--count", count) for count in ("1", "3")]
+    assert _fractions_built(monkeypatch, realize[0]) == _fractions_built(monkeypatch, realize[1])
+
+
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
 def test_json_square_lists_come_from_the_bands(name):
     # the JSON lists are the sorted square sets, walked from the column

@@ -75,6 +75,7 @@ ALLOWLIST = {
     "bounds.constant_curve": "library: the flat stand-in that two_sided_approx(strict=False) is documented for",
     "bounds.entropy": "tracer",
     "bounds.vg_curve": "acceptance",
+    "codes.code_point": "acceptance",
     "codes.decode_triple": "library: the inverse of encode_triple",
     "codes.encode_triple": "library: numbers the well-formed (n, m, d) triples, the enumeration of code points",
     "codes.hamming_distance": "library: exported by the package as codeplane.hamming_distance",
@@ -144,6 +145,7 @@ ALLOWLIST = {
     "geometry.RatInterval.width": "acceptance",
     "geometry.RatPoint.in_unit_square": "via effective.classify_points",
     "geometry.balls_closures_intersect": "tracer",
+    "geometry.format_rational": "library: the lowest-terms text of a Fraction, the reference for format_ratio",
     "geometry.max_distance": "acceptance",
     "kernels.all_at_least": "tracer",
     "kernels.hamming": "tracer",
@@ -158,7 +160,9 @@ ALLOWLIST = {
     "search.MultiplicityReport.count": "via search.multiplicity_in_range",
     "search.PointCloud.points": "library: a cloud's distinct plane points",
     "search.PointCloud.triples": "library: a cloud's distinct (n, m, d) triples",
+    "search.PointCloudEntry.point": "library: a cloud entry's exact plane point",
     "search.multiplicity_in_range": "planned: item 15",
+    "spoiling.RealizedCode.point": "acceptance",
     "spoiling.SpoilStep.from_json": "via spoiling.SpoilTrace.from_json",
     "spoiling.SpoilTrace.from_json": "library: reads the trace that a trace file holds under \"trace\", for replay_trace",
     "spoiling._params_from_json": "via spoiling.SpoilTrace.from_json",

@@ -390,6 +390,16 @@ def test_one_meter_stops_every_long_loop(monkeypatch):
             call()
 
 
+def test_clique_walk_stops_on_the_clock_at_the_meter_tick(monkeypatch):
+    # the meter reads the clock once when it starts and then every 256th
+    # node; past the deadline by then, the walk ends UNKNOWN at that node
+    readings = itertools.chain([0.0], itertools.repeat(1000.0))
+    monkeypatch.setattr(time, "monotonic", lambda: next(readings))
+    outcome = exists_code(2, 8, 20, 3, SearchBudget(max_millis=1))
+    assert outcome.status is ExistsStatus.UNKNOWN
+    assert (outcome.reason, outcome.nodes) == ("budget", 256)
+
+
 # --- differential references: the searches before the bitset and numpy rewrite
 
 
