@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cache, lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 from .enclosure import Pair, log_enclosure, log_pairs
 from .errors import ContractViolationError, InternalContractError
@@ -78,11 +78,14 @@ def _entropy_pairs(q: int, a: int, b: int, precision: int) -> Ends:
     (al, al_d), (ah, ah_d) = _alpha(q, bits)
     (dl, dl_d), (dh, dh_d) = log_pairs(a, b, q, bits)
     (cl, cl_d), (ch, ch_d) = log_pairs(c, b, q, bits)
-    # H = delta log_q(q - 1) - delta log_q(delta) - (1 - delta) log_q(1 - delta)
-    lo_n = a * (al * dh_d - dh * al_d) * ch_d - c * ch * al_d * dh_d
-    lo_d = b * al_d * dh_d * ch_d
-    hi_n = a * (ah * dl_d - dl * ah_d) * cl_d - c * cl * ah_d * dl_d
-    hi_d = b * ah_d * dl_d * cl_d
+    # H = delta log_q(q - 1) - delta log_q(delta) - (1 - delta) log_q(1 - delta); the two log
+    # ends on one side mostly share a denominator (an end of log2 q), which then counts once
+    dh_k, ch_k = (1, 1) if dh_d == ch_d else (dh_d, ch_d)
+    dl_k, cl_k = (1, 1) if dl_d == cl_d else (dl_d, cl_d)
+    lo_n = a * (al * dh_d - dh * al_d) * ch_k - c * ch * al_d * dh_k
+    lo_d = b * al_d * dh_d * ch_k
+    hi_n = a * (ah * dl_d - dl * ah_d) * cl_k - c * cl * ah_d * dl_k
+    hi_d = b * ah_d * dl_d * cl_k
     if (hi_n * lo_d - lo_n * hi_d) << precision > hi_d * lo_d:
         raise InternalContractError("entropy enclosure wider than its log ends allow")
     return (lo_n, lo_d), (hi_n, hi_d)
@@ -94,9 +97,9 @@ def _alpha(q: int, bits: int) -> tuple[Pair, Pair]:
     return log_pairs(q - 1, 1, q, bits)
 
 
-def _one_minus_entropy(q: int, a: int, b: int, precision: int, halves: int = 0) -> Ends:
-    """Ends of (1 - H_q(a/b)) / 2**halves, H to width 2**-precision, for a/b in [0, 1), lowest terms."""
-    (lo_n, lo_d), (hi_n, hi_d) = _entropy_pairs(q, a, b, precision)
+def _one_minus(ends: Ends, halves: int = 0) -> Ends:
+    """Ends of (1 - H) / 2**halves from the ends of H."""
+    (lo_n, lo_d), (hi_n, hi_d) = ends
     return (hi_d - hi_n, hi_d << halves), (lo_d - lo_n, lo_d << halves)
 
 
@@ -108,7 +111,7 @@ def vg_curve(q: int, delta: Fraction, precision: int) -> RatInterval:
     delta = as_rational(delta)
     if not 0 <= delta <= Fraction(q - 1, q):
         raise ContractViolationError(f"delta outside [0, 1 - 1/{q}]")
-    return _interval(_one_minus_entropy(q, delta.numerator, delta.denominator, precision + 1, halves=1))
+    return _interval(_one_minus(_entropy_pairs(q, delta.numerator, delta.denominator, precision + 1), halves=1))
 
 
 class BoundCurve:
@@ -176,20 +179,23 @@ def _zero_from_edge(name: str, q: int, inside: Callable[[int, int, int], Ends], 
     return BoundCurve(name, evaluate, continuous=continuous)
 
 
-def vg_bound_curve(q: int) -> BoundCurve:
+def vg_bound_curve(q: int, entropy: Optional[Callable[[int, int, int], Ends]] = None) -> BoundCurve:
     """Total form of the random-coding curve: zero beyond 1 - 1/q."""
-    return _zero_from_edge(f"vg_q{q}", q, lambda a, b, p: _one_minus_entropy(q, a, b, p + 1, halves=1))
+    entropy = entropy or partial(_entropy_pairs, q)
+    return _zero_from_edge(f"vg_q{q}", q, lambda a, b, p: _one_minus(entropy(a, b, p + 1), halves=1))
 
 
-def gv_lower_curve(q: int) -> BoundCurve:
+def gv_lower_curve(q: int, entropy: Optional[Callable[[int, int, int], Ends]] = None) -> BoundCurve:
     """Classical sphere-covering lower bracket 1 - H_q(delta), zero beyond 1 - 1/q."""
-    return _zero_from_edge(f"gv_lower_q{q}", q, lambda a, b, p: _one_minus_entropy(q, a, b, p + 1))
+    entropy = entropy or partial(_entropy_pairs, q)
+    return _zero_from_edge(f"gv_lower_q{q}", q, lambda a, b, p: _one_minus(entropy(a, b, p + 1)))
 
 
-def hamming_curve(q: int) -> BoundCurve:
+def hamming_curve(q: int, entropy: Optional[Callable[[int, int, int], Ends]] = None) -> BoundCurve:
     """Sphere-packing upper curve 1 - H_q(delta / 2); a/b in lowest terms halves to a lowest-terms pair."""
-    return BoundCurve(f"hamming_q{q}", lambda a, b, p: _one_minus_entropy(
-        q, *((a // 2, b) if a % 2 == 0 else (a, 2 * b)), p + 1))
+    entropy = entropy or partial(_entropy_pairs, q)
+    return BoundCurve(f"hamming_q{q}", lambda a, b, p: _one_minus(
+        entropy(*((a // 2, b) if a % 2 == 0 else (a, 2 * b)), p + 1)))
 
 
 def _line(a: int, b: int, precision: int) -> Ends:
@@ -261,17 +267,24 @@ def constant_curve(level: Fraction) -> PolylineCurve:
     return PolylineCurve([RatPoint.of(level, 0), RatPoint.of(level, 1)])
 
 
-def named_curve(name: str, q: int) -> BoundCurve:
+def named_curves(names: Sequence[str], q: int) -> list[BoundCurve]:
+    """``named_curve`` of each name; the entropy curves among them take H_q's ends from one memo
+    under the reduced (a, b, precision), so each point is evaluated once, and it lives as long as they do."""
+    entropy = cache(partial(_entropy_pairs, q))
+    return [named_curve(name, q, entropy) for name in names]
+
+
+def named_curve(name: str, q: int, entropy: Optional[Callable[[int, int, int], Ends]] = None) -> BoundCurve:
     """Curve registry used by the command line: vg, gv_lower, singleton,
     hamming, singleton_zero, synthetic:diag, or synthetic:d,r;d,r;..."""
     if name == "vg":
-        return vg_bound_curve(q)
+        return vg_bound_curve(q, entropy)
     if name == "gv_lower":
-        return gv_lower_curve(q)
+        return gv_lower_curve(q, entropy)
     if name == "singleton":
         return singleton_curve()
     if name == "hamming":
-        return hamming_curve(q)
+        return hamming_curve(q, entropy)
     if name == "singleton_zero":
         return upper_bracket_curve(q)
     if name == "synthetic:diag":

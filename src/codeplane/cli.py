@@ -17,8 +17,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -108,7 +109,7 @@ def _manifest(cfg: RunConfig, extra: Optional[dict] = None) -> dict:
     payload = {
         "tool": "codeplane",
         "schema": SCHEMA_VERSION,
-        "config": {k: v for k, v in sorted(asdict(cfg).items())},
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)},  # both writers sort keys
     }
     if extra:
         payload["args"] = {k: v for k, v in sorted(extra.items())}
@@ -120,8 +121,9 @@ def _manifest_comment(manifest: dict) -> str:
 
 
 def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    os.makedirs(path.parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)
 
 
 def _csv(manifest: dict, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -201,7 +203,7 @@ def _cfg_from_args(args: argparse.Namespace, command: str) -> RunConfig:
 def cmd_bounds(args) -> int:
     cfg = _cfg_from_args(args, "bounds")
     curve_names = args.curves
-    curves = [(name, bounds_mod.named_curve(name, cfg.q)) for name in curve_names]
+    curves = list(zip(curve_names, bounds_mod.named_curves(curve_names, cfg.q)))
     manifest = _manifest(cfg, {"curves": curve_names})
     if cfg.grid_samples < 2:
         raise ConfigError("need at least two sample points")

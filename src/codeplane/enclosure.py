@@ -3,18 +3,22 @@
 ``log2_enclosure`` reduces its argument to x = 2**t * y with y in [1, 2)
 and returns [t + D/2**J, t + (D + 1)/2**J], where J = precision + 2 and
 D = floor(2**J * log2 y) holds the first J binary digits of log2 y.
-D comes from the atanh series in fixed-point integers:
+D comes from atanh series in fixed-point integers. y is first divided by
+the nearest factor f = 2**i 3**j of 1, 9/8, 32/27, 4/3, 3/2, 27/16, 16/9, 2
+(neighbours lie 9/8 or 256/243 apart, so |s| < 0.03 below: ten bits a term):
 
-    ln y = 2 atanh(s),  s = (y - 1)/(y + 1) in [0, 1/3),
-    ln 2 = 2 atanh(1/3),  atanh(s) = sum over k of s**(2k+1) / (2k+1),
+    ln(y/f) = 2 atanh(s),  s = (y - f)/(y + f),  ln 2 = 2 atanh(1/3),
+    ln 3 = ln 2 + 2 atanh(1/5),  atanh(s) = sum over k of s**(2k+1) / (2k+1),
 
-so log2 y = atanh(s) / atanh(1/3). Both series are summed at W = J + guard
-fractional bits with every step truncated down, which gives a lower bound
-short by less than 3K + 3 units of 2**-W after K terms (derived at
-``_atanh_scaled``). D is accepted when both ends of the resulting bracket
-on log2 y floor to the same J-bit integer (Ziv's rounding test); otherwise
-the guard doubles. log2 of a rational that is not a power of two is
-irrational, so the test passes at some finite guard. An argument wider
+so log2 y = i + j + (atanh(s) + j atanh(1/5)) / atanh(1/3). atanh is odd:
+for s < 0 the bracket of atanh(-s) is negated. The series are summed at
+W = J + guard fractional bits with every step truncated down, which gives a
+lower bound short by less than 3K + 3 units of 2**-W after K terms (derived
+at ``_atanh_scaled``), and each end of the numerator is divided by the
+ln 2 end its sign calls for. D is accepted when both ends of the resulting
+bracket on log2 y floor to the same J-bit integer (Ziv's rounding test);
+otherwise the guard doubles. log2 of a rational that is not a power of two
+is irrational, so the test passes at some finite guard. An argument wider
 than W bits is first bracketed between two W-bit dyadics, log being
 monotone. Precision is requested in bits of enclosure width.
 
@@ -26,6 +30,7 @@ the wrappers build one ``Fraction`` per end.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,6 +39,11 @@ from .geometry import RatInterval
 
 
 Pair = tuple[int, int]
+
+#: the factors f = 2**i 3**j as (numerator, denominator, i + j, j); _CUTS: neighbours' geometric means
+_FACTORS = ((1, 1, 0, 0), (9, 8, -1, 2), (32, 27, 2, -3), (4, 3, 1, -1),
+            (3, 2, 0, 1), (27, 16, -1, 3), (16, 9, 2, -2), (2, 1, 1, 0))
+_CUTS = tuple((a * c / (b * d)) ** 0.5 for (a, b, _, _), (c, d, _, _) in zip(_FACTORS, _FACTORS[1:]))
 
 
 def log2_enclosure(x: Fraction, precision: int) -> RatInterval:
@@ -66,23 +76,36 @@ def _log2_scaled(p: int, q: int, precision: int) -> Pair:
         t -= 1
         num <<= 1
 
+    fn, fd, ij, j = _FACTORS[bisect(_CUTS, num / den)]
     guard = 20
     for _attempt in range(32):
         w = digits + guard
         if num.bit_length() > w:
             c = (num << w) // den  # num/den in [c, c + 1] / 2**w
-            lo = _atanh_scaled(c - (1 << w), c + (1 << w), w)[0]
-            hi = _atanh_scaled(c + 1 - (1 << w), c + 1 + (1 << w), w)[1]
+            lo = _atanh_ratio(c, 1 << w, fn, fd, w)[0]
+            hi = _atanh_ratio(c + 1, 1 << w, fn, fd, w)[1]
         else:
-            lo, hi = _atanh_scaled(num - den, num + den, w)
+            lo, hi = _atanh_ratio(num, den, fn, fd, w)
+        l5 = _ln3_2_scaled(w)  # + j atanh(1/5): for j < 0 its upper end bounds from below
+        lo, hi = lo + j * l5[j < 0], hi + j * l5[j > 0]
+        # each end is divided by the ln 2 end its sign calls for, as in _divide
         ln2_lo, ln2_hi = _ln2_scaled(w)
-        d = (lo << digits) // ln2_hi
-        # y < 2, so D < 2**J even where the bracket reaches log2 2 = 1
-        if d == min((hi << digits) // ln2_lo, (1 << digits) - 1):
-            d += t << digits
+        d = (lo << digits) // (ln2_hi if lo >= 0 else ln2_lo)
+        # y < 2, so D = (i + j) 2**J + d < 2**J even where the bracket reaches log2 2 = 1
+        if d == min((hi << digits) // (ln2_lo if hi >= 0 else ln2_hi), ((1 - ij) << digits) - 1):
+            d += (t + ij) << digits
             return d, d + 1
         guard *= 2
     raise InternalContractError("log2 series failed to separate from a dyadic")
+
+
+def _atanh_ratio(n: int, d: int, fn: int, fd: int, w: int) -> Pair:
+    """(lo, hi) bracketing 2**w atanh((y - f)/(y + f)), y = n/d and f = fn/fd in [1, 2]."""
+    a, b = n * fd - d * fn, n * fd + d * fn
+    if a >= 0:
+        return _atanh_scaled(a, b, w)
+    lo, hi = _atanh_scaled(-a, b, w)
+    return -hi, -lo
 
 
 def _atanh_scaled(a: int, b: int, w: int):
@@ -111,6 +134,12 @@ def _atanh_scaled(a: int, b: int, w: int):
 def _ln2_scaled(w: int) -> tuple[int, int]:
     """``_atanh_scaled(1, 3, w)``, the ln 2 series, summed once per width."""
     return _atanh_scaled(1, 3, w)
+
+
+@lru_cache(maxsize=256)
+def _ln3_2_scaled(w: int) -> tuple[int, int]:
+    """``_atanh_scaled(1, 5, w)``, the ln(3/2) series, summed once per width."""
+    return _atanh_scaled(1, 5, w)
 
 
 @lru_cache(maxsize=256)

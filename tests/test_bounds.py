@@ -330,3 +330,53 @@ def test_upper_bracket_discontinuous_flag():
     curve = upper_bracket_curve(2)
     assert not curve.continuous
     assert singleton_curve().continuous
+
+
+# --- work pin: the eight bounds commands whose bytes test_cli pins ----------
+# (BOUNDS_CSV_SHA256), each from cold constant caches. They take 96 H_q
+# evaluations, 178 _log2_scaled calls and 4,763 series terms; before one H_q
+# memo served all curves of a command and the logarithm divided by 2**i 3**j,
+# 200, 334 and 21,253.
+
+def _series_terms(a, b, w):
+    """Terms ``enclosure._atanh_scaled(a, b, w)`` sums: one per nonzero power."""
+    a2, b2, power, terms = a * a, b * b, (a << w) // b, 0
+    while power:
+        power, terms = power * a2 // b2, terms + 1
+    return terms
+
+
+def test_bounds_series_work_stays_within_its_counts(tmp_path, monkeypatch):
+    from codeplane import enclosure
+    from codeplane.cli import EXIT_OK, main
+
+    evaluated, counts = [], {"log2": 0, "terms": 0}
+    entropy_pairs, log2_scaled, atanh_scaled = bounds._entropy_pairs, enclosure._log2_scaled, enclosure._atanh_scaled
+
+    def counted_entropy(q, a, b, precision):
+        evaluated[-1].append((q, a, b, precision))
+        return entropy_pairs(q, a, b, precision)
+
+    def counted_log2(p, q, precision):
+        counts["log2"] += 1
+        return log2_scaled(p, q, precision)
+
+    def counted_atanh(a, b, w):
+        counts["terms"] += _series_terms(a, b, w)
+        return atanh_scaled(a, b, w)
+
+    monkeypatch.setattr(bounds, "_entropy_pairs", counted_entropy)
+    monkeypatch.setattr(enclosure, "_log2_scaled", counted_log2)
+    monkeypatch.setattr(enclosure, "_atanh_scaled", counted_atanh)
+    monkeypatch.chdir(tmp_path)
+    for q in (2, 3, 5, 16):
+        for precision in (64, 512):
+            evaluated.append([])
+            for cache in (enclosure._ln2_scaled, enclosure._ln3_2_scaled, enclosure._log2_int, bounds._alpha):
+                cache.cache_clear()  # each command pays for every constant it needs
+            assert main(["bounds", "--q", str(q), "--curves", "vg,gv_lower,hamming", "--grid", "9",
+                         "--precision", str(precision), "--out", "."]) == EXIT_OK
+    assert all(len(set(keys)) == len(keys) for keys in evaluated)  # no point twice in one command
+    assert sum(map(len, evaluated)) <= 96
+    assert counts["log2"] <= 178
+    assert counts["terms"] <= 4_763

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Context
@@ -170,6 +171,64 @@ def test_log2_matches_reference_next_to_dyadic_logarithms(bits):
                 _assert_matches_reference(x, precision)
 
 
+# --- the reduction by f = 2**i 3**j: each factor, each cut between two -------
+# log2 y is summed as i + j + (atanh(s) + j atanh(1/5)) / atanh(1/3) with
+# s = (y - f)/(y + f); these cases put s at and next to 0 on both sides, and y
+# next to the cuts (neighbouring factors' geometric means), where the float
+# compare that picks f may pick either neighbour.
+
+_FACTORS = [Fraction(n, d) for n, d, _, _ in enclosure._FACTORS]
+_PRECISIONS = (1, 2, 30, 64, 200, 600)
+
+
+@pytest.mark.parametrize("f", _FACTORS, ids=str)
+def test_log2_matches_reference_at_and_next_to_each_factor(f):
+    cases = [f * Fraction(2) ** k for k in (-3, 0, 5)]
+    cases += [f * (1 + sign * Fraction(1, 2**k)) for k in (3, 20, 60, 200) for sign in (-1, 1)]
+    for x in cases:
+        for precision in _PRECISIONS:
+            _assert_matches_reference(x, precision)
+
+
+@pytest.mark.parametrize("cut", range(len(_FACTORS) - 1))
+def test_log2_matches_reference_next_to_each_cut(cut):
+    r = _FACTORS[cut] * _FACTORS[cut + 1]
+    c = math.isqrt((r.numerator << 120) // r.denominator)  # c <= 2**60 sqrt(r) < c + 1
+    for x in (Fraction(c, 1 << 60), Fraction(c + 1, 1 << 60)):
+        for precision in _PRECISIONS:
+            _assert_matches_reference(x, precision)
+
+
+@pytest.mark.parametrize("bits", [300, 20_000])
+def test_log2_matches_reference_on_wide_arguments_next_to_each_factor(bits):
+    for f in _FACTORS:
+        for x in (f - Fraction(1, 1 << bits), f + Fraction(1, 1 << bits)):
+            for precision in _PRECISIONS:
+                _assert_matches_reference(x, precision)
+
+
+@pytest.mark.parametrize("ends", list(itertools.product(("lo", "hi"), repeat=3)), ids="-".join)
+def test_log2_stays_exact_under_looser_series_brackets(monkeypatch, ends):
+    # The series brackets are a few units wide, too narrow for an end paired with
+    # the wrong end, or a bracket left unnegated, to move D. Any valid brackets
+    # must give the same D, at worst after a wider guard, so the brackets on
+    # atanh(s), atanh(1/5) and atanh(1/3) each move one end out by 2**18 units,
+    # about 0.7 of a J-bit step at the first guard.
+    atanh = enclosure._atanh_scaled
+
+    def loosened(a, b, w, end):
+        lo, hi = atanh(a, b, w)
+        return (lo - (1 << 18), hi) if end == "lo" else (lo, hi + (1 << 18))
+
+    s_end, l5_end, ln2_end = ends
+    monkeypatch.setattr(enclosure, "_atanh_scaled", lambda a, b, w: loosened(a, b, w, s_end))
+    monkeypatch.setattr(enclosure, "_ln3_2_scaled", lambda w: loosened(1, 5, w, l5_end))
+    monkeypatch.setattr(enclosure, "_ln2_scaled", lambda w: loosened(1, 3, w, ln2_end))
+    for n in range(1001, 2000, 7):  # every factor's range, with s on both sides of 0
+        for precision in (1, 30, 64):
+            _assert_matches_reference(Fraction(n, 1000), precision)
+
+
 @st.composite
 def _atanh_arguments(draw):
     b = draw(st.integers(min_value=1, max_value=2**200))
@@ -270,6 +329,18 @@ def test_ln2_cache_equals_the_series(w):
     assert enclosure._ln2_scaled(w) == enclosure._atanh_scaled(1, 3, w)
 
 
+@given(st.integers(min_value=20, max_value=4096))
+@example(20)
+@example(4096)
+@settings(max_examples=60, deadline=None)
+def test_ln3_2_cache_brackets_the_true_value(w):
+    lo, hi = enclosure._ln3_2_scaled(w)
+    assert (lo, hi) == enclosure._atanh_scaled(1, 5, w)
+    # 2**w * atanh(1/5) = 2**(w-1) * ln(3/2), with 40 decimal digits to spare
+    ctx = Context(prec=int(w * 0.302) + 40)
+    assert lo <= ctx.multiply(ctx.ln(ctx.divide(3, 2)), ctx.power(2, w - 1)) <= hi
+
+
 @pytest.mark.parametrize("bits", [1, 67, 519])
 def test_log2_int_cache_equals_a_fresh_enclosure(bits):
     scale = 1 << (bits + 2)
@@ -280,6 +351,6 @@ def test_log2_int_cache_equals_a_fresh_enclosure(bits):
 
 
 def test_constant_caches_are_bounded():
-    for cached in (enclosure._ln2_scaled, enclosure._log2_int):
+    for cached in (enclosure._ln2_scaled, enclosure._ln3_2_scaled, enclosure._log2_int):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0

@@ -3,8 +3,9 @@ command line or names why it is kept.
 
 One fresh interpreter runs ``ARGVS`` through ``cli.main`` under
 ``sys.setprofile`` and reports every code object it entered. A fresh
-process matters: ``cli._parser``, ``fields.GF``, ``bounds._alpha`` and
-``enclosure._ln2_scaled`` run their bodies only on a cache miss, so an
+process matters: ``cli._parser``, ``fields.GF``, ``bounds._alpha``,
+``enclosure._ln2_scaled`` and ``enclosure._ln3_2_scaled`` run their bodies
+only on a cache miss, so an
 earlier test in a shared process could hide them. The entered code objects
 map to the ``def`` statements of the source by (file, first line, name),
 where the first line of a decorated function is its first decorator's, as
