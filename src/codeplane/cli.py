@@ -34,7 +34,7 @@ from .errors import (
     SeedNotFoundError,
     StabilizationTimeoutError,
 )
-from .geometry import format_ratio
+from .geometry import SquareRuns, format_ratio
 from .svg import PlaneSvg
 
 SCHEMA_VERSION = 1
@@ -45,7 +45,7 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 #: largest ``approx --N``: approx.json lists every square, O(N^2). At the cap (vg, q = 2) it is
-#: 122 MB, written in about 10 s at a peak RSS of 1,066 MB under ``ulimit -v`` 2 GB (2-vCPU x86-64).
+#: 122 MB, written in about 1.8 s at a peak RSS of 287 MB; it exits 0 under ``ulimit -v`` 700 MB (2-vCPU x86-64).
 APPROX_MAX_N = 2048
 
 
@@ -137,9 +137,9 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def _indented(value, newline: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` for a value whose lines start
-    with ``newline`` (a newline and the indent). json.dumps encodes indented text
-    in pure Python, item by item; a list of [int, int] or [str, str] pairs here is
-    one template."""
+    with ``newline`` (a newline and the indent), ``SquareRuns`` as their [i, j] lists.
+    json.dumps encodes indented text in pure Python, item by item; here a list of
+    [str, str] pairs is one template, and square runs one join per column."""
     kind = type(value)
     if kind is str:
         return _json_str(value)
@@ -153,14 +153,22 @@ def _indented(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + " "
-        pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
-        if all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int for p in value):
-            items = [pair % (a, b) for a, b in value]  # %s of an int is its repr
-        elif all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str for p in value):
+        if all(type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is str for p in value):
+            pair = "[" + inner + " %s," + inner + " %s" + inner + "]"
             items = [pair % (_json_str(a), _json_str(b)) for a, b in value]
         else:
             items = [_indented(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is SquareRuns:
+        runs = [run for run in value.runs if run[1] < run[2]]
+        if not runs:
+            return "[]"
+        inner, sep = newline + " ", "," + newline + " "
+        # square (i, j) is head(i) + rows[j]: "[", the indented i and ",", then the indented j and "]"
+        rows = [inner + f" {j}" + inner + "]" for j in range(max(hi for _, _, hi in runs))]
+        heads = ["[" + inner + f" {i}," for i, _, _ in runs]
+        columns = ((sep + head).join(rows[lo:hi]) for head, (_, lo, hi) in zip(heads, runs))
+        return "[" + inner + sep.join(head + column for head, column in zip(heads, columns)) + newline + "]"
     if value is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[value]
     if kind is float and math.isfinite(value):
@@ -392,11 +400,12 @@ def cmd_strip(args) -> int:
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
     strip = effective.build_strip(curve, cfg.n_grid, cfg.budget)
+    payload = strip.to_json()
     out = Path(cfg.out_dir)
-    _write(out / "strip.json", _json_text(manifest, {"strip": strip.to_json()}))
+    _write(out / "strip.json", _json_text(manifest, {"strip": payload}))
     if cfg.svg:
         canvas = PlaneSvg(title="N-strip")
-        canvas.add_cells("strip", strip.cells(), cfg.n_grid)
+        canvas.add_cells("strip", payload["balls"], cfg.n_grid)
         canvas.add_polyline("gamma_plus", _grid_floats(strip.staircases[0], cfg.n_grid), color="#b03030")
         canvas.add_polyline("gamma_minus", _grid_floats(strip.staircases[1], cfg.n_grid), color="#1f4e9c")
         _write(out / "strip.svg", canvas.render(_manifest_comment(manifest)))
@@ -415,16 +424,16 @@ def cmd_approx(args) -> int:
     adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, budget=cfg.budget,
                                      strict=not args.lenient)
     estimate = effective.curve_estimate(adm)
+    sides = adm.to_json()
     out = Path(cfg.out_dir)
-    _write(out / "approx.json",
-           _json_text(manifest, {"admissible_set": adm.to_json(), "estimate": estimate.to_json()}))
+    _write(out / "approx.json", _json_text(manifest, {"admissible_set": sides, "estimate": estimate.to_json()}))
     _write(out / "approx.csv",
            _csv(manifest, ["delta", "lower", "upper", "lower_float", "upper_float"], estimate.csv_rows()))
     if cfg.svg:
         canvas = PlaneSvg(title="two-sided approximation")
-        canvas.add_cells("u_minus", adm.u_minus, cfg.n_grid, color="#74a86040")
-        canvas.add_cells("u_plus", adm.u_plus, cfg.n_grid, color="#a8747440")
-        canvas.add_cells("exceptional", adm.exceptional, cfg.n_grid, color="#d4c04a80")
+        canvas.add_cells("u_minus", sides["u_minus"], cfg.n_grid, color="#74a86040")
+        canvas.add_cells("u_plus", sides["u_plus"], cfg.n_grid, color="#a8747440")
+        canvas.add_cells("exceptional", sides["exceptional"], cfg.n_grid, color="#d4c04a80")
         staircase = _grid_floats(effective._staircase(enumerate(estimate.rows)), cfg.n_grid)
         canvas.add_polyline("upper", staircase, color="#b03030")
         canvas.add_polyline("lower", staircase, color="#1f4e9c")  # the staircases coincide

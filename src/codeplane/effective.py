@@ -64,7 +64,7 @@ from .errors import (
     InternalContractError,
     StabilizationTimeoutError,
 )
-from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, format_ratio
+from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, SquareRuns, format_ratio
 from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
 ZERO = Fraction(0)
@@ -421,7 +421,7 @@ class NStrip:
     def to_json(self) -> dict:
         return {
             "n_grid": self.n_grid,
-            "balls": [[i, j] for i, lo, hi in self.column_ranges for j in range(lo, hi + 1)],
+            "balls": SquareRuns(tuple((i, lo, hi + 1) for i, lo, hi in self.column_ranges)),
             "gamma_plus": _vertex_text(self.staircases[0], self.n_grid),
             "gamma_minus": _vertex_text(self.staircases[1], self.n_grid),
             "capped": sorted(list(pair) for pair in self.capped),
@@ -446,8 +446,9 @@ def _grid_points(vertices: Iterable[tuple[int, int]], n_grid: int) -> tuple[RatP
 
 
 def _vertex_text(vertices: Iterable[tuple[int, int]], n_grid: int) -> list[list[str]]:
-    """N-grid vertices (i, j) as [[delta, R], ...] text in lowest terms."""
-    return [[format_ratio(i, n_grid), format_ratio(j, n_grid)] for i, j in vertices]
+    """N-grid vertices (i, j) as [[delta, R], ...] text in lowest terms, from the N + 1 texts of k/N."""
+    texts = [format_ratio(k, n_grid) for k in range(n_grid + 1)]
+    return [[texts[i], texts[j]] for i, j in vertices]
 
 
 def build_strip(
@@ -565,32 +566,29 @@ class AdmissibleSet:
     initial: tuple[tuple[int, int], ...]
     admissible: bool
 
-    @cached_property
-    def u_plus(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, (_, b) in enumerate(self.bands) for j in range(b, self.n_grid))
-
-    @cached_property
-    def u_minus(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, (a, _) in enumerate(self.bands) for j in range(a))
-
     @property
     def exceptional(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, (a, b) in enumerate(self.bands) for j in range(a, b))
+        return tuple(_runs(self.bands))
 
     @property
     def initial_undecided(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, (a, b) in enumerate(self.initial) for j in range(a, b))
+        return tuple(_runs(self.initial))
 
     def to_json(self) -> dict:
+        """The square lists as column runs: U+ and U- stay O(N) until written."""
         return {
             "n_grid": self.n_grid,
-            # column by column, rows ascending: sorted, without the cached frozensets
-            "u_plus": [[i, j] for i, (_, b) in enumerate(self.bands) for j in range(b, self.n_grid)],
-            "u_minus": [[i, j] for i, (a, _) in enumerate(self.bands) for j in range(a)],
-            "exceptional": [list(p) for p in self.exceptional],
-            "initial_undecided": [list(p) for p in self.initial_undecided],
+            "u_plus": _runs((b, self.n_grid) for _, b in self.bands),
+            "u_minus": _runs((0, a) for a, _ in self.bands),
+            "exceptional": _runs(self.bands),
+            "initial_undecided": _runs(self.initial),
             "admissible": self.admissible,
         }
+
+
+def _runs(rows: Iterable[tuple[int, int]]) -> SquareRuns:
+    """Rows lo..hi-1 of each column i, ``rows`` giving (lo, hi) for column i at index i."""
+    return SquareRuns(tuple((i, lo, hi) for i, (lo, hi) in enumerate(rows)))
 
 
 def _check_admissible(bands: Sequence[tuple[int, int]]) -> bool:

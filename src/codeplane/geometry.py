@@ -154,6 +154,18 @@ def balls_closures_intersect(a: RatBall, b: RatBall) -> bool:
 
 
 @dataclass(frozen=True)
+class SquareRuns:
+    """Grid squares as column runs: each run (i, lo, hi) stands for the squares
+    (i, lo) ... (i, hi - 1), and the runs ascend by column, so iterating yields
+    the squares (i, j) in ascending order with no set, sort or per-square list."""
+
+    runs: tuple[tuple[int, int, int], ...]
+
+    def __iter__(self):
+        return ((i, j) for i, lo, hi in self.runs for j in range(lo, hi))
+
+
+@dataclass(frozen=True)
 class GridBall:
     """Closed grid square [i/N,(i+1)/N] x [j/N,(j+1)/N] addressed by indices.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 #: reported by the benchmark's run context
-BACKEND = "python"
+BACKEND = "numpy"
 
 # up to this many words, plain-bytes loops beat numpy dispatch overhead.
 # min_pairwise on binary words of the ensemble's small lengths (n = 3-8, 24),

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .geometry import SquareRuns
+
 GENERATOR_VERSION = "codeplane-svg-1"
 
 _SIZE = 640
@@ -61,16 +63,17 @@ class PlaneSvg:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"/>'
         )
 
-    def add_cells(self, layer: str, cells: Iterable[tuple[int, int]], n_grid: int,
-                  color: str = "#74a86040"):
+    def add_cells(self, layer: str, cells: SquareRuns, n_grid: int, color: str = "#74a86040"):
+        """One <rect> per square, in (column, row) order; x is formatted once per column, y once per row."""
         items = self.layer(layer)
-        side = _SIZE / n_grid
-        for i, j in sorted(cells):
-            x, y = self._map(i / n_grid, (j + 1) / n_grid)  # k / N is float(Fraction(k, N))
-            items.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(side)}" height="{_fmt(side)}" '
-                f'fill="{color}" stroke="#567"/>'
-            )
+        side = _fmt(_SIZE / n_grid)
+        tail = f'" width="{side}" height="{side}" fill="{color}" stroke="#567"/>'
+        # k / N is float(Fraction(k, N)); row j's square has its top edge at (j + 1) / N
+        top = max((hi for _, _, hi in cells.runs), default=0)
+        rows = [_fmt(self._map(0, (j + 1) / n_grid)[1]) for j in range(top)]
+        for i, lo, hi in cells.runs:
+            head = f'<rect x="{_fmt(self._map(i / n_grid, 0)[0])}" y="'
+            items.extend(head + y + tail for y in rows[lo:hi])
 
     def render(self, manifest_comment: str = "") -> str:
         total = _SIZE + 2 * _MARGIN

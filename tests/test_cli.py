@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from codeplane import cli
 from codeplane.cli import APPROX_MAX_N, EXIT_BUDGET, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from codeplane.codes import read_code_text, params
 from codeplane.errors import CodeplaneError
+from codeplane.geometry import SquareRuns
 
 
 def run(tmp_path, *argv):
@@ -484,15 +486,22 @@ def test_json_bytes_are_pinned(tmp_path, monkeypatch, argv):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def _dumps(obj, default=None):
+    return json.dumps(obj, sort_keys=True, indent=1, default=default) + "\n"
+
+
+def _squares(runs):
+    """The [i, j] lists that the JSON text writes for square runs."""
+    return [list(p) for p in runs]
 
 
 @pytest.mark.parametrize("argv", [
     *sorted(JSON_SHA256),
     ("strip", "--curve", "vg", "--q", "2", "--N", "8", "--svg"),
     ("strip", "--curve", "synthetic:0,1;1/2,1/3;1,0", "--q", "3", "--N", "16"),
+    ("strip", "--curve", "vg", "--q", "2", "--N", "80"),
     ("approx", "--curve", "vg", "--q", "2", "--N", "32"),
+    ("approx", "--curve", "hamming", "--q", "3", "--N", "32"),
     ("approx", "--curve", "synthetic:0,1/2;1,1/2", "--N", "4", "--lenient"),
 ])
 def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch, argv):
@@ -507,7 +516,7 @@ def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch, 
     _run_pinned(tmp_path, monkeypatch, argv)
     assert payloads
     for obj in payloads:
-        assert write(obj["manifest"], obj) == _dumps(obj)
+        assert write(obj["manifest"], obj) == _dumps(obj, default=_squares)
 
 
 _JSON_LEAVES = st.one_of(
@@ -539,6 +548,41 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_json_writer_matches_json_dumps(payload, manifest):
     assert cli._json_text(manifest, payload) == _dumps({"manifest": manifest, **payload})
+
+
+@st.composite
+def _square_runs(draw):
+    """Runs over rows up to 3, 12, 120 or 1200, some empty (lo = hi), sometimes all empty."""
+    top, all_empty = draw(st.sampled_from([3, 12, 120, 1200])), draw(st.booleans())
+    columns = sorted(draw(st.sets(st.integers(0, 1200), max_size=5)))
+    runs = []
+    for i in columns:
+        lo = draw(st.integers(0, top))
+        runs.append((i, lo, lo if all_empty else lo + draw(st.integers(0, 3))))
+    return SquareRuns(tuple(runs))
+
+
+@given(_square_runs(), st.lists(st.sampled_from([dict, list]), max_size=2), _square_runs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_json_writer_writes_square_runs_as_their_square_lists(runs, wrappers, sibling):
+    # the runs sit at indent depth 1 to 3, beside other runs
+    value = runs
+    for wrapper in wrappers:
+        value = {"runs": value, "sibling": sibling, "n": 3} if wrapper is dict else [sibling, value, [1, 2]]
+    payload = {"grid": value}
+    assert cli._json_text({}, payload) == _dumps({"manifest": {}, **payload}, default=_squares)
+
+
+def test_approx_allocation_stays_below_the_square_lists(tmp_path):
+    # the square lists go to text from their column runs; one [i, j] list and
+    # one text per square at N = 512 peak near 60 MB
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "approx", "--curve", "vg", "--q", "2", "--N", "512") == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_approx_refuses_an_n_above_the_cap_at_once(tmp_path, capsys):

@@ -40,7 +40,9 @@ from codeplane.effective import (
 from codeplane import effective
 from codeplane.budget import SearchBudget
 from codeplane.errors import ContractViolationError, InternalContractError
-from codeplane.geometry import GridBall, RatInterval, RatPoint, balls_closures_intersect, format_ratio, format_rational
+from codeplane.geometry import (
+    GridBall, RatInterval, RatPoint, SquareRuns, balls_closures_intersect, format_ratio, format_rational,
+)
 from codeplane.svg import PlaneSvg
 
 
@@ -147,12 +149,13 @@ def test_two_sided_diagonal_n4():
     adm = two_sided_approx(DIAG, n_grid=4)
     assert adm.exceptional == ((1, 3), (2, 2), (3, 1))
     assert adm.admissible
-    assert (0, 0) in adm.u_minus and (3, 3) in adm.u_plus
+    sides = adm.to_json()
+    assert (0, 0) in sides["u_minus"] and (3, 3) in sides["u_plus"]
 
 
 def test_two_sided_full_square_and_degenerate_zero():
     adm = two_sided_approx(constant_curve(Fraction(1)), n_grid=2)
-    assert len(adm.u_minus) == 4 and not adm.exceptional
+    assert len(list(adm.to_json()["u_minus"])) == 4 and not adm.exceptional
     adm = two_sided_approx(constant_curve(Fraction(0)), n_grid=4)
     # initial undecided squares hug the bottom row; amendment clears them
     assert adm.initial_undecided == tuple(sorted((i, 0) for i in range(4)))
@@ -461,8 +464,9 @@ def test_grid_algorithms_match_per_cell_brute_force(monkeypatch, name, q, ladder
         to_minus = {c for c in undecided if c not in to_plus and not meets(c, u_plus)}
         adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
         assert adm.initial_undecided == tuple(undecided)
-        assert adm.u_plus == u_plus | to_plus
-        assert adm.u_minus == u_minus | to_minus
+        sides = adm.to_json()
+        assert list(sides["u_plus"]) == sorted(u_plus | to_plus)
+        assert list(sides["u_minus"]) == sorted(u_minus | to_minus)
         assert adm.exceptional == tuple(c for c in undecided if c not in to_plus | to_minus)
 
 
@@ -709,6 +713,11 @@ class _ReferenceAdmissibleSet:
         }
 
 
+def _expanded(payload: dict) -> dict:
+    """A to_json dict with its square runs written out as the [i, j] lists of the JSON text."""
+    return {key: [list(p) for p in value] if type(value) is SquareRuns else value for key, value in payload.items()}
+
+
 def _reference_check_admissible(cells):
     rows = [j for _, j in cells]
     cols = [i for i, _ in cells]
@@ -907,7 +916,7 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
         if isinstance(want, str):
             assert got == want, n_grid
         else:
-            assert got.to_json() == want.to_json(), n_grid
+            assert _expanded(got.to_json()) == want.to_json(), n_grid
             assert got.capped == want.capped, n_grid
             assert ((got.gamma_minus[0], got.gamma_plus[0]),
                     (got.gamma_minus[-1], got.gamma_plus[-1])) == want.end_segments, n_grid
@@ -931,9 +940,9 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
             (max((j + 1 for j, (_, open_) in enumerate(col) if open_ is Decision.INTERSECTS), default=0),
              min((j for j, (closed, _) in enumerate(col) if closed is Decision.DISJOINT), default=n_grid))
             for col in rows), n_grid
-        assert got.to_json() == want.to_json(), n_grid
-        assert (got.u_plus, got.u_minus, got.exceptional, got.initial_undecided, got.admissible) == \
-            (want.u_plus, want.u_minus, want.exceptional, want.initial_undecided, want.admissible), n_grid
+        assert _expanded(got.to_json()) == want.to_json(), n_grid
+        assert (got.exceptional, got.initial_undecided, got.admissible) == \
+            (want.exceptional, want.initial_undecided, want.admissible), n_grid
         estimate = curve_estimate(got)
         want_upper, want_lower, want_corners = _reference_curve_estimate(want)
         assert (estimate.upper_values, estimate.lower_values, estimate.corner_points) == \
@@ -1071,20 +1080,22 @@ def test_ensemble_writers_fraction_count_is_zero(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CURVES))
 def test_json_square_lists_come_from_the_bands(name):
-    # the JSON lists are the sorted square sets, walked from the column
-    # bands and ranges; an approximation's to_json never fills the cached
-    # O(N^2) frozensets, so it never pays their O(N^2 log N) sort
+    # the JSON lists are the sorted square sets, as column runs of the bands
+    # and ranges: no O(N^2) set is built, and none is sorted
     curve = THRESHOLD_CURVES[name]()
     for n_grid in range(1, 41):
         strip = build_strip(curve, n_grid)
-        assert strip.to_json()["balls"] == sorted(list(c) for c in strip.cells()), n_grid
+        assert list(strip.to_json()["balls"]) == sorted(strip.cells()), n_grid
         if name == "partial_span":  # a graph but no domain
             continue
         adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
         payload = adm.to_json()
-        assert "u_plus" not in adm.__dict__ and "u_minus" not in adm.__dict__, n_grid
-        assert payload["u_plus"] == sorted(list(p) for p in adm.u_plus), n_grid
-        assert payload["u_minus"] == sorted(list(p) for p in adm.u_minus), n_grid
+        sides = {"u_plus": {(i, j) for i, (_, b) in enumerate(adm.bands) for j in range(b, n_grid)},
+                 "u_minus": {(i, j) for i, (a, _) in enumerate(adm.bands) for j in range(a)},
+                 "exceptional": {(i, j) for i, (a, b) in enumerate(adm.bands) for j in range(a, b)},
+                 "initial_undecided": {(i, j) for i, (a, b) in enumerate(adm.initial) for j in range(a, b)}}
+        for side, squares in sides.items():
+            assert list(payload[side]) == sorted(squares), (side, n_grid)
 
 
 @st.composite
@@ -1126,13 +1137,14 @@ def test_grid_writers_build_no_fraction_after_the_sweep(monkeypatch, curve):
     strip, adm = build_strip(curve, 64), two_sided_approx(curve, n_grid=64)
 
     def write():
-        strip.to_json()
+        strip_json, sides = strip.to_json(), adm.to_json()
         estimate = curve_estimate(adm)
         estimate.to_json()
         estimate.csv_rows()
         canvas = PlaneSvg()
-        canvas.add_cells("strip", strip.cells(), 64)
-        canvas.add_cells("exceptional", adm.exceptional, 64)
+        canvas.add_cells("strip", strip_json["balls"], 64)
+        for side in ("u_minus", "u_plus", "exceptional"):
+            canvas.add_cells(side, sides[side], 64)
         canvas.render()
 
     assert _fractions_built(monkeypatch, write) == 0

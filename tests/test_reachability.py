@@ -81,6 +81,7 @@ ALLOWLIST = {
     "codes.encode_triple": "library: numbers the well-formed (n, m, d) triples, the enumeration of code points",
     "codes.hamming_distance": "library: exported by the package as codeplane.hamming_distance",
     "codes.rate_real": "library: certified enclosure of the real rate log_q(m)/n beside code_point's floored rate",
+    "effective.AdmissibleSet.initial_undecided": "library: the squares undecided before the amendment pass",
     "effective.CurveEstimate.abscissae": "acceptance",
     "effective.CurveEstimate.corner_points": "library: the exceptional squares' corners as exact points",
     "effective.CurveEstimate.error_bound": "library: the exact error bound of a staircase estimate",
@@ -93,6 +94,7 @@ ALLOWLIST = {
     "effective.GraphBallDecider.__init__": "via effective.core_from_curve",
     "effective.GraphBallDecider.decide": "via effective.core_from_curve.emits",
     "effective.NStrip.boundary_within": "acceptance",
+    "effective.NStrip.cells": "acceptance",
     "effective.NStrip.column_range": "via effective.classify_points",
     "effective.NStrip.gamma_minus": "via effective.NStrip.boundary_within",
     "effective.NStrip.gamma_plus": "readme",
