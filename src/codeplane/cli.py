@@ -303,25 +303,13 @@ def cmd_oracle(args) -> int:
     out = Path(cfg.out_dir)
     if args.d is not None:
         outcome = search.exists_code(cfg.q, args.n, args.m, args.d, cfg.budget)
-        payload = {
-            "query": "exists",
-            "status": outcome.status.value,
-            "nodes": outcome.nodes,
-            "reason": outcome.reason,
-        }
-        if outcome.witness is not None:
-            _write(out / "witness.code.txt", codes.write_code_text(outcome.witness))
-            payload["witness_file"] = "witness.code.txt"
-        _write(out / "oracle.json", _json_text(manifest, payload))
-        return EXIT_OK if outcome.status is not search.ExistsStatus.UNKNOWN else EXIT_BUDGET
-    outcome = search.best_min_distance(cfg.q, args.n, args.m, cfg.budget, linear=args.linear)
-    payload = {
-        "query": "best_min_distance",
-        "status": outcome.status.value,
-        "d": outcome.d,
-        "nodes": outcome.nodes,
-        "reason": outcome.reason,
-    }
+        payload = {"query": "exists"}
+        exit_code = EXIT_OK if outcome.status is not search.ExistsStatus.UNKNOWN else EXIT_BUDGET
+    else:
+        outcome = search.best_min_distance(cfg.q, args.n, args.m, cfg.budget, linear=args.linear)
+        payload = {"query": "best_min_distance", "d": outcome.d}
+        exit_code = EXIT_OK if outcome.exact else EXIT_BUDGET
+    payload.update(status=outcome.status.value, nodes=outcome.nodes, reason=outcome.reason)
     if isinstance(outcome.witness, codes.Code):
         _write(out / "witness.code.txt", codes.write_code_text(outcome.witness))
         payload["witness_file"] = "witness.code.txt"
@@ -329,7 +317,7 @@ def cmd_oracle(args) -> int:
         _write(out / "witness.gen.txt", linear.write_generator_text(outcome.witness))
         payload["witness_file"] = "witness.gen.txt"
     _write(out / "oracle.json", _json_text(manifest, payload))
-    return EXIT_OK if outcome.exact else EXIT_BUDGET
+    return exit_code
 
 
 def cmd_spoil(args) -> int:
@@ -539,9 +527,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (BudgetExceededError, SeedNotFoundError, StabilizationTimeoutError) as exc:
         print(f"budget/timeout: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -227,12 +227,11 @@ def product_code(a: LinearCode, b: LinearCode) -> LinearCode:
     return LinearCode(GeneratorMatrix(field, tuple(rows)))
 
 
-def seed_family(name: str, *, n: Optional[int] = None, q: int = 2,
-                factors: Optional[tuple[LinearCode, LinearCode]] = None) -> LinearCode:
+def seed_family(name: str, *, n: Optional[int] = None, q: int = 2) -> LinearCode:
     """Built-in linear codes with documented exact parameters.
 
     Names: repetition (needs n), parity (needs n), hamming_7_4,
-    extended_hamming_8_4, product (needs factors).
+    extended_hamming_8_4.
     """
     if name == "repetition":
         if n is None:
@@ -246,10 +245,6 @@ def seed_family(name: str, *, n: Optional[int] = None, q: int = 2,
         return _hamming_7_4()
     if name == "extended_hamming_8_4":
         return _extended_hamming_8_4()
-    if name == "product":
-        if not factors:
-            raise ContractViolationError("product needs two factor codes")
-        return product_code(*factors)
     raise UnknownSeedFamilyError(f"unknown seed family {name!r}")
 
 

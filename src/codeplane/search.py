@@ -901,8 +901,8 @@ def _cloud_random(q, n_max, budget, add):
         m = max(2, q ** (n // 2))
         if m > q ** n:
             continue
-        for code, _d in random_ensemble(q, n, m, trials=3, budget=budget):
-            add(params(code), "random")
+        for code, d in random_ensemble(q, n, m, trials=3, budget=budget):
+            add(CodeParams(code.q, code.n, code.m, d), "random")
 
 
 _CLOSURE_CAP = 512

@@ -15,9 +15,10 @@ Composites walk parameters to exact targets: ``reduce_distance_exact``
 alternates puncture/lengthen to hit a distance exactly while preserving
 length and cardinality; ``reduce_floor_logcard`` alternates shorten/
 lengthen until the integer part of log_q(cardinality) hits a target.
-``realize_point`` combines them to manufacture, for a = 1..M, codes of
-length a*n whose floor-log-cardinality is exactly a*k and distance exactly
-a*d, so every output has the identical plane point (k/n, d/n).
+``realize_point`` manufactures, for a = 1..M, codes of length a*n whose
+floor-log-cardinality is exactly a*k and distance exactly a*d, so every
+output has the identical plane point (k/n, d/n): each is a greedy seed of
+that length and cardinality whose distance the first composite walks down.
 
 Every transformation is recorded as a replayable step; traces reproduce the
 final parameters exactly from the initial code.
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
+from . import linear
 from .budget import DEFAULT_BUDGET, SearchBudget
 from .codes import Code, CodeParams, code_point, floor_log_q, min_distance, params
 from .errors import (
@@ -191,17 +193,21 @@ def puncture(code: AnyCode) -> AnyCode:
 def _puncture_linear(code: LinearCode) -> LinearCode:
     if code.n <= 1:
         raise ContractViolationError("cannot puncture length-1 codes")
-    d = code.d
+    # one pass: the least nonzero weight and the first codeword in message
+    # order that has it; only the zero message gives a zero word
+    d, word = code.n + 1, None
+    for block in code.codeword_blocks(linear.DEFAULT_ENUM_CAP):
+        weights = np.count_nonzero(block, axis=1)
+        weights[weights == 0] = code.n + 1
+        i = int(weights.argmin())
+        if weights[i] < d:
+            d, word = int(weights[i]), block[i]
     if d < 2:
         raise DistanceTooSmallError(f"puncture requires minimum distance >= 2, have {d}")
-    # drop the first nonzero coordinate of the first minimum-weight codeword
-    for block in code.codeword_blocks():
-        hits = np.flatnonzero(np.count_nonzero(block, axis=1) == d)
-        if len(hits):
-            coord = int(np.flatnonzero(block[hits[0]])[0])
-            rows = tuple(row[:coord] + row[coord + 1:] for row in code.gen.rows)
-            return LinearCode(GeneratorMatrix(code.field, rows))
-    raise InternalContractError("no codeword attains the minimum weight")
+    # drop the witness's first nonzero coordinate
+    coord = int(np.flatnonzero(word)[0])
+    rows = tuple(row[:coord] + row[coord + 1:] for row in code.gen.rows)
+    return LinearCode(GeneratorMatrix(code.field, rows))
 
 
 def shorten(code: AnyCode) -> AnyCode:
@@ -259,10 +265,6 @@ def _reduce_distance(code: Code, d_target: int, steps: list[SpoilStep], d: Optio
 
 
 def reduce_floor_logcard(code: Code, t_target: int) -> Code:
-    return _reduce_floor(code, t_target, [])
-
-
-def _reduce_floor(code: Code, t_target: int, steps: list[SpoilStep]) -> Code:
     """Shorten (then re-lengthen) until floor(log_q m) == t_target.
 
     A single shorten drops the floor by at most one, and never below the
@@ -284,10 +286,7 @@ def _reduce_floor(code: Code, t_target: int, steps: list[SpoilStep]) -> Code:
                     nodes=rounds,
                     cap=cap,
                 )
-            code, step = _shorten_step(code)
-            steps.append(step)
-            code, step = _lengthen_step(code)
-            steps.append(step)
+            code = lengthen(shorten(code))
             rounds += 1
         t -= 1
     return code
@@ -333,15 +332,10 @@ class RealizedCode:
         return code_point(self.trace.final)
 
 
-SeedSource = Callable[[int, int, int, int], Optional[Code]]
-# called as seed_source(q, length, floor_target, distance_target)
-
-
 def realize_point(
     target: tuple[int, int, int],
     q: int,
     count: int,
-    seed_source: Optional[SeedSource] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> list[RealizedCode]:
     """Construct ``count`` distinct codes all mapping to the point (k/n, d/n).
@@ -351,10 +345,12 @@ def realize_point(
     floor-log-cardinality exactly a*k, and distance exactly a*d; outputs are
     pairwise distinct because their lengths differ.
 
-    The default seed source asks the greedy search for a code of length a*n
-    and distance >= a*d with cardinality at least q**(a*k); any seed whose
-    parameters dominate those requirements works.
+    The a-th seed is the greedy code of length a*n and distance >= a*d,
+    stopped at q**(a*k) words, so it already has the level's length and
+    floor; puncture/lengthen pairs then walk its distance down to a*d.
     """
+    from . import search  # deferred: search builds on spoiling
+
     k, n, d = target
     if count < 1:
         raise ContractViolationError("count must be >= 1")
@@ -362,38 +358,19 @@ def realize_point(
         raise ContractViolationError(
             "target point must lie strictly inside the unit square"
         )
-    if seed_source is None:
-        seed_source = _default_seed_source(q, budget)
 
     outputs = []
     for a in range(1, count + 1):
         length, floor_t, dist = a * n, a * k, a * d
-        seed = seed_source(q, length, floor_t, dist)
-        log_entry = f"a={a}: need length<={length} floor>={floor_t} distance>={dist}"
-        if seed is None:
+        seed = search.greedy_code(q, length, dist, budget=budget, target_m=q ** floor_t)
+        if seed.m < q ** floor_t:
             raise SeedNotFoundError(
-                f"no seed found for level a={a}", search_log=[log_entry + " -> none"]
+                f"no seed found for level a={a}",
+                search_log=[f"a={a}: need length<={length} floor>={floor_t} distance>={dist} -> none"],
             )
         seed_params = params(seed)
-        if (
-            seed_params.n > length
-            or floor_log_q(seed_params.m, q) < floor_t
-            or seed_params.d < dist
-        ):
-            raise SeedNotFoundError(
-                f"seed {seed_params.triple()} does not dominate level a={a}",
-                search_log=[log_entry + f" -> got {seed_params.triple()}"],
-            )
         steps: list[SpoilStep] = []
-        code = seed
-        while code.n < length:
-            code, step = _lengthen_step(code)
-            steps.append(step)
-        code = _reduce_distance(code, dist, steps, seed_params.d)  # lengthening kept d
-        walked = len(steps)
-        code = _reduce_floor(code, floor_t, steps)
-        if len(steps) > walked:  # shortening may have raised the distance
-            code = _reduce_distance(code, dist, steps)
+        code = _reduce_distance(seed, dist, steps, seed_params.d)
         final = params(code)
         if (
             final.n != length
@@ -407,15 +384,3 @@ def realize_point(
             RealizedCode(code=code, seed=seed, trace=SpoilTrace(seed_params, tuple(steps), final))
         )
     return outputs
-
-
-def _default_seed_source(q: int, budget: SearchBudget) -> SeedSource:
-    def source(q_: int, length: int, floor_t: int, dist: int) -> Optional[Code]:
-        from . import search  # deferred: search builds on spoiling
-
-        code = search.greedy_code(q_, length, dist, budget=budget, target_m=q_ ** floor_t)
-        if code.m >= q_ ** floor_t:
-            return code
-        return None
-
-    return source

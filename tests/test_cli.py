@@ -469,6 +469,10 @@ JSON_SHA256 = {
     ("realize", "--q", "2", "--target", "1/8,1/8", "--count", "2"): {
         "realize_summary.json": "35aa7210f7a448fd29898fd9fee058e2ea87e6a62da73d823dcd4a33190a0277",
         "realize_a1.trace.json": "dc6100b71e84eb42f73c1bf9ec65dd9395b00f36edf5c271e034ee87e196fdab"},
+    # level 1 walks one puncture and one lengthen
+    ("realize", "--q", "3", "--target", "1/4,1/4", "--count", "2"): {
+        "realize_summary.json": "2f3c347c15e28a836ad67e4aaa0bdc2c0d22ddffb4a7fefc21c30a148b9f928c",
+        "realize_a1.trace.json": "7cc2dbd55d6f2d2850a5410ccb4051a8174d4e15240c61e3fdb36f4b28f7e0c2"},
 }
 _SPOIL_INPUT = "2 4 3\n0000\n0111\n1011\n"
 

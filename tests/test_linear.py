@@ -60,7 +60,7 @@ def test_seed_family_parameters():
 def test_product_code_parameters_multiply():
     rep = seed_family("repetition", n=3, q=2)
     par = seed_family("parity", n=3, q=2)
-    prod = seed_family("product", factors=(rep, par))
+    prod = product_code(rep, par)
     assert (prod.n, prod.k, prod.d) == (9, 2, 6)
     assert params(to_code(prod)).triple() == (9, 4, 6)
 
@@ -299,4 +299,22 @@ def test_engine_keeps_the_budget_caps(monkeypatch):
     with pytest.raises(BudgetExceededError):
         min_weight(code)
     with pytest.raises(BudgetExceededError):
-        puncture(code)  # its witness scan keeps the word enumeration cap
+        puncture(code)  # its one pass over the codewords keeps the enumeration cap
+
+
+def test_puncture_past_the_word_cap_makes_one_pass():
+    # 2^21 words: above the word cap of codewords(), within the enumeration cap
+    punctured = puncture(seed_family("parity", n=22, q=2))
+    assert (punctured.n, punctured.k) == (21, 21)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_puncture_drops_the_first_minimum_weight_words_coordinate_on_seed_families(q):
+    seeds = [seed_family("repetition", n=n, q=q) for n in range(2, 7)]
+    seeds += [seed_family("parity", n=n, q=q) for n in range(3, 7)]
+    if q == 2:
+        seeds += [seed_family("hamming_7_4"), seed_family("extended_hamming_8_4")]
+    for code in seeds:
+        words = list(_reference_codewords(code))
+        d = _reference_min_weight(code, words)
+        assert puncture(code).gen.rows == _reference_puncture_rows(code, words, d), code

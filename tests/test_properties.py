@@ -14,7 +14,7 @@ from codeplane.codes import code_point, params
 from codeplane.effective import build_strip, classify_points, curve_estimate, two_sided_approx
 from codeplane.geometry import RatPoint
 from codeplane.search import SearchBudget
-from codeplane.spoiling import realize_point, replay_trace
+from codeplane.spoiling import LENGTHEN, PUNCTURE, realize_point, replay_trace
 
 
 @st.composite
@@ -113,7 +113,12 @@ def test_realize_point_random_targets(data):
                             budget=SearchBudget(rng_seed=7, max_nodes=200_000))
     target = RatPoint(Fraction(k, n), Fraction(d, n))
     triples = set()
-    for rc in outputs:
+    for a, rc in enumerate(outputs, start=1):
+        # the greedy seed already has the level's length and exactly 2**(a*k)
+        # words, so the trace only walks the distance down
+        assert (rc.seed.n, rc.seed.m) == (a * n, 2 ** (a * k))
+        kinds = [step.kind for step in rc.trace.steps]
+        assert kinds == [PUNCTURE, LENGTHEN] * (len(kinds) // 2)
         assert rc.point == target
         assert code_point(rc.params) == target
         triples.add(rc.params.triple())

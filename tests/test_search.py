@@ -192,6 +192,22 @@ def test_point_cloud_deduplicates_by_triple():
 
 
 
+@pytest.mark.parametrize("q, n_max, codes", [(2, 8, 21), (3, 5, 12)])
+def test_random_cloud_measures_each_drawn_code_once(monkeypatch, q, n_max, codes):
+    calls = []
+    original = kernels.min_pairwise
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "min_pairwise", counted)
+    monkeypatch.setattr(search, "min_pairwise", counted)
+    enumerate_point_cloud(q, n_max, ("random",))
+    # three trials for each length 2..n_max, one distance pass each
+    assert len(calls) == codes == 3 * (n_max - 1)
+
+
 def _reference_cloud_seeded(q, n_max, budget, add):
     """The seeded-family closure that measures every child it pops."""
     seeds = []

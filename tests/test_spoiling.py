@@ -11,7 +11,6 @@ from codeplane.errors import (
     ContractViolationError,
     DegenerateInputError,
     DistanceTooSmallError,
-    SeedNotFoundError,
 )
 from codeplane.geometry import RatPoint, max_distance
 from codeplane.linear import seed_family, to_code
@@ -249,7 +248,6 @@ def test_realize_point_rejects_boundary_targets():
 
 def test_realize_measures_each_distance_walk_once(monkeypatch):
     from codeplane import kernels
-    from codeplane.search import greedy_code
 
     calls = []
     original = kernels.min_pairwise
@@ -259,31 +257,12 @@ def test_realize_measures_each_distance_walk_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "min_pairwise", counted)
-    # whole greedy codes as seeds: the floor walk shortens them, and at level 1
-    # that raises the distance, so the second distance walk punctures
-    outputs = realize_point((1, 8, 2), q=2, count=2, seed_source=lambda q, n, t, d: greedy_code(q, n, d))
-    kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
-    assert kinds[0].index(PUNCTURE) > kinds[0].index(SHORTEN)
-    # per level: the seed, each punctured code, the code entering the second
-    # distance walk if the floor walk shortened, and the final code; the
-    # lengthened seed keeps the seed's distance and is not measured again
-    assert len(calls) == sum(2 + k.count(PUNCTURE) + (SHORTEN in k) for k in kinds)
-    # greedy seeds of q**(ak) words: the floor walk takes no step, so the
-    # second distance walk measures nothing
-    calls.clear()
+    # per level: the seed, each punctured code and the final code; a
+    # lengthened code keeps its distance and is not measured again
     outputs = realize_point((1, 4, 2), q=2, count=2)
     kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
     assert not any(SHORTEN in k for k in kinds) and any(PUNCTURE in k for k in kinds)
     assert len(calls) == sum(2 + k.count(PUNCTURE) for k in kinds)
-
-
-def test_realize_point_seed_not_found():
-    def refuse(q, length, floor_t, dist):
-        return None
-
-    with pytest.raises(SeedNotFoundError) as err:
-        realize_point((1, 4, 1), q=2, count=1, seed_source=refuse)
-    assert err.value.search_log
 
 
 def test_spoiled_outputs_never_beat_the_search_oracle():
