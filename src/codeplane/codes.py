@@ -84,11 +84,19 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 @dataclass(frozen=True)
 class Code:
-    """Immutable unstructured block code: a nonempty set of equal-length words."""
+    """Immutable unstructured block code: a nonempty set of equal-length words.
+
+    A code is measured once: ``min_distance`` keeps (d, i, j), the distance
+    and its witness's indices, on the code, and a lengthened code carries
+    its parent's (``spoiling.apply_step``).
+    """
 
     q: int
     n: int
     words: tuple[Word, ...]
+
+    # (d, i, j) once measured; not a field, so equality and hashing ignore it
+    _measured = None
 
     def __post_init__(self):
         # checked on the packed buffer: no Python code runs per symbol
@@ -113,6 +121,14 @@ class Code:
             raise ContractViolationError("codes are nonempty")
         return cls(q=q, n=len(unique[0]), words=tuple(unique))
 
+    @classmethod
+    def _trusted(cls, q: int, n: int, words: tuple[Word, ...], measured=None) -> "Code":
+        """A code of words already sorted, distinct, of length n and below q:
+        nothing is checked. ``measured`` is a (d, i, j) that holds for them."""
+        code = object.__new__(cls)
+        vars(code).update(q=q, n=n, words=words, _measured=measured)
+        return code
+
     @property
     def m(self) -> int:
         return len(self.words)
@@ -127,12 +143,16 @@ def min_distance(code: Code, meter: Optional[_Meter] = None) -> tuple[int, Optio
 
     Singletons return (0, None) by the degenerate convention. The witness
     is the first attaining pair in row-major scan order of the sorted word
-    list, which makes downstream coordinate choices deterministic.
+    list, which makes downstream coordinate choices deterministic. The
+    first call measures the code; later calls read what it kept.
     """
     if code.m == 1:
         return 0, None
-    d, i, j = kernels.min_pairwise(code.packed(), code.m, code.n, meter=meter)
-    return int(d), (code.words[i], code.words[j])
+    if code._measured is None:
+        d, i, j = kernels.min_pairwise(code.packed(), code.m, code.n, meter=meter)
+        vars(code)["_measured"] = (int(d), i, j)
+    d, i, j = code._measured
+    return d, (code.words[i], code.words[j])
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ length-n words into one read-only buffer. All functions are pure.
 several. Rows are XORed as uint64 words, every nonzero field is OR-folded
 down to its low bit and the surviving bits are counted with
 ``np.bitwise_count``; binary word values already are width-1 rows.
-``min_pairwise`` and ``greedy_sieve`` (a greedy scan, a block of scanned
-words at a time) work on packed rows, and ``far_bitsets`` gives the clique
-search's distance->=d graph as one bitset per row; given a meter, the first
-two check it before each block. ``hamming`` compares two words symbol by
+``min_pairwise`` and ``greedy_sieve`` work on packed rows, and
+``far_bitsets`` gives the clique search's distance->=d graph as one bitset
+per row; given a meter, the first two check it before each block.
+``greedy_sieve`` runs one greedy scan, a block of scanned words at a time,
+for any number of distances at once: each block is measured once, and the
+same distances give every d its kept words and their least distance. ``hamming`` compares two words symbol by
 symbol. ``all_at_least`` (one candidate against a word set, one numpy lane)
 has no library caller; it stays as an entry point that the benchmark's
 tracer binds.
@@ -136,47 +138,79 @@ def min_pairwise(buf, m, n, meter=None):
     return best, bi, bj
 
 
-def greedy_sieve(chunks, q, d, limit=None, meter=None):
-    """Rows a greedy scan keeps, in scan order, as one uint8 matrix.
+def greedy_sieve(chunks, q, dists, limit=None, meter=None):
+    """Per distance d in ``dists``: the rows a greedy scan keeps, in scan
+    order as one uint8 matrix, and their least distance (n + 1 below two).
 
-    ``chunks`` yields uint8 matrices of q-ary words, one word per row, in
-    scan order. A row is kept iff it is at distance >= d from every row
-    kept before it; the scan stops once ``limit`` rows are kept. Each block
-    of scanned rows is first checked against the rows kept so far, then the
-    survivors are settled among themselves from their closeness matrix, one
-    step per kept row.
+    ``chunks`` yields uint8 matrices of distinct q-ary words, one word per
+    row, in scan order. For each d a row is kept iff it is at distance >= d
+    from every row that d kept before it; d stops at ``limit`` rows, the
+    scan once every d has. A block of scanned rows is measured against the
+    rows the distances read, side by side (one segmented minimum gives each
+    d's), and its live rows among themselves; d = 1 keeps every row and
+    reads them only until two are at distance 1. Per d, the survivors are
+    then settled one step per kept row.
     """
-    kept_rows, kept = [], None
-    count = 0
+    dists = list(dists)
+    kept_rows = [[] for _ in dists]
+    held = [None] * len(dists)  # per d, the packed rows it still reads
+    counts, lows = [0] * len(dists), []
     blocks = (chunk[lo:lo + _SIEVE_ROWS] for chunk in chunks
               for lo in range(0, len(chunk), _SIEVE_ROWS))
     for rows in blocks:
+        if meter is not None:
+            meter.check()
+        size, big = rows.shape[0], rows.shape[1] + 1
+        lows = lows or [big] * len(dists)
         packed, width = pack_rows(rows, q - 1)
-        if kept is not None:
-            far = np.concatenate([(dists >= d).all(axis=1)
-                                  for dists in _blocks(packed, kept, width, meter)])
-            rows, packed = rows[far], packed[far]
-        if not len(rows):
-            continue
-        apart = np.concatenate([dists >= d for dists in _blocks(packed, packed, width, meter)])
-        room = None if limit is None else limit - count
-        picks = []
-        alive = np.ones(len(rows), dtype=bool)
-        i = 0
-        while True:
-            picks.append(i)
-            if len(picks) == room:
-                break
-            alive &= apart[i]  # row i is at distance 0 < d from itself
-            i = int(alive.argmax())
-            if not alive[i]:
-                break
-        kept_rows.append(rows[picks])
-        kept = packed[picks] if kept is None else np.concatenate([kept, packed[picks]])
-        count += len(picks)
-        if count == limit:
+        near = np.full((len(dists), size), big)  # least distance to each d's rows
+        reading = [k for k, rows_k in enumerate(held) if rows_k is not None]
+        if reading:
+            starts = np.cumsum([0] + [len(held[k]) for k in reading[:-1]])
+            lo = 0
+            for part in _blocks(packed, np.concatenate([held[k] for k in reading]), width, meter):
+                near[reading, lo:lo + len(part)] = np.minimum.reduceat(part, starts, axis=1).T
+                lo += len(part)
+        rooms = [None if limit is None else limit - count for count in counts]
+        # the rows some d may still keep or read, measured among themselves
+        live = np.zeros(size, dtype=bool)
+        for k, d in enumerate(dists):
+            if rooms[k] != 0 and (d > 1 or lows[k] > 1):
+                live |= near[k] >= d
+        live = np.flatnonzero(live)
+        if len(live):
+            inner = np.concatenate(list(_blocks(packed[live], packed[live], width, meter)))
+            at = np.zeros(size, dtype=np.intp)  # a live row's place in inner
+            at[live] = np.arange(len(live))
+        for k, (d, room) in enumerate(zip(dists, rooms)):
+            if room == 0:
+                continue
+            if d == 1:  # distinct words are at distance >= 1
+                picks = np.arange(size)[:room]
+            else:
+                alive = np.flatnonzero(near[k] >= d)
+                # survivors at distance >= d; a row is at distance 0 < d from itself
+                apart = (inner if len(alive) == len(live) else inner[at[alive]][:, at[alive]]) >= d
+                chosen, free = [], np.ones(len(alive), dtype=bool)
+                i = 0
+                while len(alive) and free[i] and len(chosen) != room:
+                    chosen.append(i)
+                    free &= apart[i]
+                    i = int(free.argmax())
+                picks = alive[chosen]
+            if lows[k] > d and len(picks):
+                among = inner[at[picks]][:, at[picks]]
+                among.flat[::len(picks) + 1] = lows[k]  # not a pair
+                lows[k] = min(lows[k], int(near[k, picks].min()), int(among.min()))
+            kept_rows[k].append(rows[picks])
+            counts[k] += len(picks)
+            if d == 1 and lows[k] == 1:
+                held[k] = None
+            else:
+                held[k] = packed[picks] if held[k] is None else np.concatenate([held[k], packed[picks]])
+        if limit is not None and min(counts) == limit:
             break
-    return np.concatenate(kept_rows)
+    return [(np.concatenate(parts), low) for parts, low in zip(kept_rows, lows)]
 
 
 def far_bitsets(x, y, width, d):

@@ -81,9 +81,10 @@ from batched draws as well: it settles the shuffle's ``randbelow`` draws
 from windows of raw outputs, then traces every position back through the
 swaps in a few numpy passes, so it gives ``shuffle``'s list and leaves the
 generator where ``shuffle`` does. The order depends on the length but not
-on the distance, so one order serves a whole distance sweep;
-``kernels.greedy_sieve`` then keeps each word at distance >= d from the
-words kept before it.
+on the distance, so one ``kernels.greedy_sieve`` pass over it serves a
+whole distance sweep: for each d it keeps each word at distance >= d from
+the words that d kept before it, and it gives each d's least distance, so
+the greedy cloud builds and measures no code.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -551,7 +552,9 @@ def greedy_code(
     check_alphabet(q)
     if not 1 <= d <= n:
         raise ContractViolationError("need 1 <= d <= n")
-    return _sieved_code(q, _scan_chunks(q, n, budget), d, target_m, _Meter(budget))
+    limit = None if target_m is None else max(1, target_m)
+    (rows, _), = greedy_sieve(_scan_chunks(q, n, budget), q, (d,), limit, _Meter(budget))
+    return Code.from_words(q, _as_words(rows))
 
 
 # spaces up to this size are scanned in rng.shuffle's order (from
@@ -592,23 +595,6 @@ def _scan_chunks(q: int, n: int, budget: SearchBudget) -> Iterator[np.ndarray]:
         hi = min(scan_cap, lo + size)
         yield _word_rows(values(lo, hi), q, n)
         lo, size = hi, min(2 * size, _MAX_CHUNK)
-
-
-def _sieved_code(q: int, chunks: Iterable[np.ndarray], d: int, target_m: Optional[int],
-                 meter: _Meter) -> Code:
-    """The greedy code of a scan order given as chunks of distinct word rows."""
-    limit = None if target_m is None else max(1, target_m)
-    if d > 1:
-        return Code.from_words(q, _as_words(greedy_sieve(chunks, q, d, limit, meter)))
-    # distinct words are at distance >= 1: the scan keeps every word
-    taken, count = [], 0
-    for rows in chunks:
-        meter.check()
-        taken.append(rows)
-        count += len(rows)
-        if limit is not None and count >= limit:
-            break
-    return Code.from_words(q, _as_words(np.concatenate(taken)[:limit]))
 
 
 def _word_rows(values, q: int, n: int) -> np.ndarray:
@@ -888,12 +874,13 @@ def _cloud_exhaustive_linear(q, n_max, budget, add):
 def _cloud_greedy(q, n_max, budget, add):
     meter = _Meter(budget)
     for n in range(1, n_max + 1):
-        # one scan order serves every distance; an affine walk is cheap to
-        # restart, a shuffled order (batched draws from 4,096 words) is built once
-        order = list(_scan_chunks(q, n, budget)) if q ** n <= _SHUFFLE_SPACE else None
-        for dist in range(1, n + 1):
-            chunks = order if order is not None else _scan_chunks(q, n, budget)
-            add(params(_sieved_code(q, chunks, dist, None, meter), meter), "greedy")
+        # one sieve pass over the scan order settles every distance; a
+        # shuffled order is joined into sieve blocks, an affine walk streams
+        chunks = _scan_chunks(q, n, budget)
+        if q ** n <= _SHUFFLE_SPACE:
+            chunks = [np.concatenate(list(chunks))]
+        for rows, low in greedy_sieve(chunks, q, range(1, n + 1), None, meter):
+            add(CodeParams(q, n, len(rows), low if len(rows) > 1 else 0), "greedy")
 
 
 def _cloud_random(q, n_max, budget, add):

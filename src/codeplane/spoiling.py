@@ -142,19 +142,35 @@ def _shorten_step(code: Code) -> tuple[Code, SpoilStep]:
 
 def apply_step(code: Code, step: SpoilStep) -> Code:
     """Apply one move to an explicit code; the only place words are rewritten,
-    so a trace replays through the code that recorded it."""
+    so a trace replays through the code that recorded it.
+
+    The step's coordinate and symbol are checked against the code first.
+    Lengthen and shorten keep the words sorted and distinct, so their codes
+    are built unchecked, and a lengthened code keeps its parent's measured
+    distance and witness; a puncture can merge words and is built anew.
+    """
+    c, s = step.coordinate, step.symbol
+    if s is not None and not (isinstance(s, int) and 0 <= s < code.q):
+        raise ContractViolationError(f"step symbol {s} out of range for alphabet size {code.q}")
     if step.kind == LENGTHEN:
-        return Code.from_words(code.q, tuple(w + bytes([step.symbol or 0]) for w in code.words))
+        if c != code.n:
+            raise ContractViolationError(f"lengthen appends coordinate {code.n}, not {c}")
+        tail = bytes([s or 0])
+        return Code._trusted(code.q, code.n + 1, tuple(w + tail for w in code.words), code._measured)
+    if step.kind not in (PUNCTURE, SHORTEN):
+        raise ContractViolationError(f"unknown step kind {step.kind!r}")
+    if code.n <= 1:
+        raise ContractViolationError(f"cannot {step.kind} length-1 codes")
+    if not (isinstance(c, int) and 0 <= c < code.n):
+        raise ContractViolationError(f"{step.kind} coordinate {c} out of range for length {code.n}")
     if step.kind == PUNCTURE:
-        c = step.coordinate
         return Code.from_words(code.q, tuple(w[:c] + w[c + 1:] for w in code.words))
-    if step.kind == SHORTEN:
-        c = step.coordinate
-        kept = [w for w in code.words if w[c] == step.symbol]
-        if not kept:
-            raise InternalContractError("shorten replay selected an empty fiber")
-        return Code.from_words(code.q, tuple(w[:c] + w[c + 1:] for w in kept))
-    raise ContractViolationError(f"unknown step kind {step.kind!r}")
+    if s is None:
+        raise ContractViolationError("shorten needs a symbol")
+    kept = tuple(w[:c] + w[c + 1:] for w in code.words if w[c] == s)
+    if not kept:
+        raise InternalContractError("shorten replay selected an empty fiber")
+    return Code._trusted(code.q, code.n - 1, kept)
 
 
 def replay_trace(trace: SpoilTrace, initial: Code) -> Code:

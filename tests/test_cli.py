@@ -352,10 +352,17 @@ SAMPLED_OUTPUT_SHA256 = {
         "cloud.csv": "4cb2a7b9e0936aeddb042d37ccce5f2a7a600fb5fce908382d54cf3c10da723f",
         "cloud.svg": "a57c3e0ab8dad5ab3c16da1a34465bf8156de91e36df3e3f3b7ad7530c4c3ad1",
     },
+    # greedy clouds, recorded while every distance of a length ran its own sieve
+    ("enumerate", "--q", "2", "--nmax", "8", "--strategy", "random,greedy", "--seed", "123"): {
+        "cloud.csv": "c57b366ca11427a85a5945cfa6455c53d813b60a0d74e5107c239615ae437ea3",
+    },
+    ("enumerate", "--q", "3", "--nmax", "5", "--strategy", "greedy,seeded-family", "--seed", "7"): {
+        "cloud.csv": "7ba57b8d7ef3252532dd5b388a013bfcb2188beb373fe2e70440cbfc6b7f293d",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", sorted(SAMPLED_OUTPUT_SHA256))
+@pytest.mark.parametrize("argv", sorted(SAMPLED_OUTPUT_SHA256), ids=" ".join)
 def test_curve_sample_outputs_are_pinned(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "."]) == EXIT_OK
@@ -483,7 +490,7 @@ def _run_pinned(tmp_path, monkeypatch, argv):
     assert main([*argv, "--out", "."]) == EXIT_OK
 
 
-@pytest.mark.parametrize("argv", sorted(JSON_SHA256))
+@pytest.mark.parametrize("argv", sorted(JSON_SHA256), ids=" ".join)
 def test_json_bytes_are_pinned(tmp_path, monkeypatch, argv):
     _run_pinned(tmp_path, monkeypatch, argv)
     for name, digest in JSON_SHA256[argv].items():

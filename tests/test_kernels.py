@@ -1,6 +1,7 @@
 """Distance kernels against naive pure-Python references, including witness
 tie-breaking and the field widths and row blocks of the bit-packed scan."""
 
+import itertools
 import random
 
 import numpy as np
@@ -100,12 +101,33 @@ def test_packing_boundary(width, q, extra):
     rows, got_width = kernels.pack_rows(arr, q - 1)
     assert got_width == width and rows.shape == ((m,) if extra == 0 else (m, 2))
     dist = [[_distance(a, b) for b in words] for a in words]
-    for d in (1, 2, n // 2, n):
+    dists = (1, 2, n // 2, n)
+    for d, (kept, low) in zip(dists, kernels.greedy_sieve([arr], q, dists)):
         assert kernels.far_bitsets(rows, rows, width, d) == [
             sum(1 << j for j in range(m) if dist[i][j] >= d) for i in range(m)], d
-        kept = kernels.greedy_sieve([arr], q, d)
         assert [bytes(row) for row in kept] == _naive_greedy(words, d), d
+        assert low == _naive_min_pairwise(_naive_greedy(words, d))[0]  # n + 1 below two words
     assert kernels.min_pairwise(b"".join(words), m, n) == _naive_min_pairwise(words)
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (3, 5), (4, 4), (2, 12)])
+def test_greedy_sieve_settles_every_distance_across_blocks(monkeypatch, q, n):
+    # blocks of 16 rows: each d sieves a block against the rows it kept in
+    # earlier blocks, and its least distance spans blocks too
+    monkeypatch.setattr(kernels, "_SIEVE_ROWS", 16)
+    rng = random.Random(q * n)
+    words = rng.sample([bytes(w) for w in itertools.product(range(q), repeat=n)], min(q ** n, 300))
+    arr = np.frombuffer(b"".join(words), dtype=np.uint8).reshape(len(words), n)
+    chunks = [arr[:5], arr[5:40], arr[40:]]
+    dists = range(1, n + 1)
+    for limit in (None, 1, 3, 50):
+        got = kernels.greedy_sieve(chunks, q, dists, limit)
+        for d, (kept, low) in zip(dists, got):
+            expected = _naive_greedy(words, d)[:limit]
+            assert [bytes(row) for row in kept] == expected, (d, limit)
+            assert low == _naive_min_pairwise(expected)[0], (d, limit)
+            single, = kernels.greedy_sieve(chunks, q, (d,), limit)
+            assert single[1] == low and single[0].tobytes() == kept.tobytes(), (d, limit)
 
 
 def test_hamming_rejects_length_mismatch():

@@ -1109,17 +1109,43 @@ def test_shuffled_order_is_rng_shuffle(space):
         assert batched.getstate() == rng.getstate(), seed
 
 
-@pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5), (2, 17)])
-def test_greedy_cloud_sieves_every_distance_from_one_order(monkeypatch, q, n_max):
-    # past 2**16 words the order is an affine walk, restarted for every d
+@pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5), (4, 4), (2, 11), (2, 17)])
+def test_greedy_cloud_sieves_every_distance_from_one_order(q, n_max):
+    # one sieve pass per length gives every d's (n, m, d): 2**11 words make
+    # two sieve blocks, and past 2**16 words the order is an affine walk
     budget = SearchBudget(max_nodes=500 if n_max > 16 else 2_000_000, rng_seed=9)
     seen = []
-    monkeypatch.setattr(search, "params", lambda code, meter: seen.append(code.words) or params(code, meter))
-    cloud = enumerate_point_cloud(q, n_max, ("greedy",), budget)
-    expected = [_reference_greedy(q, n, d, budget)[0] for n in range(1, n_max + 1)
-                for d in range(1, n + 1)]
-    assert seen == [code.words for code in expected]
-    assert cloud.triples() == {params(code).triple() for code in expected}
+    search._cloud_greedy(q, n_max, budget, lambda p, provenance: seen.append(p.triple()))
+    expected = [params(_reference_greedy(q, n, d, budget)[0]).triple()
+                for n in range(1, n_max + 1) for d in range(1, n + 1)]
+    assert seen == expected
+    assert enumerate_point_cloud(q, n_max, ("greedy",), budget).triples() == set(expected)
+
+
+def test_greedy_cloud_builds_no_code_and_the_family_validates_few(monkeypatch):
+    # the greedy cloud reads every triple off its sieve pass (it built and
+    # measured 36 codes at q = 2, n_max = 8 while each d ran its own sieve);
+    # the seeded family validates its seeds and the codes a puncture builds
+    # (167 validations and 104 measurements while every move built its code
+    # through Code.from_words and a puncture measured its code again)
+    counts = {"min_pairwise": 0, "validations": 0}
+    measure, validate = kernels.min_pairwise, Code.__post_init__
+
+    def counted_measure(*args, **kwargs):
+        counts["min_pairwise"] += 1
+        return measure(*args, **kwargs)
+
+    def counted_validate(code):
+        counts["validations"] += 1
+        validate(code)
+
+    monkeypatch.setattr(kernels, "min_pairwise", counted_measure)
+    monkeypatch.setattr(search, "min_pairwise", counted_measure)
+    monkeypatch.setattr(Code, "__post_init__", counted_validate)
+    enumerate_point_cloud(2, 8, ("greedy",))
+    assert counts == {"min_pairwise": 0, "validations": 0}
+    enumerate_point_cloud(2, 8, ("seeded-family",))
+    assert counts == {"min_pairwise": 92, "validations": 41}
 
 
 def _ensemble_cases():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codeplane import kernels
 from codeplane.cli import main
 from codeplane.codes import Code, code_point, floor_log_q, min_distance, params, read_code_text, write_code_text
 from codeplane.errors import (
@@ -21,6 +22,7 @@ from codeplane.spoiling import (
     SHORTEN,
     SpoilStep,
     SpoilTrace,
+    apply_step,
     lengthen,
     multiplicity_witness,
     puncture,
@@ -257,12 +259,15 @@ def test_realize_measures_each_distance_walk_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "min_pairwise", counted)
-    # per level: the seed, each punctured code and the final code; a
-    # lengthened code keeps its distance and is not measured again
+    # per level: the seed, whose measurement also serves the first puncture
+    # and, with no puncture, the final check; the code each later puncture
+    # cuts; and the final code after a puncture. A lengthened code keeps its
+    # parent's distance, so a level of P punctures measures 1 + P codes
+    # (2 + P while a code did not keep its distance)
     outputs = realize_point((1, 4, 2), q=2, count=2)
     kinds = [[step.kind for step in rc.trace.steps] for rc in outputs]
     assert not any(SHORTEN in k for k in kinds) and any(PUNCTURE in k for k in kinds)
-    assert len(calls) == sum(2 + k.count(PUNCTURE) for k in kinds)
+    assert len(calls) == sum(1 + k.count(PUNCTURE) for k in kinds)
 
 
 def test_spoiled_outputs_never_beat_the_search_oracle():
@@ -317,3 +322,65 @@ def test_replay_rejects_wrong_code():
     wrong = Code.from_words(2, [b"\x00", b"\x01"])
     with pytest.raises(ContractViolationError):
         replay_trace(trace, wrong)
+
+
+# steps out of range on the q = 2, n = 3 code {000, 111}; unchecked, they
+# gave a no-op, a longer code, an IndexError or a lengthen at the wrong place
+@pytest.mark.parametrize("step", [
+    SpoilStep(PUNCTURE, coordinate=7),
+    SpoilStep(PUNCTURE, coordinate=-1),
+    SpoilStep(PUNCTURE),
+    SpoilStep(SHORTEN, coordinate=9, symbol=0),
+    SpoilStep(SHORTEN, coordinate=-1, symbol=0),
+    SpoilStep(SHORTEN, coordinate=0, symbol=2),
+    SpoilStep(SHORTEN, coordinate=0),
+    SpoilStep(LENGTHEN, coordinate=0, symbol=0),
+    SpoilStep(LENGTHEN, coordinate=4, symbol=0),
+    SpoilStep(LENGTHEN, symbol=0),
+    SpoilStep(LENGTHEN, coordinate=3, symbol=2),
+    SpoilStep(LENGTHEN, coordinate=3, symbol=-1),
+    SpoilStep(PUNCTURE, coordinate=0, symbol=5),
+], ids=lambda step: f"{step.kind}-{step.coordinate}-{step.symbol}")
+def test_apply_step_checks_the_step_against_the_code(step):
+    code = Code.from_words(2, [b"\x00\x00\x00", b"\x01\x01\x01"])
+    with pytest.raises(ContractViolationError):
+        apply_step(code, step)
+
+
+def test_replay_rejects_a_no_op_step():
+    code = Code.from_words(2, [b"\x00\x00\x00", b"\x01\x01\x01"])
+    trace = SpoilTrace(params(code), (SpoilStep(PUNCTURE, coordinate=7),), params(code))
+    with pytest.raises(ContractViolationError):
+        replay_trace(trace, code)
+
+
+def test_steps_in_range_still_apply():
+    code = Code.from_words(3, [b"\x00\x00\x00", b"\x01\x01\x01", b"\x02\x02\x01"])
+    assert apply_step(code, SpoilStep(LENGTHEN, coordinate=3, symbol=2)).words == (
+        b"\x00\x00\x00\x02", b"\x01\x01\x01\x02", b"\x02\x02\x01\x02")
+    assert apply_step(code, SpoilStep(PUNCTURE, coordinate=2)).words == (b"\x00\x00", b"\x01\x01", b"\x02\x02")
+    assert apply_step(code, SpoilStep(SHORTEN, coordinate=2, symbol=1)).words == (b"\x01\x01", b"\x02\x02")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+def test_kept_distances_match_a_fresh_measurement(q):
+    # after random chains of moves, what each code keeps (measured, or carried
+    # by lengthen) is the first attaining pair of its own sorted words
+    rng = random.Random(q)
+    checked = 0
+    for _ in range(30):
+        code = _random_code(rng, q=q, n=rng.randrange(2, 9), max_m=40)
+        for _ in range(8):
+            move = rng.choice([_lengthen_step, _puncture_step, _shorten_step, None])
+            try:
+                if move is None:
+                    min_distance(code)
+                else:
+                    code = move(code)[0]
+            except (ContractViolationError, DistanceTooSmallError, DegenerateInputError):
+                continue
+            if code._measured is not None:
+                assert code._measured == kernels.min_pairwise(code.packed(), code.m, code.n)
+                assert code == Code.from_words(q, code.words)
+                checked += 1
+    assert checked > 20
