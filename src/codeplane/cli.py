@@ -32,7 +32,6 @@ from .errors import (
     ContractViolationError,
     InternalContractError,
     SeedNotFoundError,
-    StabilizationTimeoutError,
 )
 from .geometry import SquareRuns, format_ratio
 from .svg import PlaneSvg
@@ -295,10 +294,17 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _check_text_alphabet(q: int, codes) -> None:
+    if q > len(codes.SYMBOL_CHARS):  # before searching for a code that no code file could hold
+        raise ConfigError(f"code files hold base-36 symbols: --q must be <= {len(codes.SYMBOL_CHARS)}, got {q}")
+
+
 def cmd_oracle(args) -> int:
     from . import codes, linear, search
 
     cfg = _cfg_from_args(args, "oracle")
+    if args.d is not None or not args.linear:  # only a --linear best-distance witness is a generator file
+        _check_text_alphabet(cfg.q, codes)
     manifest = _manifest(cfg, {"n": args.n, "m": args.m, "d": args.d, "linear": args.linear})
     out = Path(cfg.out_dir)
     if args.d is not None:
@@ -353,6 +359,7 @@ def cmd_realize(args) -> int:
     from . import codes, spoiling
 
     cfg = _cfg_from_args(args, "realize")
+    _check_text_alphabet(cfg.q, codes)
     rate, delta = _parse_point(args.target)
     n = math.lcm(rate.denominator, delta.denominator)
     k = int(rate * n)
@@ -409,8 +416,7 @@ def cmd_approx(args) -> int:
                           "square, O(N^2) in size; band-only output (ROADMAP item 3) will lift the cap")
     curve = bounds_mod.named_curve(args.curve, cfg.q)
     manifest = _manifest(cfg, {"curve": args.curve})
-    adm = effective.two_sided_approx(curve, n_grid=cfg.n_grid, budget=cfg.budget,
-                                     strict=not args.lenient)
+    adm = effective.two_sided_approx(curve, cfg.n_grid, cfg.budget)
     estimate = effective.curve_estimate(adm)
     sides = adm.to_json()
     out = Path(cfg.out_dir)
@@ -505,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--curve", type=_curve_spec, default="synthetic:diag")
     p.add_argument("--N", type=int, default=4, help=f"grid resolution, at most {APPROX_MAX_N}")
-    p.add_argument("--lenient", action="store_true",
-                   help="tolerate non-admissible exceptional sets (degenerate stand-ins)")
     _add_common(p)
     p.set_defaults(func=cmd_approx)
 
@@ -527,7 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (BudgetExceededError, SeedNotFoundError, StabilizationTimeoutError) as exc:
+    except (BudgetExceededError, SeedNotFoundError) as exc:
         print(f"budget/timeout: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalContractError as exc:

@@ -65,12 +65,10 @@ def check_alphabet(q: int) -> None:
         raise ContractViolationError(f"alphabet size must be in [2, 256], got {q}")
 
 
-def validate_word(word: Word, q: int, n: Optional[int] = None) -> None:
+def validate_word(word: Word, q: int) -> None:
     check_alphabet(q)
     if len(word) < 1:
         raise ContractViolationError("words must have length >= 1")
-    if n is not None and len(word) != n:
-        raise ContractViolationError(f"expected length {n}, got {len(word)}")
     if any(s >= q for s in word):
         raise ContractViolationError(f"symbol out of range for alphabet size {q}")
 

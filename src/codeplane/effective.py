@@ -59,11 +59,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .bounds import BoundCurve, Pair
 from .budget import DEFAULT_BUDGET, SearchBudget, _Meter
-from .errors import (
-    ContractViolationError,
-    InternalContractError,
-    StabilizationTimeoutError,
-)
+from .errors import BudgetExceededError, ContractViolationError, InternalContractError
 from .geometry import BallKind, GridBall, RatBall, RatInterval, RatPoint, SquareRuns, format_ratio
 from .geometry import balls_closures_intersect  # unused here; perfbench/tracing.py binds this name
 
@@ -178,7 +174,7 @@ def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int]
     pending. Decided rows are never revisited (enclosures at different rungs
     need not be nested), and rows pending at the cap stay pending. Returns
     every column's final state, column i at index i; once ``meter`` is spent,
-    the StabilizationTimeoutError carries the states of the finished columns.
+    the BudgetExceededError's ``partial`` holds the finished columns' states.
     """
     if n_grid < 1:
         raise ContractViolationError("grid resolution must be >= 1")
@@ -187,7 +183,7 @@ def _sweep_columns(n_grid: int, start: object, rung: Callable[[int, object, int]
         state, precision = start, DEFAULT_BASE_PRECISION
         while True:
             if meter.exhausted():
-                raise StabilizationTimeoutError(f"{what} timed out", partial=columns)
+                raise BudgetExceededError(f"{what} timed out", partial=columns)
             state, pending = rung(i, state, precision)
             if not pending or precision >= DEFAULT_PRECISION_CAP:
                 break
@@ -460,8 +456,8 @@ def build_strip(
     column's precision ladder settles, together with the boundary staircases.
 
     Squares undecided at the precision cap stay in the strip (conservative)
-    and are reported in ``capped``. Raises StabilizationTimeoutError with the
-    columns decided so far when ``budget``'s wall clock runs out first.
+    and are reported in ``capped``. Raises BudgetExceededError with the
+    columns decided so far as ``partial`` when ``budget``'s wall clock runs out.
     """
     _require_usable(curve)
     (s0, s0_d), (s1, s1_d) = ((x.numerator, x.denominator) for x in curve.span)
@@ -601,16 +597,16 @@ def two_sided_approx(
     curve: BoundCurve,
     n_grid: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    strict: bool = True,
 ) -> AdmissibleSet:
     """Decide the N-grid against U = {R <= f(delta)} until every column's
     precision ladder settles, then apply the amendment pass moving undecided
     squares whose closures miss the decided sides.
 
-    With ``strict`` (default) a non-admissible final exceptional set raises
-    InternalContractError, which indicates the curve was not strictly
-    decreasing; pass strict=False to get the flagged result instead (useful
-    for deliberately degenerate stand-ins such as constant curves).
+    The result's ``admissible`` says whether the exceptional squares form an
+    admissible staircase, as they do for every strictly decreasing curve; a
+    curve with a flat piece, such as a constant stand-in, gets the flagged
+    set. Raises BudgetExceededError, whose ``partial`` holds the initial bands
+    of the columns finished so far, when ``budget``'s wall clock runs out.
     """
     DomainBallDecider(curve)  # the contract checks: continuous, spanning [0, 1]
 
@@ -636,13 +632,7 @@ def two_sided_approx(
         bottom = min((b_k - 1 for _, b_k in near if b_k < n_grid), default=n_grid)
         bands.append((max(a, min(b, top, bottom)), min(b, max(a, top))))
 
-    admissible = _check_admissible(bands)
-    if strict and not admissible:
-        raise InternalContractError(
-            "exceptional set is not admissible; input was not a strictly "
-            "decreasing monotone domain"
-        )
-    return AdmissibleSet(n_grid=n_grid, bands=tuple(bands), initial=initial, admissible=admissible)
+    return AdmissibleSet(n_grid=n_grid, bands=tuple(bands), initial=initial, admissible=_check_admissible(bands))
 
 
 # --- staircase curve estimates ----------------------------------------------

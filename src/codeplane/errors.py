@@ -14,12 +14,20 @@ class InternalContractError(CodeplaneError, RuntimeError):
 
 
 class BudgetExceededError(CodeplaneError, RuntimeError):
-    """An enumeration exceeded its configured node/size cap."""
+    """A metered loop spent its node cap or its wall clock.
 
-    def __init__(self, message, *, nodes=None, cap=None):
+    ``partial`` holds whatever state was reached, or None. For the grid
+    sweeps it is the list of columns finished so far, column i at index i:
+    for ``build_strip`` a pair (member row ranges, row ranges still
+    undecided at the precision cap), each range an inclusive ``(lo, hi)``;
+    for ``two_sided_approx`` the column's band ``(a, b)`` of undecided rows.
+    """
+
+    def __init__(self, message, *, nodes=None, cap=None, partial=None):
         super().__init__(message)
         self.nodes = nodes
         self.cap = cap
+        self.partial = partial
 
 
 class DistanceTooSmallError(ContractViolationError):
@@ -43,19 +51,3 @@ class SeedNotFoundError(CodeplaneError, RuntimeError):
     def __init__(self, message, *, search_log=()):
         super().__init__(message)
         self.search_log = tuple(search_log)
-
-
-class StabilizationTimeoutError(CodeplaneError, RuntimeError):
-    """A wait-until-stable loop hit its wall-clock limit.
-
-    A legitimate outcome for co-r.e. inputs, which promise no convergence
-    rate. ``partial`` holds whatever state was reached. For the grid sweeps
-    it is the list of columns finished so far, column i at index i: for
-    ``build_strip`` a pair (member row ranges, row ranges still undecided at
-    the precision cap), each range an inclusive ``(lo, hi)``; for
-    ``two_sided_approx`` the column's band ``(a, b)`` of undecided rows.
-    """
-
-    def __init__(self, message, *, partial=None):
-        super().__init__(message)
-        self.partial = partial

@@ -169,7 +169,7 @@ def apply_step(code: Code, step: SpoilStep) -> Code:
         raise ContractViolationError("shorten needs a symbol")
     kept = tuple(w[:c] + w[c + 1:] for w in code.words if w[c] == s)
     if not kept:
-        raise InternalContractError("shorten replay selected an empty fiber")
+        raise ContractViolationError(f"shorten step selects no word with symbol {s} at coordinate {c}")
     return Code._trusted(code.q, code.n - 1, kept)
 
 

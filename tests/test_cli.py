@@ -217,16 +217,16 @@ def test_one_parser_serves_back_to_back_commands(tmp_path, monkeypatch, capsys):
     assert len(shared[1]) >= 12
 
 
-def test_approx_non_admissible_input_is_internal_error(tmp_path):
-    from codeplane.cli import EXIT_INTERNAL
-
+def test_approx_non_admissible_input_is_written_and_flagged(tmp_path, capsys):
     # a grid-aligned flat segment leaves several exceptional squares in one
-    # row: not the domain of a strictly decreasing curve
+    # row: not the domain of a strictly decreasing curve, which approx.json says
     flat = "synthetic:0,1/2;1/2,1/2;1,0"
-    assert run(tmp_path, "approx", "--curve", flat, "--N", "4") == EXIT_INTERNAL
-    assert run(tmp_path, "approx", "--curve", flat, "--N", "4", "--lenient") == EXIT_OK
+    assert run(tmp_path, "approx", "--curve", flat, "--N", "4") == EXIT_OK
     payload = json.loads((tmp_path / "approx.json").read_text())
     assert payload["admissible_set"]["admissible"] is False
+    assert run(tmp_path / "lenient", "approx", "--curve", flat, "--N", "4", "--lenient") == EXIT_CONFIG
+    assert "unrecognized arguments: --lenient" in capsys.readouterr().err
+    assert not (tmp_path / "lenient").exists()
 
 
 def test_manifest_echoes_config(tmp_path):
@@ -259,6 +259,8 @@ _BAD_INPUTS = [
     ("spoil", "--input", "in.txt", "--op", "puncture", "--count", "0"),
     ("oracle", "--n", "-1", "--m", "1"),
     ("bounds", "--curves", "vg,nope"),
+    ("oracle", "--q", "64", "--n", "1", "--m", "40", "--d", "1"),
+    ("realize", "--q", "37", "--target", "1/2,1/4", "--count", "1"),
 ]
 
 
@@ -269,6 +271,46 @@ def test_bad_input_is_config_error_without_traceback(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     assert run(tmp_path, *argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--q", "64", "--n", "1", "--m", "40", "--d", "1"),
+    ("oracle", "--q", "64", "--n", "1", "--m", "40"),
+    ("oracle", "--q", "64", "--n", "2", "--m", "64", "--d", "1", "--linear"),
+    ("realize", "--q", "37", "--target", "1/2,1/4", "--count", "1"),
+], ids=" ".join)
+def test_code_file_alphabet_is_refused_before_any_search(tmp_path, monkeypatch, capsys, argv):
+    # code files hold base-36 symbols, so q > 36 exits 2 before a search could find a code to write
+    from codeplane import search
+
+    calls = []
+    for name in ("exists_code", "greedy_code"):
+        monkeypatch.setattr(search, name, lambda *a, name=name, **k: calls.append(name))
+    assert run(tmp_path / "out", *argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: code files hold base-36 symbols") and "Traceback" not in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_linear_oracle_writes_a_generator_file_past_36_symbols(tmp_path):
+    assert run(tmp_path, "oracle", "--q", "64", "--n", "2", "--m", "64", "--linear") == EXIT_OK
+    assert json.loads((tmp_path / "oracle.json").read_text())["d"] == 2
+    assert (tmp_path / "witness.gen.txt").read_text().startswith("64 2 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "",  # empty file
+    "2 three 2\n000\n111\n",  # bad header
+    "2 3 2\n000\n000\n",  # two equal words: the body holds one word, the header two
+    "2 3 2\n000\n1#1\n",  # a character outside the base-36 symbols
+], ids=["empty", "header", "twin", "symbol"])
+def test_spoil_refuses_a_bad_code_file_before_writing(tmp_path, monkeypatch, capsys, text):
+    (tmp_path / "in.txt").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["spoil", "--input", "in.txt", "--op", "lengthen", "--out", "out"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_bare_library_error_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
@@ -380,7 +422,7 @@ def _tokens(valid, invalid):
 _NUMBER = _tokens(["1", "2", "3", "5"], ["-1", "0", "", "x", "1/2", "1e3"])
 _ALPHABET = _tokens(["2", "3", "4"], ["-1", "0", "1", "257", "x"])
 _CURVE = _tokens(["vg", "gv_lower", "singleton", "hamming", "singleton_zero", "synthetic:diag",
-                  "synthetic:0,1;1/2,1/3;1,0", "vg,hamming"],
+                  "synthetic:0,1;1/2,1/3;1,0", "synthetic:0,1/2;1/2,1/2;1,0", "vg,hamming"],
                  ["synthetic:0,0;1,1", "synthetic:0,2;1,0", "synthetic:1/2", "synthetic:a,b",
                   "synthetic:", "synthetic:0,1;1/0,0", "nope", "", ","])
 _TARGET = _tokens(["1/8,1/8", "1/4,1/4", "1/3,1/3", "1/2,1/4"],
@@ -400,7 +442,7 @@ _OPTIONS = {
               ("--op", _tokens(["lengthen", "puncture", "shorten"], ["x"])), ("--count", _NUMBER)],
     "realize": [("--target", _TARGET), ("--q", _ALPHABET), ("--count", _NUMBER)],
     "strip": [("--q", _ALPHABET), ("--curve", _CURVE), ("--N", _NUMBER)],
-    "approx": [("--q", _ALPHABET), ("--curve", _CURVE), ("--N", _NUMBER), ("--lenient", st.none())],
+    "approx": [("--q", _ALPHABET), ("--curve", _CURVE), ("--N", _NUMBER)],
     "bogus": [],
 }
 #: options each command needs (listed first in _OPTIONS); always drawn
@@ -431,7 +473,7 @@ def test_any_argv_exits_within_the_contract(tmp_path_factory, argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv + ["--out", str(work / "out")])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_INTERNAL), (argv, code)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET), (argv, code)
     assert "Traceback" not in err.getvalue()
 
 
@@ -513,7 +555,7 @@ def _squares(runs):
     ("strip", "--curve", "vg", "--q", "2", "--N", "80"),
     ("approx", "--curve", "vg", "--q", "2", "--N", "32"),
     ("approx", "--curve", "hamming", "--q", "3", "--N", "32"),
-    ("approx", "--curve", "synthetic:0,1/2;1,1/2", "--N", "4", "--lenient"),
+    ("approx", "--curve", "synthetic:0,1/2;1,1/2", "--N", "4"),
 ])
 def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch, argv):
     payloads = []

@@ -366,7 +366,7 @@ def test_polyline_within():
 
 
 def test_build_strip_timeout():
-    from codeplane.errors import StabilizationTimeoutError
+    from codeplane.errors import BudgetExceededError
 
     class SlowCurve:
         name = "slow"
@@ -377,13 +377,13 @@ def test_build_strip_timeout():
             time.sleep(0.002)
             return vg_bound_curve(2).eval_pairs(num, den, precision)
 
-    with pytest.raises(StabilizationTimeoutError) as err:
+    with pytest.raises(BudgetExceededError) as err:
         build_strip(SlowCurve(), 16, SearchBudget(max_millis=10))
     assert err.value.partial is not None
 
 
 def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
-    from codeplane.errors import StabilizationTimeoutError
+    from codeplane.errors import BudgetExceededError
 
     now = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: now[0])
@@ -399,7 +399,7 @@ def test_strip_timeout_partial_holds_the_finished_columns(monkeypatch):
                 now[0] += 1.0
             return DIAG.eval_pairs(num, den, precision)
 
-    with pytest.raises(StabilizationTimeoutError) as err:
+    with pytest.raises(BudgetExceededError) as err:
         build_strip(LateCurve(), 16, SearchBudget(max_millis=500))
     # column 8 (from 1/2 to 9/16) finishes late; column 9 never starts
     columns = err.value.partial
@@ -462,7 +462,7 @@ def test_grid_algorithms_match_per_cell_brute_force(monkeypatch, name, q, ladder
 
         to_plus = {c for c in undecided if not meets(c, u_minus)}
         to_minus = {c for c in undecided if c not in to_plus and not meets(c, u_plus)}
-        adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
+        adm = two_sided_approx(curve, n_grid=n_grid)
         assert adm.initial_undecided == tuple(undecided)
         sides = adm.to_json()
         assert list(sides["u_plus"]) == sorted(u_plus | to_plus)
@@ -932,7 +932,7 @@ def test_threshold_sweep_matches_the_per_row_sweep(monkeypatch, name, ladder):
             continue
         want_cells, want = _reference_approx(curve, n_grid, base, cap)
         want_evals = curve.taken()
-        got = two_sided_approx(curve, n_grid=n_grid, strict=False)
+        got = two_sided_approx(curve, n_grid=n_grid)
         assert curve.taken() == want_evals, n_grid
         # the initial band of a column: U- below its open-INTERSECTS rows, U+ from its first closed-DISJOINT row
         rows = [[want_cells[i, j] for j in range(n_grid)] for i in range(n_grid)]
@@ -1010,7 +1010,7 @@ def test_pair_ends_equal_the_fraction_path_on_the_sweep_matrix(monkeypatch, name
         for n_grid in THRESHOLD_GRIDS:
             _outcome(lambda: build_strip(curve, n_grid))
             if name != "partial_span":
-                two_sided_approx(curve, n_grid=n_grid, strict=False)
+                two_sided_approx(curve, n_grid=n_grid)
     asked = set(curve.taken())
     assert len(asked) > 100
     reference, fresh = _reference_evaluator(name), THRESHOLD_CURVES[name]()
@@ -1043,7 +1043,7 @@ def test_sweeps_build_no_fraction(monkeypatch, name):
     curve = THRESHOLD_CURVES[name]()
     assert _fractions_built(monkeypatch, lambda: build_strip(curve, 64)) == 0
     if name != "partial_span":
-        assert _fractions_built(monkeypatch, lambda: two_sided_approx(curve, n_grid=64, strict=False)) == 0
+        assert _fractions_built(monkeypatch, lambda: two_sided_approx(curve, n_grid=64)) == 0
 
 
 def test_bounds_table_fraction_count_does_not_grow_with_the_grid(monkeypatch, tmp_path):
@@ -1088,7 +1088,7 @@ def test_json_square_lists_come_from_the_bands(name):
         assert list(strip.to_json()["balls"]) == sorted(strip.cells()), n_grid
         if name == "partial_span":  # a graph but no domain
             continue
-        adm = two_sided_approx(curve, n_grid=n_grid, strict=False)
+        adm = two_sided_approx(curve, n_grid=n_grid)
         payload = adm.to_json()
         sides = {"u_plus": {(i, j) for i, (_, b) in enumerate(adm.bands) for j in range(b, n_grid)},
                  "u_minus": {(i, j) for i, (a, _) in enumerate(adm.bands) for j in range(a)},

@@ -97,6 +97,19 @@ def test_generator_full_rank_enforced():
         GeneratorMatrix(field, ((1, 2, 0),))  # entry outside field
 
 
+@pytest.mark.parametrize("rows", [(), ((1, 0, 1), (0, 1))], ids=["no_rows", "ragged"])
+def test_generator_shape_enforced(rows):
+    with pytest.raises(ContractViolationError):
+        GeneratorMatrix(GF(2), rows)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "2 3\n1 0 1\n", "2 x 1\n1 0 1\n", "2 3 2\n1 0 1\n0 1\n"],
+                         ids=["empty", "blank", "short_header", "bad_header", "short_row"])
+def test_generator_text_refusals(text):
+    with pytest.raises(ContractViolationError):
+        read_generator_text(text)
+
+
 def test_enumeration_budget(monkeypatch):
     rows = tuple(
         tuple(1 if c == r else 0 for c in range(30)) for r in range(30)

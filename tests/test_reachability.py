@@ -57,7 +57,7 @@ ARGVS = [
     (0, ["strip", "--curve", "vg", "--q", "2", "--N", "8", "--svg"]),
     (0, ["strip", "--curve", "synthetic:1/7,3/7;6/7,0", "--N", "8"]),
     (0, ["approx", "--curve", "hamming", "--q", "2", "--N", "8", "--svg"]),
-    (0, ["approx", "--curve", "synthetic:0,1/2;1/2,1/2;1,0", "--N", "4", "--lenient"]),
+    (0, ["approx", "--curve", "synthetic:0,1/2;1/2,1/2;1,0", "--N", "4"]),
     (2, ["strip", "--N", "0"]),
     (3, ["oracle", "--q", "2", "--n", "8", "--m", "20", "--d", "3", "--max-nodes", "100"]),
     (3, ["realize", "--q", "2", "--target", "1/2,1/4", "--count", "1", "--max-nodes", "3"]),
@@ -73,7 +73,7 @@ ALLOWLIST = {
     "bounds.BoundCurve.from_intervals.ends": "via bounds.BoundCurve.from_intervals",
     "bounds.PolylineCurve.value_exact": "library: a polyline's exact value at one delta, as a Fraction",
     "bounds._interval": "via bounds.BoundCurve.eval",
-    "bounds.constant_curve": "library: the flat stand-in that two_sided_approx(strict=False) is documented for",
+    "bounds.constant_curve": "library: a flat stand-in curve, whose two_sided_approx is flagged not admissible",
     "bounds.entropy": "tracer",
     "bounds.vg_curve": "acceptance",
     "codes.code_point": "acceptance",

@@ -386,7 +386,7 @@ def test_budget_dataclass_validation():
 def test_one_meter_stops_every_long_loop(monkeypatch):
     from codeplane.bounds import vg_bound_curve
     from codeplane.effective import build_strip, two_sided_approx
-    from codeplane.errors import BudgetExceededError, StabilizationTimeoutError
+    from codeplane.errors import BudgetExceededError
 
     # a clock that moves a second per reading spends a 1 ms budget at the
     # first check of every metered loop
@@ -394,7 +394,7 @@ def test_one_meter_stops_every_long_loop(monkeypatch):
     monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
     budget = SearchBudget(max_millis=1)
     for grid in (build_strip, two_sided_approx):
-        with pytest.raises(StabilizationTimeoutError) as err:
+        with pytest.raises(BudgetExceededError) as err:
             grid(vg_bound_curve(2), 8, budget)
         assert err.value.partial == []
     # draw rounds, the full space's distance blocks, greedy blocks (d > 1),

@@ -354,6 +354,17 @@ def test_replay_rejects_a_no_op_step():
         replay_trace(trace, code)
 
 
+def test_a_shorten_step_to_an_empty_fiber_is_the_caller_s_fault():
+    # no word of {000, 011} has a 1 at coordinate 0: the step, not the library, is at fault
+    code = Code.from_words(2, [b"\x00\x00\x00", b"\x00\x01\x01"])
+    step = SpoilStep(SHORTEN, coordinate=0, symbol=1)
+    with pytest.raises(ContractViolationError, match="shorten step selects no word"):
+        apply_step(code, step)
+    shortened = params(Code.from_words(2, [b"\x00\x00", b"\x01\x01"]))
+    with pytest.raises(ContractViolationError, match="shorten step selects no word"):
+        replay_trace(SpoilTrace(params(code), (step,), shortened), code)
+
+
 def test_steps_in_range_still_apply():
     code = Code.from_words(3, [b"\x00\x00\x00", b"\x01\x01\x01", b"\x02\x02\x01"])
     assert apply_step(code, SpoilStep(LENGTHEN, coordinate=3, symbol=2)).words == (
